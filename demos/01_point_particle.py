@@ -40,7 +40,7 @@ Omega = kt.assemble_two_form(model, state)
 print("\nassembled 2-form block (q, v):\n", Omega.blocks[0])
 
 H = theories.chart("mechanics").hamiltonian
-X, residual = kt.hamiltonian_vector_field(Omega, kt.functional_gradient(model, H, state))
+X, residual = kt.hamiltonian_vector_field(Omega, model.density_gradient(H, state))
 q, v = float(state["q"][0]), float(state["v"][0])
 print(f"hamiltonian vector field at (q={q:+.3f}, v={v:+.3f}):")
 print(f"  X_q = {X[0, 0]:+.6f}   (expect  v      = {v:+.6f})")

@@ -46,7 +46,6 @@ from .lattice import (
     coisotropy_check,
     evolve_em,
     evolve_scalar,
-    functional_gradient,
     hamiltonian_vector_field,
     poisson_bracket,
     symplectic_current_check,
@@ -83,7 +82,7 @@ __all__ = [
     "injective_w21", "structural_fix",
     # lattice
     "LatticeGrid", "LatticeModel", "TwoFormMatrix", "ConstraintSet", "SmearedConstraint",
-    "assemble_two_form", "two_form_rank", "functional_gradient",
+    "assemble_two_form", "two_form_rank",
     "hamiltonian_vector_field", "poisson_bracket", "evolve_em", "evolve_scalar",
     "symplectic_current_check", "coisotropy_check",
     # corpus and front end

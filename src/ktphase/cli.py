@@ -42,7 +42,8 @@ from .calc_var import (
     variation,
     vertical_delta,
 )
-from .errors import CheckFailure, KtError, ParseError
+from .errors import CheckFailure, KtError, OrderLimitError, ParseError
+from .lattice import LatticeGrid
 
 __all__ = ["parse_theory", "emit_theory", "run_pipeline", "emit_report",
            "canonical_json", "RunOptions", "main"]
@@ -98,8 +99,7 @@ _FLAG_WORDS_BG = {"constant", "time-independent", "positive"}
 def parse_theory(text: str) -> TheorySpec:
     """Parse a theory file; raises ParseError with the offending line."""
     name = None
-    dim = None
-    vdim = 0
+    ints = {"vdim": 0, "jetorder": ex.DEFAULT_MAX_JET_ORDER}  # and "dim", required
     coords = None
     transversal = None
     fields = []
@@ -107,7 +107,6 @@ def parse_theory(text: str) -> TheorySpec:
     functions = []
     boundary_names = []
     side = 1
-    jet_order = ex.DEFAULT_MAX_JET_ORDER
     lagrangian_src = None
     lagrangian_line = 0
     seen = set()
@@ -128,12 +127,11 @@ def parse_theory(text: str) -> TheorySpec:
             if len(words) != 2:
                 raise ParseError("usage: theory NAME", lineno)
             name = words[1]
-        elif key == "dim":
-            dup("dim", lineno)
-            dim = int(words[1])
-        elif key == "vdim":
-            dup("vdim", lineno)
-            vdim = int(words[1])
+        elif key in ("dim", "vdim", "jetorder"):
+            dup(key, lineno)
+            if len(words) != 2:
+                raise ParseError(f"usage: {key} N", lineno)
+            ints[key] = _int(words[1], key, lineno)
         elif key == "coords":
             dup("coords", lineno)
             rest = words[1:]
@@ -171,15 +169,12 @@ def parse_theory(text: str) -> TheorySpec:
         elif key == "boundary":
             if len(words) != 4:
                 raise ParseError("usage: boundary FIELD ORDER SYMBOL", lineno)
-            boundary_names.append((words[1], int(words[2]), words[3]))
+            boundary_names.append((words[1], _int(words[2], "ORDER", lineno), words[3]))
         elif key == "side":
             dup("side", lineno)
-            if words[1] not in ("upper", "lower"):
+            if words[1:] not in (["upper"], ["lower"]):
                 raise ParseError("side must be 'upper' or 'lower'", lineno)
             side = 1 if words[1] == "upper" else -1
-        elif key == "jetorder":
-            dup("jetorder", lineno)
-            jet_order = int(words[1])
         elif key == "lagrangian":
             dup("lagrangian", lineno)
             rest = line[len("lagrangian"):].strip()
@@ -190,6 +185,7 @@ def parse_theory(text: str) -> TheorySpec:
         else:
             raise ParseError(f"unknown declaration {key!r}", lineno)
 
+    dim, vdim, jet_order = ints.get("dim"), ints["vdim"], ints["jetorder"]
     if name is None or dim is None or coords is None:
         raise ParseError("theory, dim, and coords are required")
     if len(coords) != dim:
@@ -207,11 +203,20 @@ def parse_theory(text: str) -> TheorySpec:
         L = ex.parse(lagrangian_src, base.context())
     except ParseError as exc:
         raise type(exc)(f"in lagrangian: {exc}", lagrangian_line) from exc
+    except ZeroDivisionError as exc:  # division by a sum, or by zero
+        raise ParseError(f"in lagrangian: {exc}", lagrangian_line) from exc
     return TheorySpec(name=name, dim=dim, coords=coords, transversal=transversal,
                       fields=tuple(fields), backgrounds=tuple(backgrounds),
                       functions=tuple(functions), lagrangian=L, vdim=vdim,
                       jet_order=jet_order, boundary_side=side,
                       boundary_names=tuple(boundary_names))
+
+
+def _int(word: str, what: str, lineno: int) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {word!r}", lineno) from None
 
 
 def _parse_field_line(words, lineno) -> FieldDecl:
@@ -224,7 +229,7 @@ def _parse_field_line(words, lineno) -> FieldDecl:
             k, v = w.split("=", 1)
             if k not in ("base", "internal"):
                 raise ParseError(f"unknown field attribute {k!r}", lineno)
-            kw[k] = int(v)
+            kw[k] = _int(v, k, lineno)
         elif w in _FLAG_WORDS_FIELD:
             kw[w] = True
         else:
@@ -244,7 +249,7 @@ def _parse_background_line(words, lineno) -> BackgroundDecl:
             k, v = w.split("=", 1)
             if k != "base":
                 raise ParseError(f"unknown background attribute {k!r}", lineno)
-            kw["base"] = int(v)
+            kw["base"] = _int(v, k, lineno)
         elif w in _FLAG_WORDS_BG:
             kw[w.replace("-", "_")] = True
         else:
@@ -447,9 +452,19 @@ def _load_theory(arg: str) -> TheorySpec:
         return parse_theory(fh.read())
 
 
-def _parse_grid(s: str) -> tuple:
-    parts = s.lower().split("x")
-    return tuple(int(p) for p in parts)
+def _parse_grid(s: str, t: TheorySpec) -> tuple:
+    """The ``--lattice`` shape, checked against the grid rules and against
+    the theory's boundary slice before any check runs."""
+    try:
+        shape = tuple(int(p) for p in s.lower().split("x"))
+        LatticeGrid(shape=shape)
+    except ValueError as exc:
+        raise ParseError(f"--lattice {s!r}: {exc}") from None
+    axes = len(t.tangential())
+    if len(shape) != axes:
+        raise ParseError(f"--lattice {s!r}: {len(shape)} axes, but the boundary slice of "
+                         f"{t.name!r} has {axes}")
+    return shape
 
 
 def main(argv=None) -> int:
@@ -479,7 +494,7 @@ def main(argv=None) -> int:
         else:
             options = RunOptions(check_golden=True, seed=seed, rank_tol=args.tol,
                                  point_checks=args.point_checks,
-                                 grid_shape=_parse_grid(args.lattice) if args.lattice else None)
+                                 grid_shape=_parse_grid(args.lattice, t) if args.lattice else None)
         report = run_pipeline(t, options)
         payload = emit_report(report, args.format, t)
         if args.out:
@@ -492,6 +507,9 @@ def main(argv=None) -> int:
         return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except OrderLimitError as exc:  # the theory's declared jetorder is too small
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)

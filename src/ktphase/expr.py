@@ -151,13 +151,14 @@ def _mono_key(mono):
 class Expr:
     """A normalized exact-rational expression; immutable."""
 
-    __slots__ = ("terms", "_hash", "_key")
+    __slots__ = ("terms", "_hash", "_key", "_vars")
 
     def __init__(self, terms=()):
         # Internal: callers must pass already-normalized term tuples.
         self.terms = terms
         self._hash = None
         self._key = None
+        self._vars = None
 
     # -- constructors -------------------------------------------------------
 
@@ -298,17 +299,19 @@ class Expr:
 
     def jet_vars(self) -> list:
         """All distinct jet variables in the expression, including those
-        buried inside scalar-function arguments."""
-        seen = {}
-        stack = [self]
-        while stack:
-            e = stack.pop()
-            for (vars_, fns), _ in e.terms:
-                for v, _e in vars_:
-                    seen.setdefault(v.key, v)
-                for (name, order, arg), _e in fns:
-                    stack.append(arg)
-        return sorted(seen.values())
+        buried inside scalar-function arguments, in sorted order."""
+        if self._vars is None:
+            seen = {}
+            stack = [self]
+            while stack:
+                e = stack.pop()
+                for (vars_, fns), _ in e.terms:
+                    for v, _e in vars_:
+                        seen.setdefault(v.key, v)
+                    for (name, order, arg), _e in fns:
+                        stack.append(arg)
+            self._vars = tuple(sorted(seen.values()))
+        return list(self._vars)
 
     def max_order(self) -> int:
         return max((v.order() for v in self.jet_vars()), default=0)
@@ -504,17 +507,26 @@ def _eval_sqrt(x):
 
 
 def evaluate(e: Expr, point: Mapping[JetVar, object], fns: Mapping | None = None):
-    """Evaluate at a point binding every jet variable to a rational or float.
+    """Evaluate at a point binding every jet variable to a value.
 
-    Exact Fraction arithmetic is preserved whenever all inputs are rational
-    and every scalar function returns rationals; otherwise the result decays
-    to float.  ``fns`` maps ``(name, order)`` to a callable for opaque
-    functions; sqrt is built in.
+    A bound value is a rational (``int`` or ``Fraction``), a float, or a
+    numpy array, which is evaluated elementwise.  When every value in
+    ``point`` is rational the arithmetic is exact, and the result is a
+    ``Fraction`` unless a scalar function returns a float (sqrt of a
+    non-square, or a callable from ``fns``).  Otherwise every coefficient
+    becomes a float first, so arrays stay float arrays.  ``fns`` maps
+    ``(name, order)`` to a callable for opaque functions; ``("sqrt", 0)`` in
+    ``fns`` replaces the built-in sqrt, which is exact on rational squares
+    and raises DomainError on negative arguments.
     """
-    fns = fns or {}
-    total = Fraction(0)
+    exact = all(isinstance(x, (int, Fraction)) for x in point.values())
+    return _evaluate(e, point, fns or {}, exact)
+
+
+def _evaluate(e: Expr, point, fns, exact: bool):
+    total = Fraction(0) if exact else 0.0
     for (vars_, fxs), coeff in e.terms:
-        val = coeff
+        val = coeff if exact else float(coeff)
         for v, ex in vars_:
             try:
                 x = point[v]
@@ -522,16 +534,10 @@ def evaluate(e: Expr, point: Mapping[JetVar, object], fns: Mapping | None = None
                 raise UnboundVariableError(f"no binding for jet variable {v.field}{v.comp}{v.deriv}") from None
             val = val * _ipow(x, ex)
         for (name, order, arg), ex in fxs:
-            a = evaluate(arg, point, fns)
-            if name == "sqrt":
-                y = _eval_sqrt(a)
-            else:
-                try:
-                    fn = fns[(name, order)]
-                except KeyError:
-                    raise UnboundVariableError(f"no callable bound for {name!r} (derivative order {order})") from None
-                y = fn(a)
-            val = val * _ipow(y, ex)
+            fn = fns.get((name, order), _eval_sqrt if name == "sqrt" else None)
+            if fn is None:
+                raise UnboundVariableError(f"no callable bound for {name!r} (derivative order {order})")
+            val = val * _ipow(fn(_evaluate(arg, point, fns, exact)), ex)
         total = total + val
     return total
 
@@ -554,15 +560,15 @@ def map_vars(e: Expr, f: Callable[[JetVar], JetVar]) -> Expr:
     Used for boundary restriction (renaming transversal jets); recurses into
     scalar-function arguments.
     """
-    out = ZERO
+    terms = []
     for (vars_, fns), coeff in e.terms:
         term = Expr.const(coeff)
         for v, ex in vars_:
             term = term * Expr.var(f(v)) ** ex
         for (name, order, arg), ex in fns:
             term = term * apply_fn(name, order, map_vars(arg, f)) ** ex
-        out = out + term
-    return out
+        terms.append(term)
+    return esum(terms)
 
 
 def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
@@ -573,7 +579,7 @@ def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_M
     corresponding total derivatives of the image.  Exponents of substituted
     variables must be nonnegative.
     """
-    out = ZERO
+    terms = []
     for (vars_, fns), coeff in e.terms:
         term = Expr.const(coeff)
         for v, ex in vars_:
@@ -589,16 +595,18 @@ def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_M
                 term = term * Expr.var(v) ** ex
         for (name, order, arg), ex in fns:
             term = term * apply_fn(name, order, substitute(arg, images, max_order)) ** ex
-        out = out + term
-    return out
+        terms.append(term)
+    return esum(terms)
 
 
 def _ipow(x, e: int):
+    if e == 1:
+        return x
     if e >= 0:
         return x ** e
-    if x == 0:
-        raise ZeroDivisionError("negative power of zero during evaluation")
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
+        if x == 0:
+            raise ZeroDivisionError("negative power of zero during evaluation")
         return Fraction(1) / x ** (-e)
     return x ** e
 

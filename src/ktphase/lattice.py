@@ -39,7 +39,6 @@ __all__ = [
     "CoisotropyResult",
     "assemble_two_form",
     "two_form_rank",
-    "functional_gradient",
     "hamiltonian_vector_field",
     "poisson_bracket",
     "evolve_em",
@@ -160,7 +159,7 @@ class LatticeModel:
 
     # -- expression evaluation over sites --------------------------------------
 
-    def _component_array(self, v: JetVar, state: dict, smear: dict) -> np.ndarray:
+    def _component_array(self, v: JetVar, state: dict, smear: dict | None) -> np.ndarray:
         name, comp = v.field, v.comp
         if name in self.field_comps:
             idx = self.field_comps[name].index(comp)
@@ -180,22 +179,16 @@ class LatticeModel:
         return base
 
     def evaluate(self, e: Expr, state: dict, smear: dict | None = None) -> np.ndarray:
-        """Evaluate an expression to an array over grid sites."""
-        smear = smear or {}
-        total = np.zeros(self.grid.shape)
-        for (vars_, fns), coeff in e.terms:
-            term = np.full(self.grid.shape, float(coeff))
-            for v, exp in vars_:
-                term = term * self._component_array(v, state, smear) ** exp
-            for (name, order, arg), exp in fns:
-                a = self.evaluate(arg, state, smear)
-                if name == "sqrt":
-                    val = np.sqrt(a)
-                else:
-                    val = self.functions[(name, order)](a)
-                term = term * val ** exp
-            total = total + term
-        return total
+        """Evaluate an expression to a float array over grid sites.
+
+        Binds each distinct jet variable to its component array and hands
+        the point to ``expr.evaluate``; an expression without jet variables
+        is evaluated exactly and spread over the grid.
+        """
+        point = {v: self._component_array(v, state, smear) for v in e.jet_vars()}
+        if not point:
+            return np.full(self.grid.shape, float(ex.evaluate(e, point, self.functions)))
+        return ex.evaluate(e, point, {("sqrt", 0): np.sqrt, **self.functions})
 
     def _grad_terms(self, e: Expr):
         """Cached symbolic slot-derivatives of a density: per chart slot, the
@@ -243,23 +236,15 @@ class LatticeModel:
 class TwoFormMatrix:
     """The vertical differential of the discretized boundary 1-form.
 
-    For ultralocal boundary forms (all shipped theories) the matrix is block
+    Only ultralocal boundary forms reach the lattice, so the matrix is block
     diagonal over sites and stored as ``blocks`` with shape
-    (nsites, nslots, nslots); otherwise ``dense`` holds the full matrix.
-    Antisymmetric entry-wise by construction.
+    (nsites, nslots, nslots).  Antisymmetric entry-wise by construction.
     """
     model: LatticeModel
-    blocks: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    blocks: np.ndarray
     meta: dict = dc_field(default_factory=dict)
 
-    @property
-    def n(self):
-        return self.model.grid.nsites * self.model.nslots
-
     def full(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
         nsites, m, _ = self.blocks.shape
         out = np.zeros((nsites * m, nsites * m))
         for s in range(nsites):
@@ -268,16 +253,12 @@ class TwoFormMatrix:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product; x has shape (nsites, nslots) or flat."""
-        if self.blocks is not None:
-            xv = x.reshape(self.model.grid.nsites, self.model.nslots)
-            return np.einsum("sij,sj->si", self.blocks, xv)
-        return (self.dense @ x.reshape(-1)).reshape(self.model.grid.nsites, self.model.nslots)
+        xv = x.reshape(self.model.grid.nsites, self.model.nslots)
+        return np.einsum("sij,sj->si", self.blocks, xv)
 
     def singular_values(self) -> np.ndarray:
-        if self.blocks is not None:
-            sv = np.linalg.svd(self.blocks, compute_uv=False)
-            return np.sort(sv.reshape(-1))[::-1]
-        return np.linalg.svd(self.dense, compute_uv=False)
+        sv = np.linalg.svd(self.blocks, compute_uv=False)
+        return np.sort(sv.reshape(-1))[::-1]
 
 
 def assemble_two_form(model: LatticeModel, state: dict) -> TwoFormMatrix:
@@ -285,27 +266,17 @@ def assemble_two_form(model: LatticeModel, state: dict) -> TwoFormMatrix:
     boundary-form pairing, antisymmetrized.
 
     For an ultralocal boundary form ``sum c_j(s) delta(s_j)`` the matrix is
-    per-site ``d c_j / d s_i - d c_i / d s_j``, scaled by the cell volume.
+    per-site ``d c_j / d s_i - d c_i / d s_j``, scaled by the cell volume;
+    column ``j`` of the Jacobian is the density gradient of ``c_j``.
     """
     model.check_state(state)
     chart = model.chart
     if not _alpha_is_ultralocal(chart):
         raise NotImplementedError("non-ultralocal boundary forms are not supported on the lattice")
     nsites, m = model.grid.nsites, model.nslots
-    w = model.grid.cell_volume()
     jac = np.zeros((nsites, m, m))  # jac[s, i, j] = d A_j / d state_i at site s
-    for gens, coeff in chart.alpha.terms:
-        g = gens[0]
-        j = model.slot_index[(g.field, g.comp)]
-        for v in coeff.jet_vars():
-            key = (v.field, v.comp)
-            if key not in model.slot_index or v.deriv:
-                continue
-            i = model.slot_index[key]
-            d = ex.diff_jet(coeff, v)
-            if d.is_zero():
-                continue
-            jac[:, i, j] += model.evaluate(d, state).reshape(-1) * w
+    for (g,), coeff in chart.alpha.terms:
+        jac[:, :, model.slot_index[(g.field, g.comp)]] += model.density_gradient(coeff, state)
     blocks = jac - np.transpose(jac, (0, 2, 1))
     return TwoFormMatrix(model=model, blocks=blocks,
                          meta={"theory": chart.theory, "shape": model.grid.shape})
@@ -328,14 +299,6 @@ def two_form_rank(m: TwoFormMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def functional_gradient(model: LatticeModel, density: Expr, state: dict,
-                        smear: dict | None = None) -> np.ndarray:
-    """Exact per-entry derivative of the discretized functional
-    ``sum_sites density * cellvol`` (polynomial differentiation, no finite
-    differences).  Shape (nsites, nslots)."""
-    return model.density_gradient(density, state, smear)
-
-
 def hamiltonian_vector_field(m: TwoFormMatrix, df: np.ndarray):
     """Minimum-norm least-squares solution X of ``iota_X omega + dF = 0``.
 
@@ -345,12 +308,8 @@ def hamiltonian_vector_field(m: TwoFormMatrix, df: np.ndarray):
     """
     model = m.model
     dfv = df.reshape(model.grid.nsites, model.nslots)
-    if m.blocks is not None:
-        pinv = np.linalg.pinv(m.blocks, rcond=1e-12)
-        X = np.einsum("sij,sj->si", pinv, dfv)
-    else:
-        X, *_ = np.linalg.lstsq(m.dense, dfv.reshape(-1), rcond=1e-12)
-        X = X.reshape(model.grid.nsites, model.nslots)
+    pinv = np.linalg.pinv(m.blocks, rcond=1e-12)
+    X = np.einsum("sij,sj->si", pinv, dfv)
     residual = float(np.linalg.norm(m.apply(X) - dfv))
     return X, residual
 

@@ -4,7 +4,7 @@ Five theories anchor the pipeline end to end:
 
 * ``mechanics`` — a point particle, ``L = m q'^2 / 2 - V(q)``;
 * ``length``    — the euclidean length of a regular path in R^3 (degenerate);
-* ``scalar``    — a free scalar field with split metric (d = 2 by default);
+* ``scalar``    — a free scalar field with split metric (d = 2);
 * ``em``        — Maxwell theory with split metric (d = 4);
 * ``pc4``       — four-dimensional coframe (first-order) gravity with
                   cosmological constant, internal metric diag(-1,1,1,1).
@@ -159,7 +159,8 @@ def _length_chart(t: TheorySpec) -> BoundaryChart:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _scalar(d: int = 2) -> TheorySpec:
+def _scalar() -> TheorySpec:
+    d = 2
     coords = tuple(f"x{i}" for i in range(d))
     fields = (FieldDecl("phi"),)
     backgrounds = (BackgroundDecl("hinv", base=2, time_independent=True),
@@ -200,7 +201,7 @@ def _scalar_chart(t: TheorySpec) -> BoundaryChart:
 
 
 # ---------------------------------------------------------------------------
-# electromagnetism (split metric, d = 4 by default)
+# electromagnetism (split metric, d = 4)
 # ---------------------------------------------------------------------------
 
 def _em_F(mu: int, nu: int) -> Expr:
@@ -209,7 +210,8 @@ def _em_F(mu: int, nu: int) -> Expr:
 
 
 @lru_cache(maxsize=None)
-def _em(d: int = 4) -> TheorySpec:
+def _em() -> TheorySpec:
+    d = 4
     coords = tuple(f"x{i}" for i in range(d))
     fields = (FieldDecl("A", base=1),)
     backgrounds = (BackgroundDecl("hinv", base=2, time_independent=True),
@@ -367,16 +369,16 @@ def golden(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def builtin(name: str, **kwargs) -> TheorySpec:
+def builtin(name: str) -> TheorySpec:
     """One of the built-in theories, fully populated."""
     if name == "mechanics":
         return _mechanics()
     if name == "length":
         return _length()
     if name == "scalar":
-        return _scalar(kwargs.get("d", 2))
+        return _scalar()
     if name == "em":
-        return _em(kwargs.get("d", 4))
+        return _em()
     if name == "pc4":
         return _pc4()
     raise KeyError(f"unknown builtin theory {name!r}")
@@ -570,8 +572,6 @@ def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True
     invariance genuinely fails), so ``structural=True`` is what "on the
     constraint surface" means for bracket checks.
     """
-    from .lattice import functional_gradient
-
     ch = model.chart
     cons = dict(ch.constraints)
     names = [f"P[{a},{b}]" for a, b in _PC_IPAIRS] + [f"T[{a}]" for a in range(4)]
@@ -593,7 +593,7 @@ def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True
         if residual < tol:
             return state
         J = np.concatenate([
-            np.array([functional_gradient(model, cons[n], state).reshape(-1)[om_slots] / w
+            np.array([model.density_gradient(cons[n], state).reshape(-1)[om_slots] / w
                       for n in names]),
             SR], axis=0)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)

@@ -32,7 +32,6 @@ from .lattice import (
     coisotropy_check,
     divergence_free_em_data,
     evolve_em,
-    functional_gradient,
     hamiltonian_vector_field,
     poisson_bracket,
     surface_tangent_basis,
@@ -170,7 +169,7 @@ def _mechanics_lattice(golden, seed, rank_tol=1e-8):
     for _ in range(spec["ham_points"]):
         s = model.random_state(rng)
         om = assemble_two_form(model, s)
-        X, res = hamiltonian_vector_field(om, functional_gradient(model, H, s))
+        X, res = hamiltonian_vector_field(om, model.density_gradient(H, s))
         q, v = float(s["q"][0]), float(s["v"][0])
         err = max(abs(X[0, 0] - v), abs(X[0, 1] + q ** 3 / m_val), res)
         worst = max(worst, err)

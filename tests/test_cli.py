@@ -2,8 +2,12 @@
 
 import json
 import pathlib
+import re
+import string
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ktphase import theories as TH
 from ktphase.cli import (
@@ -18,6 +22,7 @@ from ktphase.cli import (
 from ktphase.errors import ParseError, UndeclaredSymbolError
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "ktphase" / "theories_data"
+MECHANICS = (DATA / "mechanics.theory").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +209,58 @@ def test_cli_scalar_lattice_flag(tmp_path):
     assert main(["check", "scalar", "--lattice", "16", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["checks"]["lattice"]["entries"]["rank"]["rank"] == 32
+
+
+@pytest.mark.parametrize("edit, argv", [
+    (("dim 1", "dim abc"), ["derive"]),
+    (("dim 1", "dim 1\nvdim x"), ["derive"]),
+    (("boundary q 1 v", "boundary q x v"), ["derive"]),
+    (("jetorder 3", "jetorder x"), ["derive"]),
+    (("jetorder 3", "jetorder 1"), ["derive"]),
+    (("side upper", "side"), ["derive"]),
+    (("field q", "field q base=x"), ["derive"]),
+    (("field q", "field q internal=1.5"), ["derive"]),
+    (("background m", "background m base=x"), ["derive"]),
+    (("-V(q) + 1/2*m*q'^2", "q^2/(q+1)"), ["derive"]),
+    (None, ["check", "em", "--lattice", "16x"]),
+    (None, ["check", "em", "--lattice", "2x2x2"]),
+    (None, ["check", "em", "--lattice", "8x8"]),
+], ids=["dim", "vdim", "boundary-order", "jetorder", "jetorder-too-small", "side", "field-base",
+        "field-internal", "background-base", "rational-lagrangian", "lattice-16x",
+        "lattice-2x2x2", "lattice-rank"])
+def test_cli_user_errors_exit_one(tmp_path, capsys, edit, argv):
+    if edit is not None:
+        assert edit[0] in MECHANICS
+        bad = tmp_path / "bad.theory"
+        bad.write_text(MECHANICS.replace(*edit))
+        argv = argv + [str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("parse error:", "error:"))
+    if edit is not None and err.startswith("parse error:"):
+        assert " at line " in err
+
+
+_WORDS = st.text(alphabet=string.ascii_letters + string.digits + string.punctuation,
+                 min_size=1, max_size=8)
+# (start, end) of each whitespace-delimited integer token: dim, boundary order, jetorder
+_INT_TOKENS = [m.span() for m in re.finditer(r"(?m)(?<= )\d+(?= |$)", MECHANICS)]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_INT_TOKENS), _WORDS)
+def test_theory_integer_token_fuzz_never_exits_three(tmp_path, capsys, span, word):
+    assert len(_INT_TOKENS) == 3
+    path = tmp_path / "fuzz.theory"
+    path.write_text(MECHANICS[:span[0]] + word + MECHANICS[span[1]:])
+    assert main(["derive", str(path)]) != 3, capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(alphabet="0123456789xX-+_ ", max_size=12) | st.text(max_size=8))
+def test_cli_lattice_strings_never_exit_three(capsys, grid):
+    # the run itself is stubbed out: a valid random grid may be huge
+    with mock.patch("ktphase.cli.run_pipeline", return_value={"passed": True}):
+        assert main(["check", "em", f"--lattice={grid}"]) in (0, 1), capsys.readouterr().err

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -215,6 +216,9 @@ def test_evaluate_zero_expression(mech_ctx):
 def test_evaluate_unbound(mech_ctx):
     with pytest.raises(UnboundVariableError):
         E.evaluate(E.parse("q", mech_ctx), {})
+    for m in (Fraction(2), 2.0, np.full(3, 2.0)):
+        with pytest.raises(UnboundVariableError):
+            E.evaluate(E.parse("m*q", mech_ctx), {mech_ctx.jetvar("m", (), 0, ()): m})
 
 
 def test_evaluate_sqrt_negative():
@@ -222,8 +226,37 @@ def test_evaluate_sqrt_negative():
     ctx.declare_field("x")
     ctx.declare_function("sqrt")
     e = E.parse("sqrt(x)", ctx)
-    with pytest.raises(DomainError):
-        E.evaluate(e, {ctx.jetvar("x", (), 0, ()): Fraction(-4)})
+    for x in (Fraction(-4), -4.0):
+        with pytest.raises(DomainError):
+            E.evaluate(e, {ctx.jetvar("x", (), 0, ()): x})
+
+
+@pytest.mark.parametrize("src", [
+    "m*q'^2 - 3/7*q + 2",
+    "q^-2 - 1/3*q*q'",
+    "sqrt(q^2 + m)*q' + V(q)",
+    "5/3",
+])
+def test_evaluate_arrays_elementwise(src):
+    # signed powers of two keep every product exact, so the array path and
+    # the scalar-float path must agree bit for bit
+    ctx = E.Context(coords=("t",))
+    ctx.declare_field("q")
+    ctx.declare_field("m", meta=E.SymbolMeta(background=True, constant=True, positive=True))
+    ctx.declare_function("V")
+    ctx.declare_function("sqrt")
+    e = E.parse(src, ctx)
+    rng = np.random.default_rng(3)
+    dyadic = [s * 2.0 ** k for s in (-1, 1) for k in range(-2, 3)]
+    arrays = {ctx.jetvar("q", (), 0, ()): rng.choice(dyadic, 6),
+              ctx.jetvar("q", (), 1, ()): rng.choice(dyadic, 6),
+              ctx.jetvar("m", (), 0, ()): np.abs(rng.choice(dyadic, 6))}
+    cube = {("V", 0): lambda x: x ** 3}
+    out = np.broadcast_to(E.evaluate(e, arrays, {("sqrt", 0): np.sqrt, **cube}), (6,))
+    assert out.dtype == np.float64
+    for k in range(6):
+        scalar = E.evaluate(e, {v: float(a[k]) for v, a in arrays.items()}, cube)
+        assert isinstance(scalar, float) and out[k] == scalar
 
 
 def test_evaluate_sqrt_exact_on_perfect_squares():

@@ -14,7 +14,6 @@ from ktphase.lattice import (
     divergence_free_em_data,
     evolve_em,
     evolve_scalar,
-    functional_gradient,
     hamiltonian_vector_field,
     poisson_bracket,
     surface_tangent_basis,
@@ -126,7 +125,7 @@ def test_gradient_matches_finite_differences(rng):
     def value(s):
         return float(model.evaluate(H, s).sum() * grid.cell_volume())
 
-    grad = functional_gradient(model, H, state)
+    grad = model.density_gradient(H, state)
     step = 1e-5
     for _ in range(12):
         f = ["phi", "phi0"][rng.integers(2)]
@@ -143,7 +142,7 @@ def test_gradient_matches_finite_differences(rng):
 def test_gradient_of_constant_functional(rng):
     model, grid = scalar_model((8,))
     state = model.random_state(rng)
-    grad = functional_gradient(model, E.Expr.const(7), state)
+    grad = model.density_gradient(E.Expr.const(7), state)
     assert np.all(grad == 0.0)
 
 
@@ -185,9 +184,9 @@ def test_poisson_bracket_antisymmetry_and_self(rng):
     state = model.random_state(rng)
     omega = assemble_two_form(model, state)
     H = TH.chart("mechanics").hamiltonian
-    gH = functional_gradient(model, H, state)
+    gH = model.density_gradient(H, state)
     q_func = E.Expr.var(E.JetVar("q"))
-    gq = functional_gradient(model, q_func, state)
+    gq = model.density_gradient(q_func, state)
     assert poisson_bracket(gH, gH, omega) == 0.0
     assert abs(poisson_bracket(gH, gq, omega) + poisson_bracket(gq, gH, omega)) < 1e-14
 
