@@ -205,6 +205,8 @@ def parse_theory(text: str) -> TheorySpec:
         raise type(exc)(f"in lagrangian: {exc}", lagrangian_line) from exc
     except ZeroDivisionError as exc:  # division by a sum, or by zero
         raise ParseError(f"in lagrangian: {exc}", lagrangian_line) from exc
+    except RecursionError:  # nesting deeper than the interpreter's stack
+        raise ParseError("in lagrangian: expression nested too deeply", lagrangian_line) from None
     return TheorySpec(name=name, dim=dim, coords=coords, transversal=transversal,
                       fields=tuple(fields), backgrounds=tuple(backgrounds),
                       functions=tuple(functions), lagrangian=L, vdim=vdim,
@@ -483,11 +485,10 @@ def main(argv=None) -> int:
             p.add_argument("--point-checks", type=int, default=None)
     args = parser.parse_args(argv)
 
-    seed = args.seed
-    if os.environ.get("KT_SEED"):
-        seed = int(os.environ["KT_SEED"])
-
     try:
+        seed = args.seed
+        if os.environ.get("KT_SEED"):
+            seed = _int(os.environ["KT_SEED"], "KT_SEED", None)
         t = _load_theory(args.theory)
         if args.command == "derive":
             options = RunOptions(symbolic_only=True, seed=seed, rank_tol=args.tol)

@@ -875,10 +875,16 @@ def ast_to_expr(node, ctx: Context) -> Expr:
         return Expr.const(node[1])
     if op == "neg":
         return -ast_to_expr(node[1], ctx)
-    if op == "add":
-        return ast_to_expr(node[1], ctx) + ast_to_expr(node[2], ctx)
-    if op == "sub":
-        return ast_to_expr(node[1], ctx) - ast_to_expr(node[2], ctx)
+    if op in ("add", "sub"):
+        # the parser builds sums left-deep: walk the chain in a loop and sum
+        # the terms once (linear in their number, no recursion per term)
+        terms = []
+        while node[0] in ("add", "sub"):
+            rhs = ast_to_expr(node[2], ctx)
+            terms.append(rhs if node[0] == "add" else -rhs)
+            node = node[1]
+        terms.append(ast_to_expr(node, ctx))
+        return esum(terms)
     if op == "mul":
         return ast_to_expr(node[1], ctx) * ast_to_expr(node[2], ctx)
     if op == "div":

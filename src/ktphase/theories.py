@@ -9,10 +9,14 @@ Five theories anchor the pipeline end to end:
 * ``pc4``       — four-dimensional coframe (first-order) gravity with
                   cosmological constant, internal metric diag(-1,1,1,1).
 
-Each builtin comes with a declared boundary chart (the reduced boundary
-coordinates, their boundary 1-form, constraints, momenta definitions) that
-``calc_var.verify_chart`` checks exactly against the derived pipeline output,
-and with smeared constraint families for the lattice backend.
+The Lagrangians live only in the shipped theory files
+``theories_data/<name>.theory``: :func:`builtin` parses the file, so a
+builtin is exactly what ``ktphase derive path/to/<name>.theory`` reads.  This
+module adds what a theory file does not say: for each builtin a declared
+boundary chart (the reduced boundary coordinates, their boundary 1-form,
+constraints, momenta definitions) that ``calc_var.verify_chart`` checks
+exactly against the derived pipeline output, and smeared constraint families
+for the lattice backend.
 
 Sign conventions per theory, recorded because each is a genuine choice:
 the equation-of-motion densities follow the classical form (kinetic term
@@ -35,11 +39,9 @@ import numpy as np
 
 from . import expr as ex
 from .calc_var import (
-    BackgroundDecl,
     BoundaryChart,
     BoundarySplit,
     ChartField,
-    FieldDecl,
     LocalVarForm,
     TheorySpec,
     ibp_split,
@@ -58,9 +60,6 @@ __all__ = [
     "flat_metric_bindings",
     "ETA_DIAG",
     "eps4",
-    "eps3",
-    "pc_omega_comp",
-    "pc_curvature_expr",
     "pc_on_surface_state",
     "pc_internal_rotation",
 ]
@@ -68,9 +67,6 @@ __all__ = [
 THEORY_NAMES = ("mechanics", "length", "scalar", "em", "pc4")
 
 ETA_DIAG = (-1, 1, 1, 1)
-
-_DYN = SymbolMeta()
-_POS_DYN = SymbolMeta(positive=True)
 
 
 def _perm_sign(p):
@@ -89,28 +85,9 @@ def eps4():
     return tuple((p, _perm_sign(p)) for p in itertools.permutations(range(4)))
 
 
-@lru_cache(maxsize=None)
-def eps3():
-    return tuple((p, _perm_sign(p)) for p in itertools.permutations((1, 2, 3)))
-
-
 # ---------------------------------------------------------------------------
 # mechanics
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _mechanics() -> TheorySpec:
-    fields = (FieldDecl("q"),)
-    backgrounds = (BackgroundDecl("m", constant=True, positive=True),)
-    base = TheorySpec(name="mechanics", dim=1, coords=("t",), transversal=0,
-                      fields=fields, backgrounds=backgrounds, functions=("V",),
-                      vdim=1, boundary_side=1, boundary_names=(("q", 1, "v"),))
-    L = ex.parse("1/2*m*q'^2 - V(q)", base.context())
-    return TheorySpec(name="mechanics", dim=1, coords=("t",), transversal=0,
-                      fields=fields, backgrounds=backgrounds, functions=("V",),
-                      lagrangian=L, vdim=1, boundary_side=1,
-                      boundary_names=(("q", 1, "v"),))
-
 
 def _mechanics_chart(t: TheorySpec) -> BoundaryChart:
     q = JetVar("q", (), ())
@@ -127,16 +104,6 @@ def _mechanics_chart(t: TheorySpec) -> BoundaryChart:
 # ---------------------------------------------------------------------------
 # length functional
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _length() -> TheorySpec:
-    fields = (FieldDecl("q", internal=1),)
-    base = TheorySpec(name="length", dim=1, coords=("t",), transversal=0,
-                      fields=fields, vdim=3)
-    L = ex.parse("sqrt(q[0]'^2 + q[1]'^2 + q[2]'^2)", base.context())
-    return TheorySpec(name="length", dim=1, coords=("t",), transversal=0,
-                      fields=fields, lagrangian=L, vdim=3, boundary_side=1)
-
 
 def _length_chart(t: TheorySpec) -> BoundaryChart:
     umeta = SymbolMeta(excluded=frozenset({0}))
@@ -157,27 +124,6 @@ def _length_chart(t: TheorySpec) -> BoundaryChart:
 # ---------------------------------------------------------------------------
 # scalar field (split metric; h symbolic, bound numerically on the lattice)
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _scalar() -> TheorySpec:
-    d = 2
-    coords = tuple(f"x{i}" for i in range(d))
-    fields = (FieldDecl("phi"),)
-    backgrounds = (BackgroundDecl("hinv", base=2, time_independent=True),
-                   BackgroundDecl("rh", time_independent=True, positive=True))
-    tang = tuple(range(1, d))
-    phi = JetVar("phi", (), ())
-    rh = Expr.var(JetVar("rh", (), (), SymbolMeta(background=True, excluded=frozenset({0}), positive=True)))
-    hv = lambda i, j: Expr.var(JetVar("hinv", (min(i, j), max(i, j)), (),
-                                      SymbolMeta(background=True, excluded=frozenset({0}))))
-    dphi = lambda mu: Expr.var(JetVar("phi", (), (mu,)))
-    kinetic = -dphi(0) ** 2
-    spatial = ex.esum(hv(i, j) * dphi(i) * dphi(j) for i in tang for j in tang)
-    L = Expr.const(Fraction(1, 2)) * rh * (kinetic + spatial)
-    return TheorySpec(name="scalar", dim=d, coords=coords, transversal=0,
-                      fields=fields, backgrounds=backgrounds, lagrangian=L,
-                      boundary_side=-1)
-
 
 def _scalar_chart(t: TheorySpec) -> BoundaryChart:
     d = t.dim
@@ -203,32 +149,6 @@ def _scalar_chart(t: TheorySpec) -> BoundaryChart:
 # ---------------------------------------------------------------------------
 # electromagnetism (split metric, d = 4)
 # ---------------------------------------------------------------------------
-
-def _em_F(mu: int, nu: int) -> Expr:
-    A = lambda rho, deriv=(): Expr.var(JetVar("A", (rho,), deriv))
-    return A(nu, (mu,)) - A(mu, (nu,))
-
-
-@lru_cache(maxsize=None)
-def _em() -> TheorySpec:
-    d = 4
-    coords = tuple(f"x{i}" for i in range(d))
-    fields = (FieldDecl("A", base=1),)
-    backgrounds = (BackgroundDecl("hinv", base=2, time_independent=True),
-                   BackgroundDecl("rh", time_independent=True, positive=True))
-    tang = tuple(range(1, d))
-    rh = Expr.var(JetVar("rh", (), (), SymbolMeta(background=True, excluded=frozenset({0}), positive=True)))
-    hv = lambda i, j: Expr.var(JetVar("hinv", (min(i, j), max(i, j)), (),
-                                      SymbolMeta(background=True, excluded=frozenset({0}))))
-    # 1/4 g^{mu nu} g^{rho sigma} F_{mu rho} F_{nu sigma} sqrt(det h),
-    # with the split metric g = -(dx0)^2 + h: electric part carries g^{00} = -1.
-    electric = ex.esum(hv(i, j) * _em_F(0, i) * _em_F(0, j) for i in tang for j in tang)
-    magnetic = ex.esum(hv(i, j) * hv(k, l) * _em_F(i, k) * _em_F(j, l)
-                       for i in tang for j in tang for k in tang for l in tang)
-    L = rh * (Expr.const(Fraction(-1, 2)) * electric + Expr.const(Fraction(1, 4)) * magnetic)
-    return TheorySpec(name="em", dim=d, coords=coords, transversal=0, fields=fields,
-                      backgrounds=backgrounds, lagrangian=L, boundary_side=-1)
-
 
 def _em_chart(t: TheorySpec) -> BoundaryChart:
     d = t.dim
@@ -265,49 +185,6 @@ def _em_chart(t: TheorySpec) -> BoundaryChart:
 # ---------------------------------------------------------------------------
 # coframe (first-order) gravity, d = 4
 # ---------------------------------------------------------------------------
-
-def pc_evar(a: int, mu: int, deriv=()) -> Expr:
-    return Expr.var(JetVar("e", (a, mu), deriv))
-
-
-def pc_omega_comp(a: int, b: int, mu: int, deriv=()) -> Expr:
-    """omega^{ab}_mu with the antisymmetric pair stored increasing."""
-    if a == b:
-        return ex.ZERO
-    if a < b:
-        return Expr.var(JetVar("omega", (a, b, mu), deriv))
-    return -Expr.var(JetVar("omega", (b, a, mu), deriv))
-
-
-def pc_curvature_expr(c: int, d_: int, rho: int, sigma: int) -> Expr:
-    """F^{cd}_{rho sigma} = d_rho omega^{cd}_sigma - d_sigma omega^{cd}_rho
-    + eta_ef (omega^{ce}_rho omega^{fd}_sigma - omega^{ce}_sigma omega^{fd}_rho)."""
-    terms = [pc_omega_comp(c, d_, sigma, (rho,)), -pc_omega_comp(c, d_, rho, (sigma,))]
-    for eidx in range(4):
-        eta = ETA_DIAG[eidx]
-        terms.append(Expr.const(eta) * pc_omega_comp(c, eidx, rho) * pc_omega_comp(eidx, d_, sigma))
-        terms.append(Expr.const(-eta) * pc_omega_comp(c, eidx, sigma) * pc_omega_comp(eidx, d_, rho))
-    return ex.esum(terms)
-
-
-@lru_cache(maxsize=None)
-def _pc4() -> TheorySpec:
-    fields = (FieldDecl("e", base=1, internal=1),
-              FieldDecl("omega", base=1, internal=2, antisym=True))
-    backgrounds = (BackgroundDecl("Lam", constant=True),)
-    lam = Expr.var(JetVar("Lam", (), (), SymbolMeta(background=True, constant=True)))
-    terms = []
-    for (a, b, c, d_), si in eps4():
-        for (mu, nu, rho, sigma), sm in eps4():
-            s = si * sm
-            ee = pc_evar(a, mu) * pc_evar(b, nu)
-            terms.append(Expr.const(Fraction(s, 2)) * ee * pc_curvature_expr(c, d_, rho, sigma))
-            terms.append(Expr.const(Fraction(s, 24)) * lam * ee * pc_evar(c, rho) * pc_evar(d_, sigma))
-    L = ex.esum(terms)
-    return TheorySpec(name="pc4", dim=4, coords=("x0", "x1", "x2", "x3"), transversal=0,
-                      fields=fields, backgrounds=backgrounds, lagrangian=L,
-                      jet_order=3, boundary_side=1)
-
 
 def _pc4_chart(t: TheorySpec) -> BoundaryChart:
     """Boundary chart of coframe gravity: the tangential coframe legs and the
@@ -351,6 +228,14 @@ def _parse_comp(name: str) -> tuple:
 # public accessors
 # ---------------------------------------------------------------------------
 
+def _builtin_data(name: str, path: str) -> str:
+    """The text of a package data file that belongs to builtin ``name``."""
+    if name not in THEORY_NAMES:
+        raise KeyError(f"unknown builtin theory {name!r}")
+    import importlib.resources as res
+    return res.files("ktphase").joinpath(path).read_text(encoding="utf-8")
+
+
 @lru_cache(maxsize=None)
 def golden(name: str) -> dict:
     """The stored golden record of a builtin theory.
@@ -361,27 +246,15 @@ def golden(name: str) -> dict:
     provenance in the ``notes`` field.  Every expected expression parses and
     re-normalizes to itself (checked by the test suite).
     """
-    if name not in THEORY_NAMES:
-        raise KeyError(f"unknown builtin theory {name!r}")
-    import importlib.resources as res
-    path = res.files("ktphase").joinpath(f"golden/{name}.json")
     import json
-    return json.loads(path.read_text(encoding="utf-8"))
+    return json.loads(_builtin_data(name, f"golden/{name}.json"))
 
 
+@lru_cache(maxsize=None)
 def builtin(name: str) -> TheorySpec:
-    """One of the built-in theories, fully populated."""
-    if name == "mechanics":
-        return _mechanics()
-    if name == "length":
-        return _length()
-    if name == "scalar":
-        return _scalar()
-    if name == "em":
-        return _em()
-    if name == "pc4":
-        return _pc4()
-    raise KeyError(f"unknown builtin theory {name!r}")
+    """One of the built-in theories: its shipped ``theories_data/<name>.theory``."""
+    from .cli import parse_theory
+    return parse_theory(_builtin_data(name, f"theories_data/{name}.theory"))
 
 
 @lru_cache(maxsize=None)

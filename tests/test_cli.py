@@ -1,5 +1,6 @@
 """Theory files, report serialization, and the command-line front end."""
 
+import importlib.resources
 import json
 import pathlib
 import re
@@ -30,9 +31,29 @@ MECHANICS = (DATA / "mechanics.theory").read_text(encoding="utf-8")
 # ---------------------------------------------------------------------------
 
 def test_shipped_files_equal_builtins():
+    # the shipped files are the builtins; each is stored in canonical form
     for name in TH.THEORY_NAMES:
         text = (DATA / f"{name}.theory").read_text(encoding="utf-8")
-        assert parse_theory(text) == TH.builtin(name)
+        assert text == emit_theory(TH.builtin(name))
+
+
+def test_shipped_theory_files_match_theory_names():
+    data = importlib.resources.files("ktphase").joinpath("theories_data")
+    files = [p for p in data.iterdir() if p.name.endswith(".theory")]
+    assert sorted(p.name for p in files) == sorted(f"{n}.theory" for n in TH.THEORY_NAMES)
+    for p in files:
+        decls = [line.split() for line in p.read_text(encoding="utf-8").splitlines()
+                 if line.split()[:1] == ["theory"]]
+        assert decls == [["theory", p.name.removesuffix(".theory")]]
+
+
+def test_long_lagrangian_derives(tmp_path, capsys):
+    # 1201 terms: more than the interpreter's recursion limit
+    path = tmp_path / "long.theory"
+    powers = " - ".join(f"q^{k}" for k in range(1, 1201))
+    path.write_text(f'theory long\ndim 1\ncoords t\nfield q\nlagrangian "1/2*q\'^2 - {powers}"\n')
+    assert main(["derive", str(path)]) == 0, capsys.readouterr().err
+    assert len(parse_theory(path.read_text()).lagrangian.terms) == 1201
 
 
 def test_emit_parse_round_trip():
@@ -185,7 +206,7 @@ def test_cli_check_mechanics_passes(tmp_path, capsys):
     assert report["checks"]["symbolic"]["entries"]["alpha"]["pass"] is True
 
 
-def test_cli_seed_env_override(tmp_path, monkeypatch):
+def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     monkeypatch.setenv("KT_SEED", "7")
@@ -202,6 +223,10 @@ def test_cli_seed_env_override(tmp_path, monkeypatch):
         return checks
 
     assert strip_walltime(r1["checks"]) == strip_walltime(r2["checks"])
+
+    monkeypatch.setenv("KT_SEED", "abc")
+    assert main(["derive", "mechanics"]) == 1
+    assert capsys.readouterr().err.startswith("parse error: KT_SEED")
 
 
 def test_cli_scalar_lattice_flag(tmp_path):
@@ -222,11 +247,12 @@ def test_cli_scalar_lattice_flag(tmp_path):
     (("field q", "field q internal=1.5"), ["derive"]),
     (("background m", "background m base=x"), ["derive"]),
     (("-V(q) + 1/2*m*q'^2", "q^2/(q+1)"), ["derive"]),
+    (("-V(q) + 1/2*m*q'^2", "(" * 250 + "q'^2" + ")" * 250), ["derive"]),
     (None, ["check", "em", "--lattice", "16x"]),
     (None, ["check", "em", "--lattice", "2x2x2"]),
     (None, ["check", "em", "--lattice", "8x8"]),
 ], ids=["dim", "vdim", "boundary-order", "jetorder", "jetorder-too-small", "side", "field-base",
-        "field-internal", "background-base", "rational-lagrangian", "lattice-16x",
+        "field-internal", "background-base", "rational-lagrangian", "deep-nesting", "lattice-16x",
         "lattice-2x2x2", "lattice-rank"])
 def test_cli_user_errors_exit_one(tmp_path, capsys, edit, argv):
     if edit is not None:
