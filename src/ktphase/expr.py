@@ -885,10 +885,17 @@ def ast_to_expr(node, ctx: Context) -> Expr:
             node = node[1]
         terms.append(ast_to_expr(node, ctx))
         return esum(terms)
-    if op == "mul":
-        return ast_to_expr(node[1], ctx) * ast_to_expr(node[2], ctx)
-    if op == "div":
-        return ast_to_expr(node[1], ctx) / ast_to_expr(node[2], ctx)
+    if op in ("mul", "div"):
+        # products are left-deep too: unwind the chain, then fold it left to right
+        chain = []
+        while node[0] in ("mul", "div"):
+            chain.append(node)
+            node = node[1]
+        acc = ast_to_expr(node, ctx)
+        for link in reversed(chain):
+            rhs = ast_to_expr(link[2], ctx)
+            acc = acc * rhs if link[0] == "mul" else acc / rhs
+        return acc
     if op == "pow":
         return ast_to_expr(node[1], ctx) ** node[2]
     if op == "call":

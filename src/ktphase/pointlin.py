@@ -37,6 +37,7 @@ __all__ = [
     "coframe_kernel_dim",
     "injective_w21",
     "structural_fix",
+    "structural_maps",
     "StructuralFix",
     "rref",
     "nullspace",
@@ -88,15 +89,13 @@ def rank(matrix) -> int:
     return len(rref(matrix)[1])
 
 
-def nullspace(matrix, ncols=None):
-    """Exact basis of the right kernel, one vector per free column."""
-    if not matrix:
-        return [] if not ncols else [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    ncols = len(matrix[0]) if ncols is None else ncols
-    rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+def _kernel(rows, pivots, ncols):
+    """Kernel basis read off a reduced row echelon form, one vector per free
+    column among the first ``ncols``."""
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -105,25 +104,31 @@ def nullspace(matrix, ncols=None):
     return basis
 
 
+def nullspace(matrix, ncols=None):
+    """Exact basis of the right kernel, one vector per free column."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    return _kernel(*rref(matrix), ncols)
+
+
 def solve_exact(matrix, rhs):
     """Solve ``A x = b`` exactly; returns (particular solution, kernel basis).
 
-    Raises InconsistentSystemError when no solution exists.
+    One elimination of ``[A | b]``: its first columns are the reduced form of
+    ``A``, so the kernel is read off the same rows.  Raises
+    InconsistentSystemError when no solution exists.
     """
     if not matrix:
         return [], []
     ncols = len(matrix[0])
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     rows, pivots = rref(aug)
-    for r, row in enumerate(rows):
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            raise InconsistentSystemError("exact linear system has no solution")
+    if ncols in pivots:
+        raise InconsistentSystemError("exact linear system has no solution")
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = rows[r][ncols]
-    kern = nullspace(matrix, ncols)
-    return x, kern
+        x[pc] = rows[r][ncols]
+    return x, _kernel(rows, pivots, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +152,6 @@ class InternalSpace:
 @lru_cache(maxsize=None)
 def _basis(ndim: int, k: int):
     return tuple(itertools.combinations(range(ndim), k))
-
-
-@lru_cache(maxsize=None)
-def _basis_index(ndim: int, k: int):
-    return {c: i for i, c in enumerate(_basis(ndim, k))}
 
 
 def pform_dim(k: int, l: int, base_dim: int = 3, d: int = 4) -> int:
@@ -344,21 +344,35 @@ class LinMap:
         return PForm.from_vector(k, l, out, base_dim, InternalSpace(d))
 
 
+def _map_rows(f, k, l, kc, lc, base_dim, space):
+    """Exact matrix of a linear map from (k,l)- to (kc,lc)-forms, one column
+    per unit form of the domain, rows in ``_basis`` order of the codomain."""
+    cod_index = {key: i for i, key in enumerate(
+        (I, A) for I in _basis(base_dim, kc) for A in _basis(space.d, lc))}
+    dom_basis = [(I, A) for I in _basis(base_dim, k) for A in _basis(space.d, l)]
+    rows = [[Fraction(0)] * len(dom_basis) for _ in range(len(cod_index))]
+    for j, key in enumerate(dom_basis):
+        for ckey, c in f(PForm(k, l, {key: Fraction(1)}, base_dim, space)).coeffs.items():
+            rows[cod_index[ckey]][j] = c
+    return rows
+
+
 def wedge_map(e: PForm, k: int, l: int) -> LinMap:
     """The map ``x -> e ^ x`` on (k,l)-forms, as an exact matrix."""
     base_dim, d = e.base_dim, e.space.d
-    dom_basis = [(I, A) for I in _basis(base_dim, k) for A in _basis(d, l)]
     kc, lc = k + e.k, l + e.l
-    cod_index = {key: i for i, key in enumerate(
-        (I, A) for I in _basis(base_dim, kc) for A in _basis(d, lc))}
-    rows = [[Fraction(0)] * len(dom_basis) for _ in range(len(cod_index))]
-    for j, (I, A) in enumerate(dom_basis):
-        unit = PForm(k, l, {(I, A): Fraction(1)}, base_dim, e.space)
-        img = wedge(e, unit)
-        for key, c in img.coeffs.items():
-            rows[cod_index[key]][j] = c
+    rows = _map_rows(lambda x: wedge(e, x), k, l, kc, lc, base_dim, e.space)
     return LinMap(dom=(k, l, base_dim, d), cod=(kc, lc, base_dim, d),
                   rows=tuple(tuple(r) for r in rows))
+
+
+def structural_maps(e: PForm, eps: PForm):
+    """The two maps of the structural constraint, as exact matrices into
+    (2,2)-forms: ``m_v`` of ``v -> eps ^ (v.e)`` on (1,2)-forms and ``m_s``
+    of ``sigma -> e ^ sigma`` on (1,1)-forms."""
+    m_v = _map_rows(lambda v: wedge(eps, internal_act(v, e)), 1, 2, 2, 2, e.base_dim, e.space)
+    m_s = _map_rows(lambda s: wedge(e, s), 1, 1, 2, 2, e.base_dim, e.space)
+    return m_v, m_s
 
 
 def linmap_kernel(m: LinMap):
@@ -510,57 +524,23 @@ def structural_fix(e: PForm, eps: PForm, T: PForm) -> StructuralFix:
     if rank(_legs(e) + [evec]) != e.space.d:
         raise NondegeneracyError("eps does not complete the coframe to a basis")
 
-    d = e.space.d
-    nv = pform_dim(1, 2, e.base_dim, d)
-    ns = pform_dim(1, 1, e.base_dim, d)
-
-    # columns: v components then sigma components
-    def v_of(vec):
-        return PForm.from_vector(1, 2, vec, e.base_dim, e.space)
-
-    def s_of(vec):
-        return PForm.from_vector(1, 1, vec, e.base_dim, e.space)
-
-    rows_a = wedge_map(e, 1, 2).matrix()                 # e^v : nv -> (2,3)
-    # eps ^ (v.e) as a matrix in v, and -e ^ sigma as a matrix in sigma
-    cod22 = [(I, A) for I in _basis(e.base_dim, 2) for A in _basis(d, 2)]
-    cod22_index = {key: i for i, key in enumerate(cod22)}
-    m_v = [[Fraction(0)] * nv for _ in range(len(cod22))]
-    for j in range(nv):
-        unit = [Fraction(0)] * nv
-        unit[j] = Fraction(1)
-        img = wedge(eps, internal_act(v_of(unit), e))
-        for key, c in img.coeffs.items():
-            m_v[cod22_index[key]][j] = c
-    m_s = [[Fraction(0)] * ns for _ in range(len(cod22))]
-    for j in range(ns):
-        unit = [Fraction(0)] * ns
-        unit[j] = Fraction(1)
-        img = wedge(e, s_of(unit))
-        for key, c in img.coeffs.items():
-            m_s[cod22_index[key]][j] = c
-
-    nrows_a = len(rows_a)
-    system = []
-    rhs = []
-    for r in rows_a:
-        system.append(list(r) + [Fraction(0)] * ns)
-        rhs.append(Fraction(0))
-    epsT = wedge(eps, T)
-    rhs_b = [Fraction(0)] * len(cod22)
-    for key, c in epsT.coeffs.items():
-        rhs_b[cod22_index[key]] = -c
-    for i in range(len(cod22)):
-        system.append(list(m_v[i]) + [-x for x in m_s[i]])
-        rhs.append(rhs_b[i])
+    nv = pform_dim(1, 2, e.base_dim, e.space.d)
+    ns = pform_dim(1, 1, e.base_dim, e.space.d)
+    # columns: v components then sigma components; rows: e ^ v = 0, then
+    # eps ^ (v.e) - e ^ sigma = -eps ^ T
+    m_v, m_s = structural_maps(e, eps)
+    system = [list(r) + [Fraction(0)] * ns for r in wedge_map(e, 1, 2).rows]
+    rhs = [Fraction(0)] * len(system)
+    system += [rv + [-x for x in rs] for rv, rs in zip(m_v, m_s)]
+    rhs += [-c for c in wedge(eps, T).to_vector()]
 
     sol, kern = solve_exact(system, rhs)
     v_ambiguous = any(any(x != 0 for x in kvec[:nv]) for kvec in kern)
     if v_ambiguous:
         raise InconsistentSystemError(
             "structural constraint admits more than one kernel shift; uniqueness violated")
-    v = v_of(sol[:nv])
-    sigma = s_of(sol[nv:])
+    v = PForm.from_vector(1, 2, sol[:nv], e.base_dim, e.space)
+    sigma = PForm.from_vector(1, 1, sol[nv:], e.base_dim, e.space)
 
     # exact residual recheck; failure here is an internal logic error
     if not wedge(e, v).is_zero():

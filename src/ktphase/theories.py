@@ -50,6 +50,7 @@ from .calc_var import (
 from .errors import CheckFailure
 from .expr import Expr, JetVar, SymbolMeta
 from .lattice import ConstraintSet, SmearedConstraint
+from .pointlin import PForm, canonical_eps, structural_maps
 
 __all__ = [
     "THEORY_NAMES",
@@ -373,54 +374,28 @@ def pc_internal_rotation(c_arrays: dict, e_state: np.ndarray) -> np.ndarray:
 
 _PC_OM_COMPS = tuple((a, b, i) for a in range(4) for b in range(a + 1, 4) for i in (1, 2, 3))
 _PC_IPAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
-_PC_SPAIRS = ((0, 1), (0, 2), (1, 2))
+# chart connection component (a, b, i) -> index in pointlin's I-major (1,2)-form basis
+_PC_V_COLUMNS = [(i - 1) * len(_PC_IPAIRS) + _PC_IPAIRS.index((a, b)) for a, b, i in _PC_OM_COMPS]
 
 
-def pc_torsion_matrix(E: np.ndarray) -> np.ndarray:
-    """Single-site torsion as a linear map of the connection components:
-    returns M with (d_omega e)^a_{ij} = M[a,i,j,:] . omega_flat  (axes i,j are
-    the three tangential directions; no derivative term at a single site)."""
-    eta = np.array(ETA_DIAG, float)
-    M = np.zeros((4, 3, 3, 18))
-    for idx, (a, b, i) in enumerate(_PC_OM_COMPS):
-        for j in range(3):
-            M[a, i - 1, j, idx] += eta[b] * E[b, j]
-            M[a, j, i - 1, idx] -= eta[b] * E[b, j]
-            M[b, i - 1, j, idx] -= eta[a] * E[a, j]
-            M[b, j, i - 1, idx] += eta[a] * E[a, j]
-    return M
-
-
-def pc_structural_rows(E: np.ndarray, epsv=None) -> np.ndarray:
+def pc_structural_rows(E: np.ndarray) -> np.ndarray:
     """The structural constraint at a single site, as linear conditions on the
     connection.
 
     The constraint demands ``eps ^ (d_omega e) = e ^ sigma`` for some sigma;
     eliminating sigma leaves the projection of ``eps ^ torsion`` onto the
     cokernel of ``sigma -> e ^ sigma`` (six conditions for a metric
-    nondegenerate coframe).  Returns a (6, 18) matrix R with R . omega = 0 as
-    the condition.
+    nondegenerate coframe).  Both maps are ``pointlin.structural_maps`` of
+    the coframe, read exactly from its float entries.  Returns a (6, 18)
+    matrix R with R . omega = 0 as the condition.
     """
-    if epsv is None:
-        epsv = np.array([1.0, 0.0, 0.0, 0.0])
-    M = pc_torsion_matrix(E)
-    L = np.zeros((6, 3, 18))
-    for pi, (c, a) in enumerate(_PC_IPAIRS):
-        for si, (i, j) in enumerate(_PC_SPAIRS):
-            L[pi, si, :] = epsv[c] * M[a, i, j, :] - epsv[a] * M[c, i, j, :]
-    L = L.reshape(18, 18)
-    S = np.zeros((6, 3, 4, 3))
-    for pi, (a, b) in enumerate(_PC_IPAIRS):
-        for si, (i, j) in enumerate(_PC_SPAIRS):
-            S[pi, si, b, j] += E[a, i]
-            S[pi, si, b, i] -= E[a, j]
-            S[pi, si, a, j] -= E[b, i]
-            S[pi, si, a, i] += E[b, j]
-    S = S.reshape(18, 12)
-    U, sv, _ = np.linalg.svd(S)
+    e = PForm(1, 1, {((i,), (a,)): Fraction(float(E[a, i])) for a in range(4) for i in range(3)})
+    m_v, m_s = structural_maps(e, canonical_eps())
+    U, sv, _ = np.linalg.svd(np.array(m_s, dtype=float))
     if sv[-1] <= 1e-10 * sv[0]:
         raise CheckFailure("sigma-map degenerate: coframe not metric nondegenerate")
-    return U[:, 12:].T @ L
+    # at a single site d_omega e = 2 omega.e: internal_act antisymmetrizes with weight one
+    return U[:, 12:].T @ (2 * np.array(m_v, dtype=float))[:, _PC_V_COLUMNS]
 
 
 def pc_random_coframe(rng: np.random.Generator, det_min=0.05, cond_max=50.0) -> np.ndarray:

@@ -48,12 +48,15 @@ def test_shipped_theory_files_match_theory_names():
 
 
 def test_long_lagrangian_derives(tmp_path, capsys):
-    # 1201 terms: more than the interpreter's recursion limit
-    path = tmp_path / "long.theory"
+    # a chain of 1201 terms, and one of 1200 factors: each longer than the
+    # interpreter's recursion limit
     powers = " - ".join(f"q^{k}" for k in range(1, 1201))
-    path.write_text(f'theory long\ndim 1\ncoords t\nfield q\nlagrangian "1/2*q\'^2 - {powers}"\n')
-    assert main(["derive", str(path)]) == 0, capsys.readouterr().err
-    assert len(parse_theory(path.read_text()).lagrangian.terms) == 1201
+    product = "*".join(["q"] * 1200)
+    for body, nterms in ((powers, 1201), (product, 2)):
+        path = tmp_path / "long.theory"
+        path.write_text(f'theory long\ndim 1\ncoords t\nfield q\nlagrangian "1/2*q\'^2 - {body}"\n')
+        assert main(["derive", str(path)]) == 0, capsys.readouterr().err
+        assert len(parse_theory(path.read_text()).lagrangian.terms) == nterms
 
 
 def test_emit_parse_round_trip():
@@ -251,9 +254,11 @@ def test_cli_scalar_lattice_flag(tmp_path):
     (None, ["check", "em", "--lattice", "16x"]),
     (None, ["check", "em", "--lattice", "2x2x2"]),
     (None, ["check", "em", "--lattice", "8x8"]),
+    (None, ["check", "em", "--lattice", "100000x100000x100000"]),
+    (None, ["check", "em", "--lattice", "128x128x65"]),
 ], ids=["dim", "vdim", "boundary-order", "jetorder", "jetorder-too-small", "side", "field-base",
         "field-internal", "background-base", "rational-lagrangian", "deep-nesting", "lattice-16x",
-        "lattice-2x2x2", "lattice-rank"])
+        "lattice-2x2x2", "lattice-rank", "lattice-huge", "lattice-over-max-sites"])
 def test_cli_user_errors_exit_one(tmp_path, capsys, edit, argv):
     if edit is not None:
         assert edit[0] in MECHANICS

@@ -21,6 +21,7 @@ from ktphase.pointlin import (
     nullspace,
     pform_dim,
     random_coframe,
+    random_fraction,
     random_pform,
     rank,
     rref,
@@ -59,6 +60,23 @@ def test_solve_exact_inconsistent():
     m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     with pytest.raises(InconsistentSystemError):
         solve_exact(m, [Fraction(1), Fraction(2)])
+
+
+def test_solve_exact_kernel_equals_nullspace(rng):
+    # rank-deficient consistent systems A = C B, b = A x0: the kernel read off
+    # the one elimination of [A | b] is the kernel of A alone
+    for _ in range(25):
+        nrows, ncols = rng.randint(2, 6), rng.randint(2, 7)
+        r = rng.randint(1, min(nrows, ncols) - 1)
+        B = [[random_fraction(rng) for _ in range(ncols)] for _ in range(r)]
+        C = [[random_fraction(rng) for _ in range(r)] for _ in range(nrows)]
+        A = [[sum(C[i][k] * B[k][j] for k in range(r)) for j in range(ncols)] for i in range(nrows)]
+        x0 = [random_fraction(rng) for _ in range(ncols)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        x, kern = solve_exact(A, b)
+        assert [sum(a * y for a, y in zip(row, x)) for row in A] == b
+        assert kern == nullspace(A)
+        assert len(kern) == ncols - rank(A) >= ncols - r
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ from ktphase.lattice import (
     assemble_two_form,
     hamiltonian_vector_field,
 )
+from ktphase.pointlin import (
+    canonical_eps,
+    internal_act,
+    random_coframe,
+    random_pform,
+    structural_fix,
+    structural_maps,
+)
 
 
 def test_builtin_names_and_unknown():
@@ -214,6 +222,40 @@ def test_pc_on_surface_state_and_violation():
     assert TH.pc_surface_violation(model, state) < 1e-11
     # nontrivial connection (the cosmological term forces curvature)
     assert np.abs(state["omega"]).max() > 1e-3
+
+
+def test_pc_structural_rows_against_exact_structural_fix():
+    # omega0 + v with v = structural_fix(e, eps, omega0.e).v satisfies the
+    # structural constraint exactly, so the float rows must annihilate it in
+    # the chart's (a, b, i) column order; and |R omega| is the cokernel part
+    # of eps ^ (d_omega e) with the torsion written out by components, which
+    # pins the scale of the rows
+    rng = random.Random(31)
+    eps = canonical_eps()
+    eta = np.array(TH.ETA_DIAG, float)
+    pairs3 = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+    for _ in range(5):
+        e = random_coframe(rng, require_spacelike=True)
+        om0 = random_pform(rng, 1, 2)
+        v = structural_fix(e, eps, internal_act(om0, e)).v
+        E4 = np.array([[float(e.get_full((i,), (a,))) for i in range(3)] for a in range(4)])
+
+        def flat(w):
+            return np.array([float(w.get_full((i - 1,), (a, b))) for a, b, i in TH._PC_OM_COMPS])
+
+        R = TH.pc_structural_rows(E4)
+        assert np.abs(R @ flat(om0 + v)).max() < 1e-10
+        assert np.abs(R @ flat(om0)).max() > 1e-3
+        W = np.zeros((4, 4, 3))
+        for (a, b, i), w in zip(TH._PC_OM_COMPS, flat(om0)):
+            W[a, b, i - 1], W[b, a, i - 1] = w, -w
+        tors = np.einsum("abi,b,bj->aij", W, eta, E4)
+        tors = tors - tors.transpose(0, 2, 1)
+        eps_tors = np.array([tors[a, i, j] if c == 0 else 0.0
+                             for i, j in pairs3 for c, a in TH._PC_IPAIRS])
+        S = np.array(structural_maps(e, eps)[1], float)
+        coker = eps_tors - S @ np.linalg.lstsq(S, eps_tors, rcond=None)[0]
+        assert np.isclose(np.linalg.norm(R @ flat(om0)), np.linalg.norm(coker), rtol=1e-10)
 
 
 def test_pc_internal_rotation_formula():
