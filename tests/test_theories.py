@@ -234,15 +234,15 @@ def test_pc_structural_rows_against_exact_structural_fix():
     eps = canonical_eps()
     eta = np.array(TH.ETA_DIAG, float)
     pairs3 = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+
+    def flat(w):
+        return np.array([float(w.get_full((i - 1,), (a, b))) for a, b, i in TH._PC_OM_COMPS])
+
     for _ in range(5):
         e = random_coframe(rng, require_spacelike=True)
         om0 = random_pform(rng, 1, 2)
         v = structural_fix(e, eps, internal_act(om0, e)).v
         E4 = np.array([[float(e.get_full((i,), (a,))) for i in range(3)] for a in range(4)])
-
-        def flat(w):
-            return np.array([float(w.get_full((i - 1,), (a, b))) for a, b, i in TH._PC_OM_COMPS])
-
         R = TH.pc_structural_rows(E4)
         assert np.abs(R @ flat(om0 + v)).max() < 1e-10
         assert np.abs(R @ flat(om0)).max() > 1e-3
