@@ -11,9 +11,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ktphase import expr as ex
 from ktphase import theories as TH
-from ktphase.calc_var import constraint_extract, vertical_delta
+from ktphase.calc_var import constraint_extract, renderings
 from ktphase.cli import canonical_json
 
 LATTICE_TARGETS = {
@@ -66,17 +65,11 @@ NOTES = {
 
 def build(name: str) -> dict:
     t = TH.builtin(name)
-    ctx = t.context()
     split = TH.derived_split(name)
-    omega = vertical_delta(split.alpha)
     record = {
         "theory": name,
         "side": t.boundary_side,
-        "el": {f"{w.field}" + (f"[{','.join(map(str, w.comp))}]" if w.comp else ""):
-               ex.to_text(e, ctx) for w, e in split.el},
-        "alpha": split.alpha.to_text(ctx),
-        "omega": omega.to_text(ctx),
-        "constraints": {n: ex.to_text(d, ctx) for n, d in constraint_extract(t, split)},
+        **renderings(t, split, constraint_extract(t, split)),
         "chart_fields": [f.name for f in TH.chart(name).fields],
         "lattice": LATTICE_TARGETS[name],
         "notes": NOTES[name],

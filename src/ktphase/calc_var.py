@@ -49,6 +49,7 @@ __all__ = [
     "form_total_derivative",
     "reconstruction_defect",
     "verify_chart",
+    "renderings",
 ]
 
 
@@ -347,17 +348,16 @@ class BoundarySplit:
     (sign convention in the module docstring).  ``alpha_density`` is the raw
     transversal boundary density (upper end); ``alpha`` is its boundary
     restriction times the theory's ``boundary_side``.  ``divergences`` records
-    the dropped tangential total-divergence forms per coordinate, so the
-    reconstruction identity stays checkable.
+    the dropped tangential total-divergence forms per coordinate, and
+    ``variation`` the split form itself, so the reconstruction identity stays
+    checkable.
     """
     el: tuple                      # ((JetVar, Expr), ...)
     alpha: LocalVarForm
     alpha_density: LocalVarForm
     divergences: tuple             # ((coord, LocalVarForm), ...)
     side: int
-
-    def el_dict(self) -> dict:
-        return {v: e for v, e in self.el}
+    variation: LocalVarForm
 
 
 def ibp_split(v: LocalVarForm, t: TheorySpec) -> BoundarySplit:
@@ -396,7 +396,7 @@ def ibp_split(v: LocalVarForm, t: TheorySpec) -> BoundarySplit:
     restricted = boundary_restrict(alpha_density, t)
     alpha = restricted.scale(Expr.const(t.boundary_side))
     return BoundarySplit(el=el, alpha=alpha, alpha_density=alpha_density,
-                         divergences=sorted_divs, side=t.boundary_side)
+                         divergences=sorted_divs, side=t.boundary_side, variation=v)
 
 
 def reconstruction_defect(split: BoundarySplit, t: TheorySpec) -> LocalVarForm:
@@ -408,42 +408,32 @@ def reconstruction_defect(split: BoundarySplit, t: TheorySpec) -> LocalVarForm:
     for i, form in split.divergences:
         total = total + form_total_derivative(form, i, t.jet_order + 1)
     total = total + form_total_derivative(split.alpha_density, t.transversal, t.jet_order + 1)
-    return variation(t) - total
+    return split.variation - total
 
 
 # ---------------------------------------------------------------------------
 # Boundary restriction
 # ---------------------------------------------------------------------------
 
-def boundary_symbol_name(field: str, order: int, renames: dict | None = None) -> str:
-    """Name of the independent boundary symbol for the order-``order``
-    transversal jet of ``field`` (subscript-zero default: phi -> phi0)."""
-    if renames and (field, order) in renames:
-        return renames[(field, order)]
-    return field + "0" * order
-
-
-def _restrict_var(v: JetVar, t: TheorySpec, renames: dict | None) -> JetVar:
-    n = t.transversal
-    k = sum(1 for i in v.deriv if i == n)
-    tang = tuple(i for i in v.deriv if i != n)
-    name = boundary_symbol_name(v.field, k, renames) if k else v.field
-    meta = SymbolMeta(background=v.meta.background, constant=v.meta.constant,
-                      excluded=v.meta.excluded | {n}, positive=v.meta.positive and k == 0)
-    return JetVar(name, v.comp, tang, meta)
-
-
-def boundary_restrict(x, t: TheorySpec, renames: dict | None = None):
+def boundary_restrict(x, t: TheorySpec):
     """Restrict an expression or local form to the boundary slice.
 
-    Each transversal jet of order k becomes an independent boundary symbol
-    (named via ``renames``, the theory's ``boundary_names``, or the default
-    suffix scheme); tangential jets survive unchanged, and every surviving
+    Each transversal jet of order k becomes an independent boundary symbol,
+    named by the theory's ``boundary_names`` or else with k zeros appended
+    (phi' -> phi0); tangential jets survive unchanged, and every surviving
     symbol loses its transversal dependence.
     """
-    if renames is None:
-        renames = t.renames()
-    f = lambda v: _restrict_var(v, t, renames)
+    n = t.transversal
+    names = t.renames()
+
+    def f(v: JetVar) -> JetVar:
+        k = v.deriv.count(n)
+        tang = tuple(i for i in v.deriv if i != n)
+        name = names.get((v.field, k), v.field + "0" * k) if k else v.field
+        meta = SymbolMeta(background=v.meta.background, constant=v.meta.constant,
+                          excluded=v.meta.excluded | {n}, positive=v.meta.positive and k == 0)
+        return JetVar(name, v.comp, tang, meta)
+
     if isinstance(x, Expr):
         return ex.map_vars(x, f)
     if isinstance(x, LocalVarForm):
@@ -456,12 +446,12 @@ def boundary_restrict(x, t: TheorySpec, renames: dict | None = None):
 # Constraint extraction
 # ---------------------------------------------------------------------------
 
-def _alpha_symbols(t: TheorySpec, split: BoundarySplit, renames=None) -> set:
+def _alpha_symbols(split: BoundarySplit) -> set:
     """Boundary symbols (field names) appearing in the restricted boundary
-    density: the default chart of preboundary fields."""
-    restricted = boundary_restrict(split.alpha_density, t, renames)
+    density (``split.alpha`` up to its sign): the default chart of
+    preboundary fields."""
     syms = set()
-    for gens, coeff in restricted.terms:
+    for gens, coeff in split.alpha.terms:
         for w in gens:
             syms.add(w.field)
         for w in coeff.jet_vars():
@@ -470,7 +460,12 @@ def _alpha_symbols(t: TheorySpec, split: BoundarySplit, renames=None) -> set:
     return syms
 
 
-def constraint_extract(t: TheorySpec, split: BoundarySplit | None = None, renames: dict | None = None) -> list:
+def _component_name(w: JetVar) -> str:
+    """``field[i,j]`` name of a field component, ``field`` for a scalar."""
+    return w.field + ("[" + ",".join(map(str, w.comp)) + "]" if w.comp else "")
+
+
+def constraint_extract(t: TheorySpec, split: BoundarySplit | None = None) -> list:
     """Field equations that constrain boundary data instead of evolving it.
 
     An equation qualifies when its boundary restriction references only the
@@ -480,10 +475,10 @@ def constraint_extract(t: TheorySpec, split: BoundarySplit | None = None, rename
     """
     if split is None:
         split = ibp_split(variation(t), t)
-    allowed = _alpha_symbols(t, split, renames)
+    allowed = _alpha_symbols(split)
     out = []
     for w, density in split.el:
-        restricted = boundary_restrict(density, t, renames)
+        restricted = boundary_restrict(density, t)
         ok = True
         for u in restricted.jet_vars():
             if u.meta.background:
@@ -492,9 +487,21 @@ def constraint_extract(t: TheorySpec, split: BoundarySplit | None = None, rename
                 ok = False
                 break
         if ok:
-            comp = "[" + ",".join(map(str, w.comp)) + "]" if w.comp else ""
-            out.append((f"{w.field}{comp}", restricted))
+            out.append((_component_name(w), restricted))
     return out
+
+
+def renderings(t: TheorySpec, split: BoundarySplit, constraints: list) -> dict:
+    """Canonical text of the derivation, keyed as in the golden records:
+    field equations per component, boundary 1-form ``alpha``, its 2-form
+    ``omega = delta(alpha)``, and the ``constraint_extract`` densities."""
+    ctx = t.context()
+    return {
+        "el": {_component_name(w): ex.to_text(e, ctx) for w, e in split.el},
+        "alpha": split.alpha.to_text(ctx),
+        "omega": vertical_delta(split.alpha).to_text(ctx),
+        "constraints": {n: ex.to_text(d, ctx) for n, d in constraints},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +514,6 @@ class ChartField:
     component tuples realized on the lattice, in a fixed order."""
     name: str
     comps: tuple
-    meta: SymbolMeta | None = None
-
-    def __post_init__(self):
-        if self.meta is None:
-            object.__setattr__(self, "meta", SymbolMeta())
-
-    def size(self) -> int:
-        return len(self.comps)
-
-    def var(self, comp=(), deriv=()) -> JetVar:
-        return JetVar(self.name, comp, deriv, self.meta)
 
 
 @dataclass(frozen=True)
@@ -533,7 +529,6 @@ class BoundaryChart:
     exactly.
     """
     theory: str
-    space_dim: int                      # dimension of the boundary slice
     fields: tuple                       # ChartField, lattice layout order
     alpha: LocalVarForm                 # over chart symbols
     tangential: tuple = ()              # theory coordinate indices of the slice axes
@@ -542,24 +537,20 @@ class BoundaryChart:
     surface: tuple = ()                 # algebraic chart constraints (Expr)
     hamiltonian: Expr | None = None
 
-    def field_names(self) -> list:
-        return [f.name for f in self.fields]
-
     def momenta_map(self) -> dict:
         return {key: img for key, img in self.momenta}
 
 
-def verify_chart(chart: BoundaryChart, t: TheorySpec, split: BoundarySplit | None = None,
-                 renames: dict | None = None) -> None:
+def verify_chart(chart: BoundaryChart, t: TheorySpec, split: BoundarySplit,
+                 extracted: list) -> None:
     """Exact check that the declared chart reproduces the derived boundary data.
 
     Substituting the momenta definitions into the declared boundary 1-form
     must reproduce the restricted pipeline density (theory side applied); the
-    declared constraint densities must likewise match the extracted ones.
-    Raises CheckFailure on any mismatch.
+    declared constraint densities must likewise match ``extracted``, the
+    ``constraint_extract`` list of ``split``.  Raises CheckFailure on any
+    mismatch.
     """
-    if split is None:
-        split = ibp_split(variation(t), t)
     images = chart.momenta_map()
     subst = lambda e: ex.substitute(e, images, t.jet_order + 1)
     declared_alpha = chart.alpha.map_coeffs(subst)
@@ -569,7 +560,6 @@ def verify_chart(chart: BoundaryChart, t: TheorySpec, split: BoundarySplit | Non
         raise CheckFailure(
             f"chart alpha for {chart.theory!r} does not match the derived boundary density:\n"
             f"  declared: {declared_alpha.to_text()}\n  derived:  {split.alpha.to_text()}")
-    extracted = constraint_extract(t, split, renames)
     if len(extracted) != len(chart.constraints):
         raise CheckFailure(f"{chart.theory!r}: {len(chart.constraints)} declared constraints, "
                            f"{len(extracted)} extracted")

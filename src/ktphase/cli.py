@@ -40,6 +40,7 @@ from .calc_var import (
     TheorySpec,
     constraint_extract,
     ibp_split,
+    renderings,
     variation,
     vertical_delta,
 )
@@ -324,21 +325,11 @@ class RunOptions:
 
 
 def _derivation_block(t: TheorySpec) -> dict:
-    ctx = t.context()
-    var = variation(t)
-    split = ibp_split(var, t)
-    omega = vertical_delta(split.alpha)
-    cons = constraint_extract(t, split)
-    return {
-        "variation": var.to_text(ctx),
-        "el": {f"{w.field}" + (f"[{','.join(map(str, w.comp))}]" if w.comp else ""):
-               ex.to_text(e, ctx) for w, e in split.el},
-        "alpha": split.alpha.to_text(ctx),
-        "alpha_side": t.boundary_side,
-        "omega": omega.to_text(ctx),
-        "tangential_divergences": len(split.divergences),
-        "constraints": {n: ex.to_text(d, ctx) for n, d in cons},
-    }
+    split = ibp_split(variation(t), t)
+    return {**renderings(t, split, constraint_extract(t, split)),
+            "variation": split.variation.to_text(t.context()),
+            "alpha_side": t.boundary_side,
+            "tangential_divergences": len(split.divergences)}
 
 
 def run_pipeline(t: TheorySpec, options: RunOptions | None = None) -> dict:

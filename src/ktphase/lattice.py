@@ -21,7 +21,7 @@ fixed reduction order, so results are bit-identical for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,7 +242,6 @@ class TwoFormMatrix:
     """
     model: LatticeModel
     blocks: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     def full(self) -> np.ndarray:
         nsites, m, _ = self.blocks.shape
@@ -278,8 +277,7 @@ def assemble_two_form(model: LatticeModel, state: dict) -> TwoFormMatrix:
     for (g,), coeff in chart.alpha.terms:
         jac[:, :, model.slot_index[(g.field, g.comp)]] += model.density_gradient(coeff, state)
     blocks = jac - np.transpose(jac, (0, 2, 1))
-    return TwoFormMatrix(model=model, blocks=blocks,
-                         meta={"theory": chart.theory, "shape": model.grid.shape})
+    return TwoFormMatrix(model=model, blocks=blocks)
 
 
 def _alpha_is_ultralocal(chart: BoundaryChart) -> bool:
@@ -366,14 +364,13 @@ class SmearedConstraint:
     density: Expr
     smear_shapes: tuple  # ((symbol, (comp, comp, ...)), ...)
 
-    def random_smear(self, model: LatticeModel, rng: np.random.Generator, mode="smooth") -> dict:
+    def random_smear(self, model: LatticeModel, rng: np.random.Generator) -> dict:
         out = {}
         for sym, comps in self.smear_shapes:
             for comp in comps:
                 arr = rng.standard_normal(model.grid.shape)
-                if mode == "smooth" and model.grid.ndim:
-                    for axis in range(model.grid.ndim):
-                        arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
+                for axis in range(model.grid.ndim):
+                    arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
                 out[(sym, comp)] = arr
         return out
 
@@ -600,13 +597,13 @@ def _rk_evolve(z: dict, rhs, dt: float, steps: int, record: set, order: int):
     return out
 
 
-def symplectic_current_check(model: LatticeModel, grid: LatticeGrid,
-                             X0: dict, Y0: dict, step_a: int, step_b: int,
-                             dt: float, kind: str, hinv=None, rh=None) -> float:
-    """|omega_a(X, Y) - omega_b(X, Y)| for two linearized solutions.
+def symplectic_current_check(model: LatticeModel, X0: dict, Y0: dict,
+                             step_a: int, step_b: int, dt: float) -> float:
+    """|omega_a(X, Y) - omega_b(X, Y)| for two linearized solutions of the
+    scalar field on ``model.grid`` (flat metric).
 
     In the continuum the pairing of two solutions of the linearized equations
-    is time-independent.  The scalar and EM theories are linear, so the
+    is time-independent.  The scalar theory is linear, so the
     perturbations are themselves solutions; they are evolved here with
     deliberately non-matched Runge-Kutta integrators (midpoint for one,
     Kutta's third-order rule for the other).  A symplectic integrator, or
@@ -616,22 +613,17 @@ def symplectic_current_check(model: LatticeModel, grid: LatticeGrid,
     vanishes as dt^2 under refinement, which is the discrete shadow of the
     conservation law.
     """
+    grid = model.grid
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
-    hinv_a, rh_a = _metric_arrays(grid, hinv, rh)
-    if kind == "scalar":
-        def rhs(z):
-            return {"phi": z["phi0"], "phi0": _scalar_rhs(grid, z["phi"], hinv_a, rh_a)}
-        to_state = lambda snap: {"phi": snap["phi"][..., None], "phi0": snap["phi0"][..., None]}
-        X0 = {k: np.asarray(v, float).reshape(grid.shape) for k, v in X0.items()}
-        Y0 = {k: np.asarray(v, float).reshape(grid.shape) for k, v in Y0.items()}
-    elif kind == "em":
-        hlow = np.linalg.inv(hinv_a)
-        def rhs(z):
-            return {"A": z["F0"], "F0": _em_rhs(grid, z["A"], hinv_a, rh_a, hlow)}
-        to_state = lambda snap: {"A": snap["A"], "F0": snap["F0"]}
-    else:
-        raise ValueError(f"unknown linear theory {kind!r}")
+    hinv, rh = _metric_arrays(grid)
+
+    def rhs(z):
+        return {"phi": z["phi0"], "phi0": _scalar_rhs(grid, z["phi"], hinv, rh)}
+
+    to_state = lambda snap: {"phi": snap["phi"][..., None], "phi0": snap["phi0"][..., None]}
+    X0 = {k: np.asarray(v, float).reshape(grid.shape) for k, v in X0.items()}
+    Y0 = {k: np.asarray(v, float).reshape(grid.shape) for k, v in Y0.items()}
     record = {step_a, step_b}
     same = set(X0) == set(Y0) and all(np.array_equal(X0[k], Y0[k]) for k in X0)
     tx = _rk_evolve(X0, rhs, dt, max(step_a, step_b), record, order=2)

@@ -96,7 +96,7 @@ def _mechanics_chart(t: TheorySpec) -> BoundaryChart:
     m = t.var("m")
     alpha = LocalVarForm(1, {(q,): Expr.var(m) * Expr.var(v)})
     H = Expr.const(Fraction(1, 2)) * Expr.var(m) * Expr.var(v) ** 2 + ex.apply_fn("V", 0, Expr.var(q))
-    return BoundaryChart(theory="mechanics", space_dim=0, tangential=(),
+    return BoundaryChart(theory="mechanics", tangential=(),
                          fields=(ChartField("q", ((),)), ChartField("v", ((),))),
                          alpha=alpha, momenta=(), constraints=(), surface=(),
                          hamiltonian=H)
@@ -115,7 +115,7 @@ def _length_chart(t: TheorySpec) -> BoundaryChart:
     momenta = tuple((("u", (i,)), Expr.var(q0[i]) * speed ** (-1)) for i in range(3))
     alpha = LocalVarForm(1, {(JetVar("q", (i,), (), qmeta),): Expr.var(u[i]) for i in range(3)})
     surface = (ex.esum(Expr.var(w) ** 2 for w in u) - 1,)
-    return BoundaryChart(theory="length", space_dim=0, tangential=(),
+    return BoundaryChart(theory="length", tangential=(),
                          fields=(ChartField("q", tuple((i,) for i in range(3))),
                                  ChartField("u", tuple((i,) for i in range(3)))),
                          alpha=alpha, momenta=momenta, constraints=(), surface=surface,
@@ -127,7 +127,6 @@ def _length_chart(t: TheorySpec) -> BoundaryChart:
 # ---------------------------------------------------------------------------
 
 def _scalar_chart(t: TheorySpec) -> BoundaryChart:
-    d = t.dim
     tang = t.tangential()
     restr = frozenset({0})
     phi = JetVar("phi", (), (), SymbolMeta(excluded=restr))
@@ -141,7 +140,7 @@ def _scalar_chart(t: TheorySpec) -> BoundaryChart:
         + ex.esum(hv(i, j) * Expr.var(JetVar("phi", (), (i,), SymbolMeta(excluded=restr)))
                   * Expr.var(JetVar("phi", (), (j,), SymbolMeta(excluded=restr)))
                   for i in tang for j in tang))
-    return BoundaryChart(theory="scalar", space_dim=d - 1, tangential=tang,
+    return BoundaryChart(theory="scalar", tangential=tang,
                          fields=(ChartField("phi", ((),)), ChartField("phi0", ((),))),
                          alpha=alpha, momenta=(), constraints=(), surface=(),
                          hamiltonian=H)
@@ -152,7 +151,6 @@ def _scalar_chart(t: TheorySpec) -> BoundaryChart:
 # ---------------------------------------------------------------------------
 
 def _em_chart(t: TheorySpec) -> BoundaryChart:
-    d = t.dim
     tang = t.tangential()
     restr = frozenset({0})
     meta = SymbolMeta(excluded=restr)
@@ -175,7 +173,7 @@ def _em_chart(t: TheorySpec) -> BoundaryChart:
             * (Expr.var(JetVar("A", (k,), (i,), meta)) - Expr.var(JetVar("A", (i,), (k,), meta)))
             * (Expr.var(JetVar("A", (l,), (j,), meta)) - Expr.var(JetVar("A", (j,), (l,), meta)))
             for i in tang for j in tang for k in tang for l in tang)
-    return BoundaryChart(theory="em", space_dim=d - 1, tangential=tang,
+    return BoundaryChart(theory="em", tangential=tang,
                          fields=(ChartField("A", tuple((j,) for j in tang)),
                                  ChartField("F0", tuple((j,) for j in tang))),
                          alpha=alpha, momenta=momenta,
@@ -214,7 +212,7 @@ def _pc4_chart(t: TheorySpec) -> BoundaryChart:
         else:
             a, _mu = _parse_comp(name)
             constraints.append((f"T[{a}]", density))
-    return BoundaryChart(theory="pc4", space_dim=3, tangential=tang,
+    return BoundaryChart(theory="pc4", tangential=tang,
                          fields=(ChartField("e", e_comps), ChartField("omega", om_comps)),
                          alpha=split.alpha, momenta=(), constraints=tuple(constraints),
                          surface=(), hamiltonian=None)

@@ -2,9 +2,12 @@
 
 import importlib.resources
 import json
+import os
 import pathlib
 import re
 import string
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -199,6 +202,18 @@ def test_cli_check_failure_exit_two(tmp_path, capsys):
 
 def test_cli_internal_error_exit_three(capsys):
     assert main(["derive", "/nonexistent/path.theory"]) == 3
+
+
+def test_python_m_ktphase_runs_the_cli():
+    # ``python -m ktphase`` is the ``ktphase`` command, with nothing on stderr
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "KT_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "ktphase", "derive", "mechanics"],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    report = run_pipeline(TH.builtin("mechanics"), RunOptions(symbolic_only=True))
+    assert proc.stdout == emit_report(report, "data")
 
 
 def test_cli_check_mechanics_passes(tmp_path, capsys):

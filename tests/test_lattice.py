@@ -260,15 +260,14 @@ def test_em_dispersion_matches_discrete_oracle():
 # ---------------------------------------------------------------------------
 
 def test_symplectic_current_self_is_zero(rng):
-    model, grid = scalar_model((8,))
+    model, _ = scalar_model((8,))
     x0 = {"phi": rng.standard_normal(8), "phi0": rng.standard_normal(8)}
-    assert symplectic_current_check(model, grid, x0,
-                                    {k: v.copy() for k, v in x0.items()},
-                                    5, 20, 0.1, "scalar") == 0.0
+    assert symplectic_current_check(model, x0, {k: v.copy() for k, v in x0.items()},
+                                    5, 20, 0.1) == 0.0
 
 
 def test_symplectic_current_second_order(rng):
-    model, grid = scalar_model((16,))
+    model, _ = scalar_model((16,))
 
     def smooth(a):
         for _ in range(5):
@@ -277,8 +276,7 @@ def test_symplectic_current_second_order(rng):
 
     x0 = {"phi": smooth(rng.standard_normal(16)), "phi0": smooth(rng.standard_normal(16))}
     y0 = {"phi": smooth(rng.standard_normal(16)), "phi0": smooth(rng.standard_normal(16))}
-    defects = [symplectic_current_check(model, grid, x0, y0,
-                                        int(2 / dt), int(6 / dt), dt, "scalar")
+    defects = [symplectic_current_check(model, x0, y0, int(2 / dt), int(6 / dt), dt)
                for dt in (0.2, 0.1, 0.05)]
     orders = [np.log2(defects[i] / defects[i + 1]) for i in range(2)]
     for o in orders:

@@ -1,5 +1,6 @@
 """Builtin theory corpus: Lagrangian content, charts, goldens, constraint sets."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from ktphase import expr as E
 from ktphase import theories as TH
-from ktphase.calc_var import verify_chart
+from ktphase.calc_var import constraint_extract, verify_chart
 from ktphase.lattice import (
     LatticeGrid,
     LatticeModel,
@@ -156,7 +157,8 @@ def test_scalar_lagrangian_signature():
 
 def test_all_charts_verify():
     for name in TH.THEORY_NAMES:
-        verify_chart(TH.chart(name), TH.builtin(name), TH.derived_split(name))
+        t, split = TH.builtin(name), TH.derived_split(name)
+        verify_chart(TH.chart(name), t, split, constraint_extract(t, split))
 
 
 def test_golden_expressions_renormalize_to_themselves():
@@ -192,6 +194,49 @@ def test_golden_matches_derivation():
     for name in TH.THEORY_NAMES:
         result = check_symbolic(name, TH.golden(name))
         assert result["passed"], result
+
+
+def test_make_golden_reproduces_shipped_records():
+    # the golden generator and the shipped records agree byte for byte
+    import importlib.util
+
+    from ktphase.cli import canonical_json
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("make_golden", root / "scripts" / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    for name in TH.THEORY_NAMES:
+        shipped = (root / "src" / "ktphase" / "golden" / f"{name}.json").read_bytes()
+        assert (canonical_json(make_golden.build(name)) + "\n").encode("utf-8") == shipped, name
+
+
+def test_check_symbolic_extracts_once_and_never_revaries(monkeypatch):
+    # on a derived split, check_symbolic extracts the constraints once and
+    # reuses the split's variation: no vertical differential of a scalar density
+    from ktphase import calc_var as CV
+    from ktphase import verify as VF
+    counts = {"extract": 0, "vary": 0}
+
+    def counting_extract(f):
+        def wrapped(*args, **kwargs):
+            counts["extract"] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    def counting_delta(f):
+        def wrapped(v):
+            counts["vary"] += v.degree == 0
+            return f(v)
+        return wrapped
+
+    for module in (CV, VF):
+        monkeypatch.setattr(module, "constraint_extract", counting_extract(module.constraint_extract))
+        monkeypatch.setattr(module, "vertical_delta", counting_delta(module.vertical_delta))
+    for name in TH.THEORY_NAMES:
+        TH.derived_split(name)
+        counts.update(extract=0, vary=0)
+        assert VF.check_symbolic(name, TH.golden(name))["passed"]
+        assert counts == {"extract": 1, "vary": 0}, name
 
 
 def test_pc_boundary_form_is_coframe_quadratic():
