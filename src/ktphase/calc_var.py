@@ -27,7 +27,7 @@ All values are immutable; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 from . import expr as ex
@@ -99,7 +99,6 @@ class TheorySpec:
     vdim: int = 0
     boundary_side: int = 1
     boundary_names: tuple = ()          # ((field, transversal order, symbol name), ...)
-    metadata: dict = dc_field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.transversal < self.dim):

@@ -22,6 +22,7 @@ fixed reduction order, so results are bit-identical for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -232,13 +233,15 @@ class LatticeModel:
 # The presymplectic matrix
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TwoFormMatrix:
     """The vertical differential of the discretized boundary 1-form.
 
     Only ultralocal boundary forms reach the lattice, so the matrix is block
     diagonal over sites and stored as ``blocks`` with shape
     (nsites, nslots, nslots).  Antisymmetric entry-wise by construction.
+    ``blocks`` is read-only, so the block pseudo-inverse ``pinv`` is
+    computed once per matrix and cached.
     """
     model: LatticeModel
     blocks: np.ndarray
@@ -254,6 +257,10 @@ class TwoFormMatrix:
         """Matrix-vector product; x has shape (nsites, nslots) or flat."""
         xv = x.reshape(self.model.grid.nsites, self.model.nslots)
         return np.einsum("sij,sj->si", self.blocks, xv)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.blocks, rcond=1e-12)
 
     def singular_values(self) -> np.ndarray:
         sv = np.linalg.svd(self.blocks, compute_uv=False)
@@ -277,6 +284,7 @@ def assemble_two_form(model: LatticeModel, state: dict) -> TwoFormMatrix:
     for (g,), coeff in chart.alpha.terms:
         jac[:, :, model.slot_index[(g.field, g.comp)]] += model.density_gradient(coeff, state)
     blocks = jac - np.transpose(jac, (0, 2, 1))
+    blocks.flags.writeable = False
     return TwoFormMatrix(model=model, blocks=blocks)
 
 
@@ -306,8 +314,7 @@ def hamiltonian_vector_field(m: TwoFormMatrix, df: np.ndarray):
     """
     model = m.model
     dfv = df.reshape(model.grid.nsites, model.nslots)
-    pinv = np.linalg.pinv(m.blocks, rcond=1e-12)
-    X = np.einsum("sij,sj->si", pinv, dfv)
+    X = np.einsum("sij,sj->si", m.pinv, dfv)
     residual = float(np.linalg.norm(m.apply(X) - dfv))
     return X, residual
 
@@ -460,7 +467,10 @@ def coisotropy_check(cs: ConstraintSet, model: LatticeModel, state: dict,
 # Electromagnetic and scalar evolution (temporal gauge, leapfrog)
 # ---------------------------------------------------------------------------
 
-def _metric_arrays(grid: LatticeGrid, hinv=None, rh=None):
+def _metric_arrays(grid: LatticeGrid, hinv, rh):
+    """The metric as float arrays, or ``(None, None)`` for the flat metric."""
+    if hinv is None and rh is None:
+        return None, None
     nd = grid.ndim
     if hinv is None:
         hinv = np.broadcast_to(np.eye(nd), grid.shape + (nd, nd))
@@ -470,9 +480,12 @@ def _metric_arrays(grid: LatticeGrid, hinv=None, rh=None):
 
 
 def em_gauss(grid: LatticeGrid, F0: np.ndarray, hinv=None, rh=None) -> np.ndarray:
-    """Discrete Gauss density d_i(h^ij F_0j sqrt(h))."""
+    """Discrete Gauss density d_i(h^ij F_0j sqrt(h)).
+
+    ``hinv=None, rh=None`` is the flat metric: its factors are skipped.
+    """
     hinv, rh = _metric_arrays(grid, hinv, rh)
-    flux = np.einsum("...ij,...j->...i", hinv, F0) * rh[..., None]
+    flux = F0 if hinv is None else np.einsum("...ij,...j->...i", hinv, F0) * rh[..., None]
     out = np.zeros(grid.shape)
     for i in range(grid.ndim):
         out += grid.diff(flux[..., i], i)
@@ -480,17 +493,17 @@ def em_gauss(grid: LatticeGrid, F0: np.ndarray, hinv=None, rh=None) -> np.ndarra
 
 
 def _em_rhs(grid: LatticeGrid, A: np.ndarray, hinv, rh, hlow):
-    """dF_0r/dt = h_rk sqrt(h)^-1 d_i(h^ij h^kl F_jl sqrt(h))."""
-    nd = grid.ndim
-    F = np.zeros(grid.shape + (nd, nd))
-    for j in range(nd):
-        for l in range(nd):
-            if j != l:
-                F[..., j, l] = grid.diff(A[..., l], j) - grid.diff(A[..., j], l)
-    dens = np.einsum("...ij,...kl,...jl->...ik", hinv, hinv, F) * rh[..., None, None]
-    div = np.zeros(grid.shape + (nd,))
-    for i in range(nd):
-        div += grid.diff(dens[..., i, :], i)
+    """dF_0r/dt = h_rk sqrt(h)^-1 d_i(h^ij h^kl F_jl sqrt(h)); flat if hinv is None."""
+    dA = np.stack([grid.diff(A, j) for j in range(grid.ndim)])  # dA[j, ..., l] = d_j A_l
+    dens = dA - np.swapaxes(dA, 0, -1)  # dens[j, ..., l] = F_jl
+    if hinv is not None:
+        dens = np.einsum("...ij,...kl,...jl->...ik", hinv, hinv, np.moveaxis(dens, 0, -2))
+        dens = np.moveaxis(dens * rh[..., None, None], -2, 0)
+    div = np.zeros(A.shape)
+    for i in range(grid.ndim):
+        div += grid.diff(dens[i], i)
+    if hinv is None:
+        return div
     return np.einsum("...rk,...k->...r", hlow, div) / rh[..., None]
 
 
@@ -502,12 +515,13 @@ def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int,
     covector F_{0j}); both shaped grid.shape + (ndim,).  A advances on
     integer steps, F0 on half steps; each F0 increment is a discrete
     divergence of an antisymmetric flux, so the Gauss density is conserved
-    to roundoff.  Returns (trajectory, gauss residual series).
+    to roundoff.  ``hinv=None, rh=None`` is the flat metric: its factors are
+    skipped.  Returns (trajectory, gauss residual series).
     """
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
     hinv, rh = _metric_arrays(grid, hinv, rh)
-    hlow = np.linalg.inv(hinv)
+    hlow = None if hinv is None else np.linalg.inv(hinv)
     A = np.array(state["A"], float)
     F0 = np.array(state["F0"], float)
     gauss = [float(np.max(np.abs(em_gauss(grid, F0, hinv, rh))))]
@@ -544,19 +558,22 @@ def divergence_free_em_data(grid: LatticeGrid, rng: np.random.Generator, scale=1
 
 
 def _scalar_rhs(grid: LatticeGrid, phi: np.ndarray, hinv, rh):
-    flux = np.einsum("...ij,...j->...i", hinv,
-                     np.stack([grid.diff(phi, j) for j in range(grid.ndim)], axis=-1))
-    flux = flux * rh[..., None]
+    """d_i(h^ij d_j phi sqrt(h)) / sqrt(h); flat if hinv is None."""
+    flux = [grid.diff(phi, j) for j in range(grid.ndim)]
+    if hinv is not None:
+        flux = np.einsum("...ij,...j->...i", hinv, np.stack(flux, axis=-1)) * rh[..., None]
+        flux = np.moveaxis(flux, -1, 0)
     out = np.zeros(grid.shape)
     for i in range(grid.ndim):
-        out += grid.diff(flux[..., i], i)
-    return out / rh
+        out += grid.diff(flux[i], i)
+    return out if hinv is None else out / rh
 
 
 def evolve_scalar(state: dict, grid: LatticeGrid, dt: float, steps: int,
                   hinv=None, rh=None):
     """Leapfrog wave evolution: phi at integer steps, phi0 at half steps.
 
+    ``hinv=None, rh=None`` is the flat metric: its factors are skipped.
     Returns the trajectory of synchronized (phi, phi0) snapshots.
     """
     if dt > grid.spacing:
@@ -616,10 +633,9 @@ def symplectic_current_check(model: LatticeModel, X0: dict, Y0: dict,
     grid = model.grid
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
-    hinv, rh = _metric_arrays(grid)
 
     def rhs(z):
-        return {"phi": z["phi0"], "phi0": _scalar_rhs(grid, z["phi"], hinv, rh)}
+        return {"phi": z["phi0"], "phi0": _scalar_rhs(grid, z["phi"], None, None)}
 
     to_state = lambda snap: {"phi": snap["phi"][..., None], "phi0": snap["phi0"][..., None]}
     X0 = {k: np.asarray(v, float).reshape(grid.shape) for k, v in X0.items()}

@@ -131,7 +131,6 @@ def check_point(name: str, golden: dict, samples: int | None = None, seed: int =
 def _mechanics_lattice(golden, seed, rank_tol=1e-8):
     spec = golden["lattice"]
     m_val = spec["m"]
-    t = TH.builtin("mechanics")
     model = LatticeModel(TH.chart("mechanics"), LatticeGrid(shape=()),
                          bindings={"m": m_val},
                          functions={("V", 0): lambda q: 0.25 * q ** 4,

@@ -12,6 +12,7 @@ from ktphase.lattice import (
     assemble_two_form,
     coisotropy_check,
     divergence_free_em_data,
+    em_gauss,
     evolve_em,
     evolve_scalar,
     hamiltonian_vector_field,
@@ -201,6 +202,23 @@ def test_poisson_bracket_rejects_ill_defined(rng):
         poisson_bracket(bad, bad, omega)
 
 
+def test_two_form_pinv_is_factored_once(rng, monkeypatch):
+    model, grid = em_model((4, 4, 4))
+    omega = assemble_two_form(model, model.zero_state())
+    J = TH.constraint_set("em").by_name("J")
+    state = model.random_state(rng)
+    g1, g2 = (J.gradient(model, state, J.random_smear(model, rng)) for _ in range(2))
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(1) or pinv(*a, **k))
+    hamiltonian_vector_field(omega, g1)
+    hamiltonian_vector_field(omega, g2)
+    poisson_bracket(g1, g2, omega)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        omega.blocks[0, 0, 1] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # electromagnetic evolution
 # ---------------------------------------------------------------------------
@@ -233,6 +251,35 @@ def test_gauss_conservation_telescopes(rng):
     traj, gauss = evolve_em(state, grid, dt=0.2, steps=200, hinv=hinv, rh=rh,
                             record_every=200)
     assert gauss.max() - gauss[0] < 1e-13
+
+
+def _metric_run(kernel, grid, state, **metric):
+    """Every array a kernel returns, in one list."""
+    if kernel == "em_gauss":
+        return [em_gauss(grid, state["F0"], **metric)]
+    if kernel == "evolve_em":
+        traj, gauss = evolve_em(state, grid, dt=0.2, steps=30, **metric)
+        return [s[k] for s in traj for k in ("A", "F0")] + [gauss]
+    return [s[k] for s in evolve_scalar(state, grid, dt=0.2, steps=30, **metric)
+            for k in ("phi", "phi0")]
+
+
+@pytest.mark.parametrize("kernel, shape", [("evolve_em", (6, 6, 6)), ("em_gauss", (6, 6, 6)),
+                                           ("evolve_scalar", (8, 6))])
+def test_flat_metric_fast_path_equals_identity_metric(kernel, shape, rng):
+    # the default flat metric skips the identity hinv and unit rh; passing
+    # them explicitly runs the general path, which must agree bit for bit
+    grid = LatticeGrid(shape=shape)
+    nd = grid.ndim
+    if kernel == "evolve_scalar":
+        state = {"phi": rng.standard_normal(shape), "phi0": rng.standard_normal(shape)}
+    else:
+        state = {"A": rng.standard_normal(shape + (nd,)), "F0": rng.standard_normal(shape + (nd,))}
+    identity = {"hinv": np.broadcast_to(np.eye(nd), shape + (nd, nd)), "rh": np.ones(shape)}
+    fast = _metric_run(kernel, grid, state)
+    general = _metric_run(kernel, grid, state, **identity)
+    assert len(fast) == len(general)
+    assert all(np.array_equal(a, b) for a, b in zip(fast, general))
 
 
 def test_em_dispersion_matches_discrete_oracle():
