@@ -48,6 +48,7 @@ __all__ = [
     "constraint_extract",
     "form_total_derivative",
     "reconstruction_defect",
+    "derived_chart",
     "verify_chart",
     "renderings",
 ]
@@ -266,17 +267,27 @@ class LocalVarForm:
                 seen.setdefault(v.key, v)
         return sorted(seen.values())
 
-    def to_text(self, ctx: Context | None = None) -> str:
+    def _render(self, coeff_text, gens_text, sep: str) -> str:
+        # a coefficient with several terms or a leading minus is parenthesized
         if not self.terms:
             return "0"
         parts = []
         for gens, coeff in self.terms:
-            cs = ex.to_text(coeff, ctx)
+            cs = coeff_text(coeff)
             if len(coeff.terms) > 1 or cs.startswith("-"):
                 cs = "(" + cs + ")"
-            gs = "^".join("δ(%s)" % ex._var_text(v, ctx) for v in gens)
-            parts.append((cs + " " + gs).strip() if gens else cs)
+            parts.append(cs + sep + gens_text(gens) if gens else cs)
         return " + ".join(parts)
+
+    def to_text(self, ctx: Context | None = None) -> str:
+        return self._render(lambda c: ex.to_text(c, ctx),
+                            lambda gens: "^".join("δ(%s)" % ex._var_text(v, ctx) for v in gens),
+                            " ")
+
+    def to_latex(self, ctx: Context | None = None) -> str:
+        return self._render(lambda c: ex.to_latex(c, ctx),
+                            lambda gens: r"\,".join(r"\delta " + ex.var_latex(v, ctx) for v in gens),
+                            r"\,")
 
     def __repr__(self):
         return f"LocalVarForm({self.degree}, {self.to_text()})"
@@ -428,7 +439,7 @@ def boundary_restrict(x, t: TheorySpec):
     def f(v: JetVar) -> JetVar:
         k = v.deriv.count(n)
         tang = tuple(i for i in v.deriv if i != n)
-        name = names.get((v.field, k), v.field + "0" * k) if k else v.field
+        name = _boundary_name(v.field, k, names)
         meta = SymbolMeta(background=v.meta.background, constant=v.meta.constant,
                           excluded=v.meta.excluded | {n}, positive=v.meta.positive and k == 0)
         return JetVar(name, v.comp, tang, meta)
@@ -441,21 +452,25 @@ def boundary_restrict(x, t: TheorySpec):
     raise TypeError(f"cannot restrict {type(x).__name__}")
 
 
+def _boundary_name(field: str, k: int, names: dict) -> str:
+    """Boundary symbol of the order-``k`` transversal jet of ``field``, given
+    the theory's ``renames()``."""
+    return names.get((field, k), field + "0" * k) if k else field
+
+
 # ---------------------------------------------------------------------------
 # Constraint extraction
 # ---------------------------------------------------------------------------
 
-def _alpha_symbols(split: BoundarySplit) -> set:
-    """Boundary symbols (field names) appearing in the restricted boundary
-    density (``split.alpha`` up to its sign): the default chart of
-    preboundary fields."""
-    syms = set()
+def _alpha_symbols(split: BoundarySplit) -> dict:
+    """Boundary symbols (field name -> set of components) appearing in the
+    restricted boundary density (``split.alpha`` up to its sign): the default
+    chart of preboundary fields (see ``derived_chart``)."""
+    syms = {}
     for gens, coeff in split.alpha.terms:
-        for w in gens:
-            syms.add(w.field)
-        for w in coeff.jet_vars():
+        for w in (*gens, *coeff.jet_vars()):
             if not w.meta.background:
-                syms.add(w.field)
+                syms.setdefault(w.field, set()).add(w.comp)
     return syms
 
 
@@ -504,7 +519,7 @@ def renderings(t: TheorySpec, split: BoundarySplit, constraints: list) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Boundary charts (declared reduction outcomes, verified against the pipeline)
+# Boundary charts (derived, or declared and verified against the pipeline)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -517,15 +532,16 @@ class ChartField:
 
 @dataclass(frozen=True)
 class BoundaryChart:
-    """Declared coordinates on the boundary phase space of a theory.
+    """Coordinates on the boundary phase space of a theory.
 
-    Symbolic reduction of the preboundary space (inverting momenta, dropping
-    pure-gauge directions) is out of scope for the pipeline, so each theory
-    declares its reduced chart: the chart fields, the boundary 1-form and
-    constraint densities written in them, the defining expressions of the
-    momenta in preboundary symbols, and any algebraic surface the chart lives
-    on.  ``verify_chart`` checks the declaration against the derived split
-    exactly.
+    By default a chart is derived: ``derived_chart`` reads the preboundary
+    fields, the boundary 1-form and the constraints off the split.  Symbolic
+    reduction (inverting momenta, dropping pure-gauge directions) is out of
+    scope for the pipeline, so a theory whose chart changes coordinates
+    declares it: the chart fields, the boundary 1-form and constraint
+    densities written in them, the defining expressions of the momenta in
+    preboundary symbols, and any algebraic surface the chart lives on.
+    ``verify_chart`` checks either kind against the derived split exactly.
     """
     theory: str
     fields: tuple                       # ChartField, lattice layout order
@@ -538,6 +554,37 @@ class BoundaryChart:
 
     def momenta_map(self) -> dict:
         return {key: img for key, img in self.momenta}
+
+
+def derived_chart(t: TheorySpec, split: BoundarySplit, constraints) -> BoundaryChart:
+    """The chart of preboundary fields, read off the split with no change of
+    coordinates.
+
+    The fields are the symbols of ``split.alpha``, ordered by field
+    declaration and then by transversal order, with their components in
+    lexicographic order (this fixes the lattice slot layout).  ``constraints``
+    are the ``constraint_extract`` pairs of ``split``.  The hamiltonian is the
+    restricted canonical energy ``sum c D_n(g) - L`` over the terms
+    ``c delta(g)`` of ``alpha_density``, times ``boundary_side``; it is
+    ``None`` when a restricted symbol of ``L`` is not a chart slot (a
+    transversal component acting as a multiplier, say), which is decided
+    before the energy is expanded.
+    """
+    n, names = t.transversal, t.renames()
+    order = {_boundary_name(f.name, k, names): (i, k)
+             for i, f in enumerate(t.fields) for k in range(t.jet_order + 1)}
+    syms = _alpha_symbols(split)
+    fields = tuple(ChartField(name, tuple(sorted(syms[name])))
+                   for name in sorted(syms, key=order.__getitem__))
+    hamiltonian = None
+    if all(v.comp in syms.get(_boundary_name(v.field, v.deriv.count(n), names), ())
+           for v in t.lagrangian.jet_vars() if not v.meta.background):
+        energy = ex.esum(c * Expr.var(g.with_deriv(n, t.jet_order))
+                         for (g,), c in split.alpha_density.terms) - t.lagrangian
+        hamiltonian = boundary_restrict(energy, t) * Expr.const(t.boundary_side)
+    return BoundaryChart(theory=t.name, fields=fields, alpha=split.alpha,
+                         tangential=t.tangential(), constraints=tuple(constraints),
+                         hamiltonian=hamiltonian)
 
 
 def verify_chart(chart: BoundaryChart, t: TheorySpec, split: BoundarySplit,

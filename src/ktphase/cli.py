@@ -39,9 +39,7 @@ from .calc_var import (
     FieldDecl,
     TheorySpec,
     constraint_extract,
-    ibp_split,
     renderings,
-    variation,
     vertical_delta,
 )
 from .errors import CheckFailure, KtError, OrderLimitError, ParseError
@@ -325,7 +323,7 @@ class RunOptions:
 
 
 def _derivation_block(t: TheorySpec) -> dict:
-    split = ibp_split(variation(t), t)
+    split = TH.derived_split(t)
     return {**renderings(t, split, constraint_extract(t, split)),
             "variation": split.variation.to_text(t.context()),
             "alpha_side": t.boundary_side,
@@ -379,8 +377,7 @@ def run_pipeline(t: TheorySpec, options: RunOptions | None = None) -> dict:
 
 def _latex_block(t: TheorySpec) -> str:
     ctx = t.context()
-    split = ibp_split(variation(t), t)
-    omega = vertical_delta(split.alpha)
+    split = TH.derived_split(t)
     lines = [r"\documentclass{article}", r"\usepackage{amsmath}", r"\begin{document}",
              r"\section*{%s}" % t.name.replace("_", r"\_")]
     lines.append(r"\subsection*{Field equations}")
@@ -388,17 +385,9 @@ def _latex_block(t: TheorySpec) -> str:
         lhs = ex.var_latex(w, ctx)
         lines.append(r"\[ \mathrm{el}_{%s} = %s \]" % (lhs, ex.to_latex(e, ctx)))
     lines.append(r"\subsection*{Boundary 1-form}")
-    sign = "" if t.boundary_side == 1 else "-"
-    terms = []
-    for gens, coeff in split.alpha_density.terms:
-        terms.append(ex.to_latex(coeff, ctx) + r"\,\delta " + ex.var_latex(gens[0], ctx))
-    lines.append(r"\[ \alpha = %s%s \]" % (sign, " + ".join(terms) if terms else "0"))
+    lines.append(r"\[ \alpha = %s \]" % split.alpha.to_latex(ctx))
     lines.append(r"\subsection*{Boundary 2-form}")
-    oterms = []
-    for gens, coeff in omega.terms:
-        oterms.append(ex.to_latex(coeff, ctx) + r"\,"
-                      + r"\,".join(r"\delta " + ex.var_latex(g, ctx) for g in gens))
-    lines.append(r"\[ \omega = %s \]" % (" + ".join(oterms) if oterms else "0"))
+    lines.append(r"\[ \omega = %s \]" % vertical_delta(split.alpha).to_latex(ctx))
     lines.append(r"\end{document}")
     return "\n".join(lines) + "\n"
 

@@ -965,7 +965,8 @@ _LATEX_GREEK = {"phi": r"\phi", "omega": r"\omega", "lam": r"\lambda", "Lam": r"
 
 
 def _latex_name(name: str) -> str:
-    return _LATEX_GREEK.get(name, name)
+    # braced, so a Greek control word never runs into the next factor
+    return "{%s}" % _LATEX_GREEK[name] if name in _LATEX_GREEK else name
 
 
 def var_latex(v: JetVar, ctx: Context | None = None) -> str:

@@ -11,12 +11,17 @@ Five theories anchor the pipeline end to end:
 
 The Lagrangians live only in the shipped theory files
 ``theories_data/<name>.theory``: :func:`builtin` parses the file, so a
-builtin is exactly what ``ktphase derive path/to/<name>.theory`` reads.  This
-module adds what a theory file does not say: for each builtin a declared
-boundary chart (the reduced boundary coordinates, their boundary 1-form,
-constraints, momenta definitions) that ``calc_var.verify_chart`` checks
-exactly against the derived pipeline output, and smeared constraint families
-for the lattice backend.
+builtin is exactly what ``ktphase derive path/to/<name>.theory`` reads.  Each
+theory is derived once per process (``derived_split``).  Its boundary chart
+is read off that derivation (``calc_var.derived_chart``: the preboundary
+fields, the restricted boundary 1-form, the extracted constraints), unless
+the theory declares a change of coordinates: ``length`` (a unit vector on a
+surface) and ``em`` (the electric-field momentum) do, and
+``calc_var.verify_chart`` checks those declarations exactly against the
+derivation.  This module also adds the smeared constraint families for the
+lattice backend.  The coframe-gravity chart keeps the six-per-point kernel of
+its 2-form (connection shifts annihilated by the coframe); the lattice
+reports it as kernel data rather than quotienting.
 
 Sign conventions per theory, recorded because each is a genuine choice:
 the equation-of-motion densities follow the classical form (kinetic term
@@ -44,6 +49,8 @@ from .calc_var import (
     ChartField,
     LocalVarForm,
     TheorySpec,
+    constraint_extract,
+    derived_chart,
     ibp_split,
     variation,
 )
@@ -87,22 +94,6 @@ def eps4():
 
 
 # ---------------------------------------------------------------------------
-# mechanics
-# ---------------------------------------------------------------------------
-
-def _mechanics_chart(t: TheorySpec) -> BoundaryChart:
-    q = JetVar("q", (), ())
-    v = JetVar("v", (), (), SymbolMeta(excluded=frozenset({0})))
-    m = t.var("m")
-    alpha = LocalVarForm(1, {(q,): Expr.var(m) * Expr.var(v)})
-    H = Expr.const(Fraction(1, 2)) * Expr.var(m) * Expr.var(v) ** 2 + ex.apply_fn("V", 0, Expr.var(q))
-    return BoundaryChart(theory="mechanics", tangential=(),
-                         fields=(ChartField("q", ((),)), ChartField("v", ((),))),
-                         alpha=alpha, momenta=(), constraints=(), surface=(),
-                         hamiltonian=H)
-
-
-# ---------------------------------------------------------------------------
 # length functional
 # ---------------------------------------------------------------------------
 
@@ -120,30 +111,6 @@ def _length_chart(t: TheorySpec) -> BoundaryChart:
                                  ChartField("u", tuple((i,) for i in range(3)))),
                          alpha=alpha, momenta=momenta, constraints=(), surface=surface,
                          hamiltonian=Expr.const(0))
-
-
-# ---------------------------------------------------------------------------
-# scalar field (split metric; h symbolic, bound numerically on the lattice)
-# ---------------------------------------------------------------------------
-
-def _scalar_chart(t: TheorySpec) -> BoundaryChart:
-    tang = t.tangential()
-    restr = frozenset({0})
-    phi = JetVar("phi", (), (), SymbolMeta(excluded=restr))
-    phi0 = JetVar("phi0", (), (), SymbolMeta(excluded=restr))
-    rh = Expr.var(JetVar("rh", (), (), SymbolMeta(background=True, excluded=restr, positive=True)))
-    alpha = LocalVarForm(1, {(phi,): Expr.var(phi0) * rh})
-    hv = lambda i, j: Expr.var(JetVar("hinv", (min(i, j), max(i, j)), (),
-                                      SymbolMeta(background=True, excluded=restr)))
-    H = Expr.const(Fraction(1, 2)) * rh * (
-        Expr.var(phi0) ** 2
-        + ex.esum(hv(i, j) * Expr.var(JetVar("phi", (), (i,), SymbolMeta(excluded=restr)))
-                  * Expr.var(JetVar("phi", (), (j,), SymbolMeta(excluded=restr)))
-                  for i in tang for j in tang))
-    return BoundaryChart(theory="scalar", tangential=tang,
-                         fields=(ChartField("phi", ((),)), ChartField("phi0", ((),))),
-                         alpha=alpha, momenta=(), constraints=(), surface=(),
-                         hamiltonian=H)
 
 
 # ---------------------------------------------------------------------------
@@ -182,48 +149,6 @@ def _em_chart(t: TheorySpec) -> BoundaryChart:
 
 
 # ---------------------------------------------------------------------------
-# coframe (first-order) gravity, d = 4
-# ---------------------------------------------------------------------------
-
-def _pc4_chart(t: TheorySpec) -> BoundaryChart:
-    """Boundary chart of coframe gravity: the tangential coframe legs and the
-    tangential connection components.
-
-    No momentum substitution happens here (the transversal field components
-    simply drop out of the boundary density), so the chart's boundary 1-form
-    and constraint densities are the restricted pipeline outputs themselves:
-    the orientation-contracted ``e e delta(omega)`` density, the torsion
-    densities (named P, one per internal antisymmetric pair), and the
-    curvature-plus-cosmological densities (named T, one per internal index).
-    The chart coordinates still carry the six-per-point kernel of the 2-form
-    (connection shifts annihilated by the coframe); the lattice reports it as
-    kernel data rather than quotienting.
-    """
-    from .calc_var import constraint_extract
-    split = derived_split("pc4")
-    tang = (1, 2, 3)
-    e_comps = tuple((a, i) for a in range(4) for i in tang)
-    om_comps = tuple((a, b, i) for a in range(4) for b in range(a + 1, 4) for i in tang)
-    constraints = []
-    for name, density in constraint_extract(t, split):
-        if name.startswith("omega"):
-            a, b, _mu = _parse_comp(name)
-            constraints.append((f"P[{a},{b}]", density))
-        else:
-            a, _mu = _parse_comp(name)
-            constraints.append((f"T[{a}]", density))
-    return BoundaryChart(theory="pc4", tangential=tang,
-                         fields=(ChartField("e", e_comps), ChartField("omega", om_comps)),
-                         alpha=split.alpha, momenta=(), constraints=tuple(constraints),
-                         surface=(), hamiltonian=None)
-
-
-def _parse_comp(name: str) -> tuple:
-    inner = name[name.index("[") + 1:name.index("]")]
-    return tuple(int(x) for x in inner.split(","))
-
-
-# ---------------------------------------------------------------------------
 # public accessors
 # ---------------------------------------------------------------------------
 
@@ -257,25 +182,25 @@ def builtin(name: str) -> TheorySpec:
 
 
 @lru_cache(maxsize=None)
-def derived_split(name: str) -> BoundarySplit:
-    t = builtin(name)
+def derived_split(t: str | TheorySpec) -> BoundarySplit:
+    """The split of a theory's variation, derived once per process; a builtin
+    name and its spec share one entry."""
+    if isinstance(t, str):
+        return derived_split(builtin(t))
     return ibp_split(variation(t), t)
 
 
 @lru_cache(maxsize=None)
 def chart(name: str) -> BoundaryChart:
+    """The boundary chart of a builtin: derived from its split, except where
+    the theory declares a change of coordinates (``length``, ``em``)."""
     t = builtin(name)
-    if name == "mechanics":
-        return _mechanics_chart(t)
     if name == "length":
         return _length_chart(t)
-    if name == "scalar":
-        return _scalar_chart(t)
     if name == "em":
         return _em_chart(t)
-    if name == "pc4":
-        return _pc4_chart(t)
-    raise KeyError(name)
+    split = derived_split(name)
+    return derived_chart(t, split, constraint_extract(t, split))
 
 
 def flat_metric_bindings(t: TheorySpec) -> dict:
@@ -325,18 +250,20 @@ def constraint_set(name: str) -> ConstraintSet:
         density = ex.esum(lam((i,)) * hv(i, j) * F0(j) for i in tang for j in tang) * rh
         return ConstraintSet((SmearedConstraint("J", density, (("lam", ((),)),)),))
     if name == "pc4":
+        # the torsion densities are the field equations of omega[a,b,0], the
+        # curvature-plus-cosmological ones those of e[a,0]
         ch = chart("pc4")
         cons = dict(ch.constraints)
         smeta = SymbolMeta(background=True)
         pair_comps = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
-        p_density = ex.esum(Expr.var(JetVar("c", (a, b), (), smeta)) * cons[f"P[{a},{b}]"]
+        p_density = ex.esum(Expr.var(JetVar("c", (a, b), (), smeta)) * cons[f"omega[{a},{b},0]"]
                             for a, b in pair_comps) * PC_P_SIGN
-        t_density = ex.esum(Expr.var(JetVar("mu", (a,), (), smeta)) * cons[f"T[{a}]"]
+        t_density = ex.esum(Expr.var(JetVar("mu", (a,), (), smeta)) * cons[f"e[{a},0]"]
                             for a in range(4)) * PC_T_SIGN
-        h_density = Expr.var(JetVar("lam", (), (), smeta)) * cons["T[0]"] * PC_T_SIGN
+        h_density = Expr.var(JetVar("lam", (), (), smeta)) * cons["e[0,0]"] * PC_T_SIGN
         emeta = SymbolMeta(excluded=frozenset({0}))
         pxi_density = ex.esum(Expr.var(JetVar("xi", (i,), (), smeta))
-                              * Expr.var(JetVar("e", (a, i), (), emeta)) * cons[f"T[{a}]"]
+                              * Expr.var(JetVar("e", (a, i), (), emeta)) * cons[f"e[{a},0]"]
                               for a in range(4) for i in (1, 2, 3)) * PC_T_SIGN
         mu_comps = tuple((a,) for a in range(4))
         xi_comps = tuple((i,) for i in (1, 2, 3))
@@ -420,7 +347,7 @@ def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True
     """
     ch = model.chart
     cons = dict(ch.constraints)
-    names = [f"P[{a},{b}]" for a, b in _PC_IPAIRS] + [f"T[{a}]" for a in range(4)]
+    names = [f"omega[{a},{b},0]" for a, b in _PC_IPAIRS] + [f"e[{a},0]" for a in range(4)]
     if model.grid.nsites != 1:
         raise ValueError("on-surface sampling is implemented for single-site grids")
     om_slots = [i for i, (f, _) in enumerate(model.slots) if f == "omega"]

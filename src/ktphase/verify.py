@@ -38,7 +38,7 @@ from .lattice import (
     two_form_rank,
 )
 
-__all__ = ["check_symbolic", "check_point", "check_lattice", "run_all_checks"]
+__all__ = ["check_symbolic", "check_point", "check_lattice"]
 
 
 def _entry(ok, **info):
@@ -323,15 +323,3 @@ def check_lattice(name: str, golden: dict, seed: int = 0, grid_shape=None,
     entries["runtime_s"] = _entry(True, seconds=round(time.time() - t0, 3))
     return {"entries": entries, "passed": _alltrue(entries)}
 
-
-def run_all_checks(name: str, seed: int = 0, point_samples=None, grid_shape=None,
-                   rank_tol: float = 1e-8) -> dict:
-    golden = TH.golden(name)
-    out = {
-        "symbolic": check_symbolic(name, golden),
-        "point": check_point(name, golden, samples=point_samples, seed=seed),
-        "lattice": check_lattice(name, golden, seed=seed, grid_shape=grid_shape,
-                                 rank_tol=rank_tol),
-    }
-    out["passed"] = all(v["passed"] for v in out.values() if isinstance(v, dict))
-    return out

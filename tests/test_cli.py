@@ -152,8 +152,49 @@ def test_latex_contains_textbook_notation():
     t = TH.builtin("mechanics")
     r = run_pipeline(t, RunOptions(symbolic_only=True))
     latex = emit_report(r, "latex", t).decode()
-    assert r"m\dot q\,\delta q" in latex
+    assert r"mv\,\delta q" in latex
     assert r"\documentclass" in latex and r"\end{document}" in latex
+
+
+def _latex(name):
+    t = TH.builtin(name)
+    return emit_report(run_pipeline(t, RunOptions(symbolic_only=True)), "latex", t).decode()
+
+
+def test_latex_derives_once(monkeypatch, capsys):
+    from ktphase import calc_var, cli
+    calls = []
+    for module in (calc_var, TH, cli):
+        if hasattr(module, "ibp_split"):
+            wrapped = getattr(module, "ibp_split")
+            monkeypatch.setattr(module, "ibp_split",
+                                lambda *a, f=wrapped: calls.append(1) or f(*a))
+    TH.derived_split.cache_clear()
+    assert main(["derive", "em", "--format", "latex"]) == 0
+    assert len(calls) == 1
+
+
+def test_latex_forms_parenthesize_coefficients():
+    # alpha is the restricted split.alpha; every multi-term or negative
+    # coefficient is parenthesized, so no sign reaches only one term
+    latex = _latex("em")
+    alpha = re.search(r"\\alpha = (.*) \\\]", latex).group(1)
+    for term in alpha.split(" + "):
+        coeff = term.split(r"\,\delta ")[0]
+        assert coeff.startswith("(") and coeff.endswith(")"), term
+    assert "--" not in latex and "+ -" not in latex
+
+
+# every control word the LaTeX report may contain
+KNOWN_MACROS = {r"\documentclass", r"\usepackage", r"\begin", r"\end", r"\section",
+                r"\subsection", r"\mathrm", r"\alpha", r"\omega", r"\delta", r"\dot",
+                r"\ddot", r"\partial", r"\frac", r"\sqrt", r"\phi", r"\lambda",
+                r"\Lambda", r"\varepsilon", r"\rho", r"\xi", r"\eta", r"\sigma", r"\mu"}
+
+
+@pytest.mark.parametrize("name", TH.THEORY_NAMES)
+def test_latex_uses_only_known_macros(name):
+    assert set(re.findall(r"\\[A-Za-z]+", _latex(name))) <= KNOWN_MACROS
 
 
 def test_empty_check_report_is_valid_minimal_document():

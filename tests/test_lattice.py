@@ -20,6 +20,7 @@ from ktphase.lattice import (
     surface_tangent_basis,
     symplectic_current_check,
     two_form_rank,
+    TwoFormMatrix,
 )
 
 
@@ -200,6 +201,19 @@ def test_poisson_bracket_rejects_ill_defined(rng):
     bad = Vt[-1].reshape(1, -1)
     with pytest.raises(CheckFailure):
         poisson_bracket(bad, bad, omega)
+
+
+def test_residual_is_the_two_norm_of_the_defect(rng):
+    # the residual is summed in numpy, not by np.linalg.norm; on an em-sized
+    # input the two agree to roundoff
+    model, grid = em_model((16, 16, 16))
+    W = rng.standard_normal((grid.nsites, 6, 6))
+    W[:, :, -1] = W[:, -1, :] = 0.0  # a dead slot at every site: nonzero residual
+    omega = TwoFormMatrix(model=model, blocks=W - np.swapaxes(W, 1, 2))
+    df = rng.standard_normal((grid.nsites, 6))
+    X, res = hamiltonian_vector_field(omega, df)
+    want = np.linalg.norm(omega.apply(X) - df)
+    assert want > 1.0 and abs(res - want) <= 1e-14 * want
 
 
 def test_two_form_pinv_is_factored_once(rng, monkeypatch):

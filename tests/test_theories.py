@@ -9,7 +9,7 @@ import pytest
 
 from ktphase import expr as E
 from ktphase import theories as TH
-from ktphase.calc_var import constraint_extract, verify_chart
+from ktphase.calc_var import ChartField, LocalVarForm, constraint_extract, verify_chart
 from ktphase.lattice import (
     LatticeGrid,
     LatticeModel,
@@ -161,6 +161,48 @@ def test_all_charts_verify():
         verify_chart(TH.chart(name), t, split, constraint_extract(t, split))
 
 
+def test_derived_split_shares_one_entry_per_theory():
+    t = TH.builtin("mechanics")
+    assert TH.derived_split("mechanics") is TH.derived_split(t)
+
+
+def _form(ctx, var, coeff):
+    return LocalVarForm(1, {(E.JetVar(var),): E.parse(coeff, ctx)})
+
+
+def test_derived_mechanics_chart_oracle():
+    t = TH.builtin("mechanics")
+    ctx = _golden_context(t)
+    ch = TH.chart("mechanics")
+    assert ch.fields == (ChartField("q", ((),)), ChartField("v", ((),)))
+    assert ch.alpha == _form(ctx, "q", "m*v")
+    assert ch.hamiltonian == E.parse("1/2*m*v^2 + V(q)", ctx)
+    assert ch.tangential == () and ch.constraints == ()
+
+
+def test_derived_scalar_chart_oracle():
+    t = TH.builtin("scalar")
+    ctx = _golden_context(t)
+    ch = TH.chart("scalar")
+    assert ch.fields == (ChartField("phi", ((),)), ChartField("phi0", ((),)))
+    assert ch.alpha == _form(ctx, "phi", "phi0*rh")
+    assert ch.hamiltonian == E.parse("1/2*rh*(phi0^2 + hinv[1,1]*d[1]phi^2)", ctx)
+    assert ch.tangential == (1,) and ch.constraints == ()
+
+
+def test_derived_pc4_chart_layout_and_no_hamiltonian():
+    # the transversal legs e[a,0] and omega[a,b,0] are multipliers, not chart
+    # slots, so the canonical energy is not a function on the chart
+    ch = TH.chart("pc4")
+    tang = (1, 2, 3)
+    assert ch.fields == (
+        ChartField("e", tuple((a, i) for a in range(4) for i in tang)),
+        ChartField("omega", tuple((a, b, i) for a in range(4) for b in range(a + 1, 4)
+                                  for i in tang)))
+    assert ch.hamiltonian is None
+    assert ch.alpha == TH.derived_split("pc4").alpha
+
+
 def test_golden_expressions_renormalize_to_themselves():
     # every stored expression parses under the theory context and re-renders
     # byte-identically (the invariant that makes goldens regression-stable)
@@ -234,6 +276,7 @@ def test_check_symbolic_extracts_once_and_never_revaries(monkeypatch):
         monkeypatch.setattr(module, "vertical_delta", counting_delta(module.vertical_delta))
     for name in TH.THEORY_NAMES:
         TH.derived_split(name)
+        TH.chart(name)  # a cold derived chart extracts too; not check_symbolic's work
         counts.update(extract=0, vary=0)
         assert VF.check_symbolic(name, TH.golden(name))["passed"]
         assert counts == {"extract": 1, "vary": 0}, name
