@@ -29,6 +29,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .errors import (
     DomainError,
     OrderLimitError,
@@ -46,6 +48,7 @@ __all__ = [
     "diff_jet",
     "total_derivative",
     "evaluate",
+    "Lowered",
     "sqrt",
     "apply_fn",
     "Context",
@@ -197,14 +200,16 @@ class Expr:
             self._key = tuple((_mono_key(m), (c.numerator, c.denominator)) for m, c in self.terms)
         return self._key
 
+    # equality and hashing read the canonical terms directly: ``sort_key()``
+    # would build and cache a second, nested copy of the whole expression
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.sort_key() == other.sort_key()
+        return self is other or self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.sort_key())
+            self._hash = hash(self.terms)
         return self._hash
 
     def __repr__(self):
@@ -511,22 +516,37 @@ def evaluate(e: Expr, point: Mapping[JetVar, object], fns: Mapping | None = None
 
     A bound value is a rational (``int`` or ``Fraction``), a float, or a
     numpy array, which is evaluated elementwise.  When every value in
-    ``point`` is rational the arithmetic is exact, and the result is a
-    ``Fraction`` unless a scalar function returns a float (sqrt of a
-    non-square, or a callable from ``fns``).  Otherwise every coefficient
-    becomes a float first, so arrays stay float arrays.  ``fns`` maps
-    ``(name, order)`` to a callable for opaque functions; ``("sqrt", 0)`` in
-    ``fns`` replaces the built-in sqrt, which is exact on rational squares
-    and raises DomainError on negative arguments.
+    ``point`` is rational the terms are walked in exact arithmetic, and the
+    result is a ``Fraction`` unless a scalar function returns a float (sqrt
+    of a non-square, or a callable from ``fns``).  Otherwise the expression
+    is lowered (:class:`Lowered`) and run in float arithmetic over the
+    broadcast shape of the values; a scalar result is a numpy float.
+    ``fns`` maps ``(name, order)`` to a callable for opaque functions;
+    ``("sqrt", 0)`` in ``fns`` replaces the built-in sqrt, which is exact on
+    rational squares and raises DomainError on negative arguments.
     """
-    exact = all(isinstance(x, (int, Fraction)) for x in point.values())
-    return _evaluate(e, point, fns or {}, exact)
+    fns = fns or {}
+    if all(isinstance(x, (int, Fraction)) for x in point.values()):
+        return _evaluate_exact(e, point, fns)
+    low = Lowered((e,))
+    values = []
+    for v in low.cols:
+        if v not in point:
+            raise UnboundVariableError(f"no binding for jet variable {v.field}{v.comp}{v.deriv}")
+        values.append(point[v])
+    table = np.empty((low.nrows,) + np.broadcast_shapes(*(np.shape(x) for x in values)))
+    flat = np.zeros(low.nrows, dtype=bool)
+    for row, x in enumerate(values, 1):
+        table[row] = x
+        flat[row] = np.ndim(x) == 0
+    # indexing with () turns a 0-d result into a numpy scalar
+    return low.run(table, flat, fns)[0][()]
 
 
-def _evaluate(e: Expr, point, fns, exact: bool):
-    total = Fraction(0) if exact else 0.0
+def _evaluate_exact(e: Expr, point, fns):
+    total = Fraction(0)
     for (vars_, fxs), coeff in e.terms:
-        val = coeff if exact else float(coeff)
+        val = coeff
         for v, ex in vars_:
             try:
                 x = point[v]
@@ -534,12 +554,129 @@ def _evaluate(e: Expr, point, fns, exact: bool):
                 raise UnboundVariableError(f"no binding for jet variable {v.field}{v.comp}{v.deriv}") from None
             val = val * _ipow(x, ex)
         for (name, order, arg), ex in fxs:
-            fn = fns.get((name, order), _eval_sqrt if name == "sqrt" else None)
-            if fn is None:
-                raise UnboundVariableError(f"no callable bound for {name!r} (derivative order {order})")
-            val = val * _ipow(fn(_evaluate(arg, point, fns, exact)), ex)
+            val = val * _ipow(_scalar_fn(fns, name, order)(_evaluate_exact(arg, point, fns)), ex)
         total = total + val
     return total
+
+
+def _scalar_fn(fns, name: str, order: int):
+    fn = fns.get((name, order), _eval_sqrt if name == "sqrt" else None)
+    if fn is None:
+        raise UnboundVariableError(f"no callable bound for {name!r} (derivative order {order})")
+    return fn
+
+
+# -- lowering for float evaluation ----------------------------------------------
+
+class _Poly:
+    """Flat polynomials over the rows of an evaluation table.
+
+    Term ``t`` is ``coef[t]`` times the table rows ``idx[:, t]`` (padded
+    with the row of ones), multiplied left to right in the order of its
+    monomial, into the table row ``terms.start + t``.  Output ``k`` is the
+    sum of the rows ``sel[:, k]``: its terms in their order, padded with the
+    row of zeros.
+    """
+
+    __slots__ = ("idx", "coef", "terms", "sel")
+
+    def __init__(self, idx, coef, terms, sel):
+        self.idx, self.coef, self.terms, self.sel = idx, coef, terms, sel
+
+    def run(self, table: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        body = table[self.terms]
+        coef = self.coef.reshape((-1,) + (1,) * (table.ndim - 1))
+        np.multiply(coef, _factor(table, flat, self.idx[0]), out=body)
+        for rows in self.idx[1:]:
+            np.multiply(body, _factor(table, flat, rows), out=body)
+        return table[self.sel].sum(axis=0)
+
+
+def _factor(table: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # rows that are flat (the same at every point) are read at the first
+    # point only, and broadcast
+    if flat[rows].all():
+        return table[(rows,) + (slice(0, 1),) * (table.ndim - 1)]
+    return table[rows]
+
+
+class Lowered:
+    """Expressions lowered once to flat polynomials over their shared jet
+    columns, for float evaluation in a few numpy operations.
+
+    ``cols`` are the distinct jet variables, sorted.  A run takes a table of
+    ``nrows`` rows, each a value broadcast over the evaluation points, with
+    the bound columns in rows ``1 .. len(cols)``; ``flat`` marks the rows
+    that hold one value at every point, which are read once.  The run fills
+    every other row: ones (row 0), zeros, one row per function factor (its
+    argument lowered over the same table), one per power other than 1 of a
+    column or factor, and one per term.  It returns one row per lowered
+    expression.  Each term multiplies its coefficient and factors in the
+    order of the term walk, as floats.
+    """
+
+    __slots__ = ("cols", "nrows", "_zero", "_steps", "_poly")
+
+    def __init__(self, exprs):
+        cols = sorted({v for e in exprs for v in e.jet_vars()})
+        self.cols = tuple(cols)
+        self._zero = len(cols) + 1
+        self.nrows = len(cols) + 2
+        self._steps = []  # ("fn", row, name, order, _Poly) | ("pow", row, base row, exponent)
+        rows = {v: i for i, v in enumerate(cols, 1)}  # column, function factor or power -> row
+        self._poly = self._lower(exprs, rows)
+
+    def _row(self, rows: dict, factor, exponent: int) -> int:
+        if factor not in rows:  # a function factor: lower its argument first
+            name, order, arg = factor
+            poly = self._lower((arg,), rows)
+            rows[factor] = self._new_rows(1)
+            self._steps.append(("fn", rows[factor], name, order, poly))
+        base = rows[factor]
+        if exponent == 1:
+            return base
+        if (base, exponent) not in rows:
+            rows[(base, exponent)] = self._new_rows(1)
+            self._steps.append(("pow", rows[(base, exponent)], base, exponent))
+        return rows[(base, exponent)]
+
+    def _new_rows(self, n: int) -> int:
+        self.nrows += n
+        return self.nrows - n
+
+    def _lower(self, exprs, rows) -> _Poly:
+        factors, coef, counts = [], [], []
+        for e in exprs:
+            counts.append(len(e.terms))
+            for (vars_, fxs), c in e.terms:
+                coef.append(float(c))
+                factors.append([self._row(rows, v, k) for v, k in vars_]
+                               + [self._row(rows, f, k) for f, k in fxs])
+        idx = np.zeros((max([1] + [len(f) for f in factors]), len(factors)), dtype=np.intp)
+        for t, f in enumerate(factors):
+            idx[:len(f), t] = f
+        first = self._new_rows(len(factors))
+        sel = np.full((max([1] + counts), len(exprs)), self._zero, dtype=np.intp)
+        row = first
+        for k, n in enumerate(counts):
+            sel[:n, k] = np.arange(row, row + n)
+            row += n
+        return _Poly(idx, np.array(coef), slice(first, row), sel)
+
+    def run(self, table: np.ndarray, flat: np.ndarray, fns: Mapping) -> np.ndarray:
+        """Fill the rows of ``table`` after its columns, then return the
+        lowered expressions, stacked along the first axis."""
+        table[0] = 1.0
+        table[self._zero] = 0.0
+        flat[0] = flat[self._zero] = True
+        for kind, row, *step in self._steps:
+            if kind == "fn":
+                name, order, poly = step
+                table[row] = _scalar_fn(fns, name, order)(poly.run(table, flat)[0])
+            else:
+                base, exponent = step
+                table[row] = table[base] ** exponent
+        return self._poly.run(table, flat)
 
 
 def esum(exprs: Iterable[Expr]) -> Expr:
@@ -965,8 +1102,11 @@ _LATEX_GREEK = {"phi": r"\phi", "omega": r"\omega", "lam": r"\lambda", "Lam": r"
 
 
 def _latex_name(name: str) -> str:
-    # braced, so a Greek control word never runs into the next factor
-    return "{%s}" % _LATEX_GREEK[name] if name in _LATEX_GREEK else name
+    # Greek names become their letter and other multi-letter names are set
+    # upright; braced, so a prefix such as \dot takes the whole name
+    if name in _LATEX_GREEK:
+        return "{%s}" % _LATEX_GREEK[name]
+    return r"{\mathrm{%s}}" % name if len(name) > 1 else name
 
 
 def var_latex(v: JetVar, ctx: Context | None = None) -> str:
@@ -1014,9 +1154,9 @@ def to_latex(e: Expr, ctx: Context | None = None) -> str:
         if not factors:
             body = _frac_latex(mag)
         elif mag == 1:
-            body = factors[0] + "".join(factors[1:])
+            body = r"\,".join(factors)
         else:
-            body = _frac_latex(mag) + factors[0] + "".join(factors[1:])
+            body = _frac_latex(mag) + r"\,".join(factors)
         parts.append(("-" if coeff < 0 else "+", body))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body

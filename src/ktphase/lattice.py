@@ -17,19 +17,26 @@ realizes single-point and single-site toy models.
 
 Determinism: assembly and sampling loops are plain vectorized numpy with a
 fixed reduction order, so results are bit-identical for a fixed seed.
+Densities and their slot gradients run as kernels lowered once per process
+(``expr.Lowered``).  Each term multiplies its factors in the order of the
+exact term walk.  The terms of each output are summed by one numpy
+reduction: in term order when the outputs of a kernel hold more than one
+value together, pairwise when they hold one (a single output on a
+single-site grid).  So multi-site grids reproduce the term walk bit for bit,
+and single-site sums agree with it to roundoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import expr as ex
 from .calc_var import BoundaryChart
 from .errors import CFLError, CheckFailure
-from .expr import Expr, JetVar
+from .expr import Expr
 
 __all__ = [
     "LatticeGrid",
@@ -121,7 +128,9 @@ class LatticeModel:
         self.slot_index = {key: i for i, key in enumerate(self.slots)}
         self.nslots = len(self.slots)
         self.field_comps = {f.name: list(f.comps) for f in chart.fields}
-        self._diff_cache = {}
+        self._slot_key = tuple(self.slots)
+        self._fns = {("sqrt", 0): np.sqrt, **self.functions}
+        self._plans = {}  # lowered kernel -> how this model binds its columns
 
     # -- state layout ---------------------------------------------------------
 
@@ -160,73 +169,139 @@ class LatticeModel:
 
     # -- expression evaluation over sites --------------------------------------
 
-    def _component_array(self, v: JetVar, state: dict, smear: dict | None) -> np.ndarray:
-        name, comp = v.field, v.comp
-        if name in self.field_comps:
-            idx = self.field_comps[name].index(comp)
-            base = state[name][..., idx]
-        elif smear and (name, comp) in smear:
-            base = smear[(name, comp)]
-        elif (name, comp) in self.bindings:
-            base = np.broadcast_to(np.asarray(self.bindings[(name, comp)], dtype=float),
-                                   self.grid.shape)
-        elif not comp and name in self.bindings:
-            base = np.broadcast_to(np.asarray(self.bindings[name], dtype=float), self.grid.shape)
-        else:
-            raise KeyError(f"no lattice binding for symbol {name!r} component {comp}")
-        base = np.asarray(base, dtype=float)
-        for coord in v.deriv:
-            base = self.grid.diff(base, self.axis_of[coord])
-        return base
+    def _plan(self, cols) -> tuple:
+        """How this model binds a column tuple: per state field its table rows
+        and component indices, the rows of the other symbols, and the rows
+        per derivative multi-index."""
+        fields, symbols, derivs = {}, [], {}
+        for row, v in enumerate(cols, 1):
+            if v.field in self.field_comps:
+                rows, comps = fields.setdefault(v.field, ([], []))
+                rows.append(row)
+                comps.append(self.field_comps[v.field].index(v.comp))
+            else:
+                symbols.append((row, v.field, v.comp))
+            if v.deriv:
+                derivs.setdefault(v.deriv, []).append(row)
+        return ([(name, np.array(rows), np.array(comps)) for name, (rows, comps) in fields.items()],
+                symbols, [(deriv, np.array(rows)) for deriv, rows in derivs.items()])
+
+    def _symbol_array(self, name: str, comp: tuple, smear: dict | None):
+        if smear and (name, comp) in smear:
+            return smear[(name, comp)]
+        if (name, comp) in self.bindings:
+            return self.bindings[(name, comp)]
+        if not comp and name in self.bindings:
+            return self.bindings[name]
+        raise KeyError(f"no lattice binding for symbol {name!r} component {comp}")
+
+    def _run(self, low: ex.Lowered, state: dict, smear: dict | None) -> np.ndarray:
+        """Run a lowered kernel over the grid.  Each column of its table is a
+        state component, a smearing array or a background binding (flat when
+        it is a scalar), differenced along its derivative indices."""
+        plan = self._plans.get(low)
+        if plan is None:
+            plan = self._plans[low] = self._plan(low.cols)
+        fields, symbols, derivs = plan
+        table = np.empty((low.nrows,) + self.grid.shape)
+        flat = np.zeros(low.nrows, dtype=bool)
+        for name, rows, comps in fields:
+            table[rows] = np.moveaxis(state[name][..., comps], -1, 0)
+        for row, name, comp in symbols:
+            value = self._symbol_array(name, comp, smear)
+            table[row] = value
+            flat[row] = np.ndim(value) == 0
+        # rows are stacked in front of the grid axes: difference along axes
+        # counted from the end
+        lead = self.grid.ndim
+        for deriv, rows in derivs:
+            arr = table[rows]
+            for coord in deriv:
+                arr = self.grid.diff(arr, self.axis_of[coord] - lead)
+            table[rows] = arr
+        return low.run(table, flat, self._fns)
 
     def evaluate(self, e: Expr, state: dict, smear: dict | None = None) -> np.ndarray:
         """Evaluate an expression to a float array over grid sites.
 
-        Binds each distinct jet variable to its component array and hands
-        the point to ``expr.evaluate``; an expression without jet variables
-        is evaluated exactly and spread over the grid.
+        The expression is lowered once per process; its jet columns are
+        bound to grid arrays and the lowered kernel runs over them.
         """
-        point = {v: self._component_array(v, state, smear) for v in e.jet_vars()}
-        if not point:
-            return np.full(self.grid.shape, float(ex.evaluate(e, point, self.functions)))
-        return ex.evaluate(e, point, {("sqrt", 0): np.sqrt, **self.functions})
-
-    def _grad_terms(self, e: Expr):
-        """Cached symbolic slot-derivatives of a density: per chart slot, the
-        list of (derivative multi-index, coefficient expression)."""
-        key = e
-        hit = self._diff_cache.get(key)
-        if hit is not None:
-            return hit
-        per_slot = [[] for _ in range(self.nslots)]
-        for v in e.jet_vars():
-            if (v.field, v.comp) not in self.slot_index:
-                continue
-            d = ex.diff_jet(e, v)
-            if d.is_zero():
-                continue
-            per_slot[self.slot_index[(v.field, v.comp)]].append((v.deriv, d))
-        self._diff_cache[key] = per_slot
-        return per_slot
+        return self._run(_density_kernel(e), state, smear)[0]
 
     def density_gradient(self, e: Expr, state: dict, smear: dict | None = None) -> np.ndarray:
         """Gradient of ``sum_sites density * cellvol`` w.r.t. the state.
 
-        Exact polynomial differentiation of the density, then the transposed
-        stencil of each jet's derivative indices.  Shape (nsites, nslots).
+        Exact polynomial differentiation of the density, lowered once per
+        density and slot layout, then the transposed stencil of each jet's
+        derivative indices.  Shape (nsites, nslots).
         """
+        grad = _gradient_kernel(e, self._slot_key)
         out = np.zeros((self.grid.nsites, self.nslots))
-        w = self.grid.cell_volume()
-        for j, terms in enumerate(self._grad_terms(e)):
-            acc = None
-            for deriv, coeff in terms:
-                arr = self.evaluate(coeff, state, smear)
-                for coord in deriv:
-                    arr = self.grid.diff_transpose(arr, self.axis_of[coord])
-                acc = arr if acc is None else acc + arr
-            if acc is not None:
-                out[:, j] = acc.reshape(-1) * w
+        if not grad.slots.size:
+            return out
+        g = self._run(grad.kernel, state, smear)
+        for deriv, groups in grad.derivs:
+            arr = g[groups]
+            for coord in deriv:
+                arr = self.grid.diff_transpose(arr, self.axis_of[coord] - self.grid.ndim)
+            g[groups] = arr
+        (_, first), *rest = grad.layers
+        acc = g[first]
+        for positions, groups in rest:
+            acc[positions] += g[groups]
+        out[:, grad.slots] = (acc.reshape(grad.slots.size, -1) * self.grid.cell_volume()).T
         return out
+
+
+@lru_cache(maxsize=None)
+def _density_kernel(e: Expr) -> ex.Lowered:
+    return ex.Lowered((e,))
+
+
+@dataclass(frozen=True)
+class _Gradient:
+    """The slot gradient of a density, lowered into one kernel.
+
+    The kernel has one output per group: a chart slot and the derivative
+    multi-index of a jet of that slot, whose ``diff_jet`` coefficient it
+    evaluates.  ``derivs`` lists the groups per multi-index, whose transposed
+    stencils apply after the kernel.  ``slots`` are the slots with a group,
+    and ``layers[k]`` pairs positions in ``slots`` with each one's k-th
+    group, in the density's jet order.
+    """
+    kernel: ex.Lowered
+    derivs: tuple
+    slots: np.ndarray
+    layers: tuple
+
+
+@lru_cache(maxsize=None)
+def _gradient_kernel(e: Expr, slots: tuple) -> _Gradient:
+    """Derive and lower the slot gradient of ``e``, once per density and
+    slot layout; only the lowered arrays are kept."""
+    index = {key: j for j, key in enumerate(slots)}
+    groups, coeffs = [], []
+    for v in e.jet_vars():
+        j = index.get((v.field, v.comp))
+        if j is None:
+            continue
+        d = ex.diff_jet(e, v)
+        if not d.is_zero():
+            groups.append((j, v.deriv))
+            coeffs.append(d)
+    per_slot, derivs = {}, {}
+    for g, (j, deriv) in enumerate(groups):
+        per_slot.setdefault(j, []).append(g)
+        if deriv:
+            derivs.setdefault(deriv, []).append(g)
+    used = sorted(per_slot)
+    layers = tuple((np.array([p for p, j in enumerate(used) if len(per_slot[j]) > k]),
+                    np.array([per_slot[j][k] for j in used if len(per_slot[j]) > k]))
+                   for k in range(max(map(len, per_slot.values()), default=0)))
+    return _Gradient(kernel=ex.Lowered(tuple(coeffs)),
+                     derivs=tuple((deriv, np.array(gs)) for deriv, gs in derivs.items()),
+                     slots=np.array(used, dtype=np.intp), layers=layers)
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,11 @@ PC_P_SIGN = -1
 PC_T_SIGN = 1
 
 
+@lru_cache(maxsize=None)
 def constraint_set(name: str) -> ConstraintSet:
-    """Smeared constraint functionals of a builtin theory.
+    """Smeared constraint functionals of a builtin theory, built once per
+    process, so the lattice kernels lowered from their densities are found
+    by identity.
 
     For electromagnetism the generator is smeared in the integrated-by-parts
     form (gradient of the smearing against the electric flux), which equals

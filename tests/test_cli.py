@@ -152,7 +152,7 @@ def test_latex_contains_textbook_notation():
     t = TH.builtin("mechanics")
     r = run_pipeline(t, RunOptions(symbolic_only=True))
     latex = emit_report(r, "latex", t).decode()
-    assert r"mv\,\delta q" in latex
+    assert r"m\,v\,\delta q" in latex
     assert r"\documentclass" in latex and r"\end{document}" in latex
 
 
@@ -192,9 +192,23 @@ KNOWN_MACROS = {r"\documentclass", r"\usepackage", r"\begin", r"\end", r"\sectio
                 r"\Lambda", r"\varepsilon", r"\rho", r"\xi", r"\eta", r"\sigma", r"\mu"}
 
 
+# factors of the boundary 1-form as they must render: multi-letter names
+# upright, adjacent factors separated by a thin space
+LATEX_ALPHA = {"scalar": r"\alpha = {\mathrm{phi0}}\,{\mathrm{rh}}\,\delta {\phi}",
+               "em": r"+{\mathrm{A0}}_{1}\,{\mathrm{hinv}}_{1,1}\,{\mathrm{rh}}+"}
+
+
 @pytest.mark.parametrize("name", TH.THEORY_NAMES)
 def test_latex_uses_only_known_macros(name):
-    assert set(re.findall(r"\\[A-Za-z]+", _latex(name))) <= KNOWN_MACROS
+    latex = _latex(name)
+    assert set(re.findall(r"\\[A-Za-z]+", latex)) <= KNOWN_MACROS
+    assert LATEX_ALPHA.get(name, "") in latex
+    # no two letters run together in a formula outside a control word or an
+    # upright name
+    for line in latex.splitlines():
+        if line.startswith(r"\["):
+            bare = re.sub(r"\\mathrm\{[^}]*\}|\\[A-Za-z]+", "", line)
+            assert not re.search(r"[A-Za-z]{2}", bare), line
 
 
 def test_empty_check_report_is_valid_minimal_document():

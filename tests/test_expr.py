@@ -364,3 +364,54 @@ def test_evaluate_after_normalize(e):
     for v in _VARS:
         pt.setdefault(v, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
     assert E.evaluate(E.normalize(e), pt) == E.evaluate(e, pt)
+
+
+# lowered float evaluation against the exact walk: constants, the zero
+# expression, negative exponents, sqrt and one opaque function
+_LCTX = E.Context(coords=("x0", "x1"), transversal=0)
+for _name in ("a", "b", "c"):
+    _LCTX.declare_field(_name)
+_LVARS = [_LCTX.jetvar("a", (), 0, ()), _LCTX.jetvar("b", (), 0, ()),
+          _LCTX.jetvar("a", (), 1, ()), _LCTX.jetvar("c", (), 0, (1,))]
+# rational on rationals, so the exact walk stays exact
+_LFNS = {("f", 0): lambda x: x * x * x - x / 3 + 1}
+
+
+@st.composite
+def lowered_cases(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        term = E.Expr.const(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5))))
+        for v in draw(st.lists(st.sampled_from(_LVARS), max_size=3)):
+            term = term * E.Expr.var(v) ** draw(st.integers(-2, 3))
+        kind = draw(st.sampled_from(["none", "sqrt", "f"]))
+        if kind != "none":
+            inner = E.Expr.var(draw(st.sampled_from(_LVARS)))
+            arg = inner * inner + Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+            fn = E.sqrt(arg) if kind == "sqrt" else E.apply_fn("f", 0, arg)
+            term = term * fn ** draw(st.integers(-1, 2))
+        terms.append(term)
+    point = {v: Fraction(draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 9)),
+                         draw(st.integers(1, 7))) for v in _LVARS}
+    return E.esum(terms), point
+
+
+@settings(max_examples=80, deadline=None)
+@given(lowered_cases())
+def test_lowered_evaluation_matches_the_exact_walk(case):
+    e, point = case
+    exact = E.evaluate(e, point, _LFNS)
+    lowered = E.evaluate(e, {v: float(x) for v, x in point.items()}, _LFNS)
+    # relative to the size of the terms, so cancellation between them is fair
+    scale = sum(abs(float(E.evaluate(E.Expr((term,)), point, _LFNS))) for term in e.terms)
+    assert abs(float(lowered) - float(exact)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(lowered_cases(), lowered_cases())
+def test_equality_and_hash_agree_with_the_sort_key(x, y):
+    (a, _), (b, _) = x, y
+    for p, q in ((a, b), (a + b, b + a), (a * b, b * a), (a, E.normalize(a)), (a, b - b + a)):
+        assert (p == q) == (p.sort_key() == q.sort_key())
+        if p == q:
+            assert hash(p) == hash(q)

@@ -431,3 +431,71 @@ def test_gauge_residual_under_grid_refinement(rng):
         smear = con.random_smear(model, rng)
         _, res = hamiltonian_vector_field(omega, con.gradient(model, state, smear))
         assert res <= 1e-8
+
+
+def curved_em_model(shape=(6, 6, 6), seed=5):
+    # a smooth positive-definite spatial metric: h = 1 + small symmetric bump
+    t = TH.builtin("em")
+    grid = LatticeGrid(shape=shape)
+    rng = np.random.default_rng(seed)
+    bump = 0.15 * rng.standard_normal(shape + (3, 3))
+    for axis in range(3):
+        bump = (bump + np.roll(bump, 1, axis) + np.roll(bump, -1, axis)) / 3.0
+    h = np.eye(3) + 0.5 * (bump + np.swapaxes(bump, -1, -2))
+    hinv = np.linalg.inv(h)
+    bindings = {("hinv", (i + 1, j + 1)): hinv[..., i, j] for i in range(3) for j in range(i, 3)}
+    bindings["rh"] = np.sqrt(np.linalg.det(h))
+    return LatticeModel(TH.chart("em"), grid, bindings=bindings), grid
+
+
+def pc4_site_model():
+    return LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.7})
+
+
+def _fd_cases():
+    model, _ = curved_em_model()
+    J = TH.constraint_set("em").by_name("J")
+    yield "em H", model, model.chart.hamiltonian, None
+    yield "em J", model, J.density, J.random_smear(model, np.random.default_rng(2))
+    model = pc4_site_model()
+    for c in TH.constraint_set("pc4"):
+        yield f"pc4 {c.name}", model, c.density, c.random_smear(model, np.random.default_rng(3))
+    yield "pc4 torsion", model, dict(model.chart.constraints)["omega[0,1,0]"], None
+
+
+@pytest.mark.parametrize("label,model,density,smear", list(_fd_cases()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_density_gradient_matches_central_differences(label, model, density, smear, rng):
+    # derived oracle: centered finite differences of the discretized functional
+    state = model.random_state(rng)
+    vec = model.state_to_vector(state)
+
+    def value(v):
+        s = model.vector_to_state(v)
+        return float(model.evaluate(density, s, smear).sum() * model.grid.cell_volume())
+
+    grad = model.density_gradient(density, state, smear)
+    step = 1e-6
+    for _ in range(20):
+        site, slot = rng.integers(model.grid.nsites), rng.integers(model.nslots)
+        vp, vm = vec.copy(), vec.copy()
+        vp[site, slot] += step
+        vm[site, slot] -= step
+        fd = (value(vp) - value(vm)) / (2 * step)
+        assert abs(grad[site, slot] - fd) <= 1e-6 * max(1.0, abs(fd)), (label, site, slot)
+
+
+def test_second_pc4_lattice_check_differentiates_nothing(monkeypatch):
+    # slot gradients are derived and lowered once per density and slot
+    # layout per process, not once per model
+    from ktphase import expr, lattice, verify
+    golden = TH.golden("pc4")
+    golden = {**golden, "lattice": {**golden["lattice"], "states": 1}}
+    calls = []
+    monkeypatch.setattr(expr, "diff_jet", lambda *a, f=expr.diff_jet: calls.append(1) or f(*a))
+    lattice._gradient_kernel.cache_clear()
+    verify.check_lattice("pc4", golden, seed=0)
+    assert calls  # the counter sees the first check's derivations
+    calls.clear()
+    verify.check_lattice("pc4", golden, seed=0)
+    assert calls == []

@@ -408,3 +408,14 @@ def test_flat_metric_bindings_cover_tangential_indices():
     t = TH.builtin("em")
     b = TH.flat_metric_bindings(t)
     assert b[("hinv", (1, 1))] == 1.0 and b[("hinv", (1, 2))] == 0.0 and b["rh"] == 1.0
+
+
+def test_hashing_a_lagrangian_builds_no_sort_key():
+    # a theory is a cache key (derived_split): hashing it must not keep a
+    # second, nested copy of its Lagrangian alive
+    from ktphase.cli import parse_theory
+    t = parse_theory(TH._builtin_data("pc4", "theories_data/pc4.theory"))
+    hash(t)
+    assert hash(t.lagrangian) == hash(TH.builtin("pc4").lagrangian)
+    assert t.lagrangian == TH.builtin("pc4").lagrangian
+    assert t.lagrangian._key is None
