@@ -12,7 +12,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ktphase import theories as TH
-from ktphase.calc_var import constraint_extract, renderings
 from ktphase.cli import canonical_json
 
 LATTICE_TARGETS = {
@@ -69,7 +68,7 @@ def build(name: str) -> dict:
     record = {
         "theory": name,
         "side": t.boundary_side,
-        **renderings(t, split, constraint_extract(t, split)),
+        **split.renderings,
         "chart_fields": [f.name for f in TH.chart(name).fields],
         "lattice": LATTICE_TARGETS[name],
         "notes": NOTES[name],

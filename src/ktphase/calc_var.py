@@ -27,7 +27,8 @@ All values are immutable; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from . import expr as ex
@@ -50,7 +51,6 @@ __all__ = [
     "reconstruction_defect",
     "derived_chart",
     "verify_chart",
-    "renderings",
 ]
 
 
@@ -360,7 +360,8 @@ class BoundarySplit:
     restriction times the theory's ``boundary_side``.  ``divergences`` records
     the dropped tangential total-divergence forms per coordinate, and
     ``variation`` the split form itself, so the reconstruction identity stays
-    checkable.
+    checkable.  ``theory`` is the split theory.  Its ``constraints`` and
+    ``renderings`` are computed on first use and kept with the split.
     """
     el: tuple                      # ((JetVar, Expr), ...)
     alpha: LocalVarForm
@@ -368,6 +369,25 @@ class BoundarySplit:
     divergences: tuple             # ((coord, LocalVarForm), ...)
     side: int
     variation: LocalVarForm
+    theory: TheorySpec = field(compare=False, repr=False)
+
+    @cached_property
+    def constraints(self) -> tuple:
+        """The ``constraint_extract`` pairs of the split."""
+        return tuple(constraint_extract(self.theory, self))
+
+    @cached_property
+    def renderings(self) -> dict:
+        """Canonical text of the derivation, keyed as in the golden records:
+        field equations per component, boundary 1-form ``alpha``, its 2-form
+        ``omega = delta(alpha)``, and the constraint densities."""
+        ctx = self.theory.context()
+        return {
+            "el": {_component_name(w): ex.to_text(e, ctx) for w, e in self.el},
+            "alpha": self.alpha.to_text(ctx),
+            "omega": vertical_delta(self.alpha).to_text(ctx),
+            "constraints": {n: ex.to_text(d, ctx) for n, d in self.constraints},
+        }
 
 
 def ibp_split(v: LocalVarForm, t: TheorySpec) -> BoundarySplit:
@@ -406,7 +426,7 @@ def ibp_split(v: LocalVarForm, t: TheorySpec) -> BoundarySplit:
     restricted = boundary_restrict(alpha_density, t)
     alpha = restricted.scale(Expr.const(t.boundary_side))
     return BoundarySplit(el=el, alpha=alpha, alpha_density=alpha_density,
-                         divergences=sorted_divs, side=t.boundary_side, variation=v)
+                         divergences=sorted_divs, side=t.boundary_side, variation=v, theory=t)
 
 
 def reconstruction_defect(split: BoundarySplit, t: TheorySpec) -> LocalVarForm:
@@ -505,19 +525,6 @@ def constraint_extract(t: TheorySpec, split: BoundarySplit | None = None) -> lis
     return out
 
 
-def renderings(t: TheorySpec, split: BoundarySplit, constraints: list) -> dict:
-    """Canonical text of the derivation, keyed as in the golden records:
-    field equations per component, boundary 1-form ``alpha``, its 2-form
-    ``omega = delta(alpha)``, and the ``constraint_extract`` densities."""
-    ctx = t.context()
-    return {
-        "el": {_component_name(w): ex.to_text(e, ctx) for w, e in split.el},
-        "alpha": split.alpha.to_text(ctx),
-        "omega": vertical_delta(split.alpha).to_text(ctx),
-        "constraints": {n: ex.to_text(d, ctx) for n, d in constraints},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Boundary charts (derived, or declared and verified against the pipeline)
 # ---------------------------------------------------------------------------
@@ -556,14 +563,14 @@ class BoundaryChart:
         return {key: img for key, img in self.momenta}
 
 
-def derived_chart(t: TheorySpec, split: BoundarySplit, constraints) -> BoundaryChart:
+def derived_chart(t: TheorySpec, split: BoundarySplit) -> BoundaryChart:
     """The chart of preboundary fields, read off the split with no change of
     coordinates.
 
     The fields are the symbols of ``split.alpha``, ordered by field
     declaration and then by transversal order, with their components in
-    lexicographic order (this fixes the lattice slot layout).  ``constraints``
-    are the ``constraint_extract`` pairs of ``split``.  The hamiltonian is the
+    lexicographic order (this fixes the lattice slot layout), and the
+    constraints are those of ``split``.  The hamiltonian is the
     restricted canonical energy ``sum c D_n(g) - L`` over the terms
     ``c delta(g)`` of ``alpha_density``, times ``boundary_side``; it is
     ``None`` when a restricted symbol of ``L`` is not a chart slot (a
@@ -583,7 +590,7 @@ def derived_chart(t: TheorySpec, split: BoundarySplit, constraints) -> BoundaryC
                          for (g,), c in split.alpha_density.terms) - t.lagrangian
         hamiltonian = boundary_restrict(energy, t) * Expr.const(t.boundary_side)
     return BoundaryChart(theory=t.name, fields=fields, alpha=split.alpha,
-                         tangential=t.tangential(), constraints=tuple(constraints),
+                         tangential=t.tangential(), constraints=split.constraints,
                          hamiltonian=hamiltonian)
 
 

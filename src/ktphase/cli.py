@@ -38,8 +38,6 @@ from .calc_var import (
     BackgroundDecl,
     FieldDecl,
     TheorySpec,
-    constraint_extract,
-    renderings,
     vertical_delta,
 )
 from .errors import CheckFailure, KtError, OrderLimitError, ParseError
@@ -324,7 +322,7 @@ class RunOptions:
 
 def _derivation_block(t: TheorySpec) -> dict:
     split = TH.derived_split(t)
-    return {**renderings(t, split, constraint_extract(t, split)),
+    return {**split.renderings,
             "variation": split.variation.to_text(t.context()),
             "alpha_side": t.boundary_side,
             "tangential_divergences": len(split.divergences)}

@@ -457,8 +457,9 @@ class SmearedConstraint:
         for sym, comps in self.smear_shapes:
             for comp in comps:
                 arr = rng.standard_normal(model.grid.shape)
-                for axis in range(model.grid.ndim):
-                    arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
+                for axis, n in enumerate(model.grid.shape):
+                    if n > 1:  # along a length-1 axis the average is the array itself
+                        arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
                 out[(sym, comp)] = arr
         return out
 

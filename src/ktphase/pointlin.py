@@ -6,8 +6,15 @@ space V (dimension ``d``, metric of signature (1, d-1) with the time-like
 slot at index 0 and orientation eps_{0123} = +1).  Coefficients are exact
 rationals stored on strictly increasing multi-indices; every question below
 (kernel dimensions, injectivity, the structural solve for the unique
-connection representative) reduces to exact Gaussian elimination, so the
-answers carry no floating-point caveats.
+connection representative) reduces to exact elimination, so the answers
+carry no floating-point caveats.
+
+``rref`` eliminates on integers: each row is cleared of denominators, rows
+are combined fraction-free and kept primitive by their gcd, and one Fraction
+per entry is formed at the end.  The linear maps the questions ask about
+(``wedge_map``, ``structural_maps``) are linear in the coframe, so their
+matrices are contracted from sparse tables of the unit forms, built on first
+use once per shape.
 
 Index conventions: boundary tangent indices run over 0..base_dim-1 (these are
 the tangential coordinates of the slice); internal indices over 0..d-1.
@@ -22,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import InconsistentSystemError, NondegeneracyError
 
@@ -59,30 +67,64 @@ __all__ = [
 # Exact rational matrix routines
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
 def rref(matrix):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivot columns)."""
-    rows = [list(map(Fraction, r)) for r in matrix]
+    """Reduced row echelon form of an exact matrix; returns (rows, pivot columns).
+
+    Entries may be ints or Fractions.  Each row is scaled to integers by the
+    lcm of its denominators, and Gauss-Jordan elimination runs fraction-free
+    on integers: a row is cleared against the pivot row by cross
+    multiplication and then divided by the gcd of its entries, which keeps it
+    primitive.  The rows span the same space at every step, and the reduced
+    row echelon form of a matrix is unique, so dividing each pivot row by its
+    pivot at the end gives the rows of the rational elimination.  Output rows
+    are lists of Fractions, the pivot rows first and then one zero row per
+    dependent input row.
+    """
+    rows = [_integer_row(r) for r in matrix]
     if not rows:
         return rows, []
     ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append([Fraction(x, p) if x else _ZERO for x in row])
+    out.extend([_ZERO] * ncols for _ in range(len(rows) - r))
+    return out, pivots
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators, as primitive integers."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def rank(matrix) -> int:
@@ -357,11 +399,51 @@ def _map_rows(f, k, l, kc, lc, base_dim, space):
     return rows
 
 
+def _units(k, l, base_dim, space):
+    """The unit (k,l)-forms in ``_basis`` order, with their keys."""
+    return [((I, A), PForm(k, l, {(I, A): 1}, base_dim, space))
+            for I in _basis(base_dim, k) for A in _basis(space.d, l)]
+
+
+def _sparse(rows):
+    return tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c)
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(ke, le, k, l, base_dim, space):
+    """Per unit (ke,le)-form ``u``, the nonzero entries ``(row, column, value)``
+    of the matrix of ``x -> u ^ x`` on (k,l)-forms."""
+    return {key: _sparse(_map_rows(lambda x: wedge(u, x), k, l, ke + k, le + l, base_dim, space))
+            for key, u in _units(ke, le, base_dim, space)}
+
+
+@lru_cache(maxsize=None)
+def _structural_table(base_dim, space):
+    """Per pair of a unit (1,1)-form ``u`` and a unit (0,1)-form ``p``, the
+    nonzero entries of the matrix of ``v -> p ^ (v.u)`` on (1,2)-forms."""
+    return {(ku, kp): _sparse(_map_rows(lambda v: wedge(p, internal_act(v, u)),
+                                        1, 2, 2, 2, base_dim, space))
+            for ku, u in _units(1, 1, base_dim, space) for kp, p in _units(0, 1, base_dim, space)}
+
+
+def _contract(table, coeffs, nrows, ncols):
+    """The matrix ``sum_key coeffs[key] * table[key]``, as rows of Fractions."""
+    rows = [[_ZERO] * ncols for _ in range(nrows)]
+    for key, c in coeffs.items():
+        for i, j, t in table[key]:
+            rows[i][j] += c * t
+    return rows
+
+
 def wedge_map(e: PForm, k: int, l: int) -> LinMap:
-    """The map ``x -> e ^ x`` on (k,l)-forms, as an exact matrix."""
+    """The map ``x -> e ^ x`` on (k,l)-forms, as an exact matrix.
+
+    The map is linear in ``e``: its matrix is contracted from the matrices of
+    the unit forms of e's shape, which are built once per shape."""
     base_dim, d = e.base_dim, e.space.d
     kc, lc = k + e.k, l + e.l
-    rows = _map_rows(lambda x: wedge(e, x), k, l, kc, lc, base_dim, e.space)
+    table = _wedge_table(e.k, e.l, k, l, base_dim, e.space)
+    rows = _contract(table, e.coeffs, pform_dim(kc, lc, base_dim, d), pform_dim(k, l, base_dim, d))
     return LinMap(dom=(k, l, base_dim, d), cod=(kc, lc, base_dim, d),
                   rows=tuple(tuple(r) for r in rows))
 
@@ -369,10 +451,15 @@ def wedge_map(e: PForm, k: int, l: int) -> LinMap:
 def structural_maps(e: PForm, eps: PForm):
     """The two maps of the structural constraint, as exact matrices into
     (2,2)-forms: ``m_v`` of ``v -> eps ^ (v.e)`` on (1,2)-forms and ``m_s``
-    of ``sigma -> e ^ sigma`` on (1,1)-forms."""
-    m_v = _map_rows(lambda v: wedge(eps, internal_act(v, e)), 1, 2, 2, 2, e.base_dim, e.space)
-    m_s = _map_rows(lambda s: wedge(e, s), 1, 1, 2, 2, e.base_dim, e.space)
-    return m_v, m_s
+    of ``sigma -> e ^ sigma`` on (1,1)-forms.
+
+    ``m_v`` is bilinear in ``(e, eps)``, so it is contracted from the
+    matrices of pairs of unit forms, built once per shape."""
+    base_dim, d = e.base_dim, e.space.d
+    pairs = {(ku, kp): cu * cp for ku, cu in e.coeffs.items() for kp, cp in eps.coeffs.items()}
+    m_v = _contract(_structural_table(base_dim, e.space), pairs,
+                    pform_dim(2, 2, base_dim, d), pform_dim(1, 2, base_dim, d))
+    return m_v, wedge_map(e, 1, 1).matrix()
 
 
 def linmap_kernel(m: LinMap):

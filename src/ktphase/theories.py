@@ -49,7 +49,6 @@ from .calc_var import (
     ChartField,
     LocalVarForm,
     TheorySpec,
-    constraint_extract,
     derived_chart,
     ibp_split,
     variation,
@@ -184,7 +183,9 @@ def builtin(name: str) -> TheorySpec:
 @lru_cache(maxsize=None)
 def derived_split(t: str | TheorySpec) -> BoundarySplit:
     """The split of a theory's variation, derived once per process; a builtin
-    name and its spec share one entry."""
+    name and its spec share one entry.  The entry also keeps the split's
+    extracted constraints (``BoundarySplit.constraints``), so ``cache_clear``
+    drops them with it."""
     if isinstance(t, str):
         return derived_split(builtin(t))
     return ibp_split(variation(t), t)
@@ -199,8 +200,7 @@ def chart(name: str) -> BoundaryChart:
         return _length_chart(t)
     if name == "em":
         return _em_chart(t)
-    split = derived_split(name)
-    return derived_chart(t, split, constraint_extract(t, split))
+    return derived_chart(t, derived_split(name))
 
 
 def flat_metric_bindings(t: TheorySpec) -> dict:
@@ -306,6 +306,22 @@ _PC_IPAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
 _PC_V_COLUMNS = [(i - 1) * len(_PC_IPAIRS) + _PC_IPAIRS.index((a, b)) for a, b, i in _PC_OM_COMPS]
 
 
+@lru_cache(maxsize=None)
+def _pc_structural_tables():
+    """``pointlin.structural_maps`` of the unit coframes with the canonical
+    eps, as float arrays: (12, 18, 18) for ``2 m_v`` in the chart's
+    connection column order, and (12, 18, 12) for ``m_s``; the unit
+    ``e^a_i`` is slice ``3 * a + i``, the layout of ``E.reshape(12)``."""
+    eps = canonical_eps()
+    tv, ts = [], []
+    for a in range(4):
+        for i in range(3):
+            m_v, m_s = structural_maps(PForm(1, 1, {((i,), (a,)): 1}), eps)
+            tv.append(2 * np.array(m_v, dtype=float)[:, _PC_V_COLUMNS])
+            ts.append(np.array(m_s, dtype=float))
+    return np.array(tv), np.array(ts)
+
+
 def pc_structural_rows(E: np.ndarray) -> np.ndarray:
     """The structural constraint at a single site, as linear conditions on the
     connection.
@@ -314,16 +330,18 @@ def pc_structural_rows(E: np.ndarray) -> np.ndarray:
     eliminating sigma leaves the projection of ``eps ^ torsion`` onto the
     cokernel of ``sigma -> e ^ sigma`` (six conditions for a metric
     nondegenerate coframe).  Both maps are ``pointlin.structural_maps`` of
-    the coframe, read exactly from its float entries.  Returns a (6, 18)
-    matrix R with R . omega = 0 as the condition.
+    the coframe; they are linear in it, so they are contracted from the maps
+    of the unit coframes.  Returns a (6, 18) matrix R with R . omega = 0 as
+    the condition.
     """
-    e = PForm(1, 1, {((i,), (a,)): Fraction(float(E[a, i])) for a in range(4) for i in range(3)})
-    m_v, m_s = structural_maps(e, canonical_eps())
-    U, sv, _ = np.linalg.svd(np.array(m_s, dtype=float))
+    tv, ts = _pc_structural_tables()
+    e = np.asarray(E, dtype=float).reshape(12)
+    U, sv, _ = np.linalg.svd(np.tensordot(e, ts, 1))
     if sv[-1] <= 1e-10 * sv[0]:
         raise CheckFailure("sigma-map degenerate: coframe not metric nondegenerate")
-    # at a single site d_omega e = 2 omega.e: internal_act antisymmetrizes with weight one
-    return U[:, 12:].T @ (2 * np.array(m_v, dtype=float))[:, _PC_V_COLUMNS]
+    # at a single site d_omega e = 2 omega.e: internal_act antisymmetrizes with
+    # weight one, hence the factor 2 in the table
+    return U[:, 12:].T @ np.tensordot(e, tv, 1)
 
 
 def pc_random_coframe(rng: np.random.Generator, det_min=0.05, cond_max=50.0) -> np.ndarray:

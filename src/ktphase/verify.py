@@ -17,9 +17,7 @@ import numpy as np
 
 from . import theories as TH
 from .calc_var import (
-    constraint_extract,
     reconstruction_defect,
-    renderings,
     verify_chart,
     vertical_delta,
 )
@@ -56,18 +54,17 @@ def _alltrue(entries):
 # ---------------------------------------------------------------------------
 
 def check_symbolic(name: str, golden: dict) -> dict:
-    """Recompute the derivation and compare the canonical renderings, verify
-    the declared chart, and assert the structural identities (reconstruction,
-    nilpotency of the vertical differential)."""
+    """Compare the canonical renderings of the derived split with the golden
+    record, verify the declared chart, and assert the structural identities
+    (reconstruction, nilpotency of the vertical differential)."""
     t = TH.builtin(name)
     split = TH.derived_split(name)
-    constraints = constraint_extract(t, split)
     entries = {key: _entry(got == golden[key], got=got, expected=golden[key])
-               for key, got in renderings(t, split, constraints).items()}
+               for key, got in split.renderings.items()}
     entries["reconstruction"] = _entry(reconstruction_defect(split, t).is_zero())
     entries["delta_squared"] = _entry(vertical_delta(split.variation).is_zero())
     try:
-        verify_chart(TH.chart(name), t, split, constraints)
+        verify_chart(TH.chart(name), t, split, split.constraints)
         entries["chart"] = _entry(True)
     except CheckFailure as exc:
         entries["chart"] = _entry(False, error=str(exc))

@@ -161,6 +161,35 @@ def _latex(name):
     return emit_report(run_pipeline(t, RunOptions(symbolic_only=True)), "latex", t).decode()
 
 
+def test_checked_run_extracts_constraints_once(monkeypatch):
+    # the derivation block, check_symbolic and a derived chart share the
+    # extraction kept with the derived_split entry; pc4 runs on a copy of its
+    # golden record with fewer samples and states to keep the suite fast
+    from ktphase import calc_var
+    calls = []
+    extract = calc_var.constraint_extract
+    monkeypatch.setattr(calc_var, "constraint_extract",
+                        lambda *a, f=extract: calls.append(a[0].name) or f(*a))
+    golden, small = TH.golden, {}
+    for name in TH.THEORY_NAMES:
+        record = json.loads(json.dumps(golden(name)))
+        if name == "pc4":
+            record["point"]["samples"] = 2
+            record["lattice"]["states"] = 1
+        small[name] = record
+    monkeypatch.setattr(TH, "golden", small.__getitem__)
+    for name in TH.THEORY_NAMES:
+        TH.derived_split.cache_clear()
+        calls.clear()
+        report = run_pipeline(TH.builtin(name), RunOptions(check_golden=True))
+        assert report["passed"], name
+        assert calls == [name]
+        if name in ("mechanics", "scalar", "pc4"):
+            # a chart derived cold (as in a fresh process) extracts nothing more
+            TH.chart.__wrapped__(name)
+            assert calls == [name]
+
+
 def test_latex_derives_once(monkeypatch, capsys):
     from ktphase import calc_var, cli
     calls = []

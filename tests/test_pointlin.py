@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ktphase.errors import InconsistentSystemError, NondegeneracyError
 from ktphase.pointlin import (
     LinMap,
     PForm,
+    _bulk_lift,
+    _map_rows,
     boundary_nondegenerate,
     canonical_coframe,
     canonical_eps,
@@ -27,6 +30,7 @@ from ktphase.pointlin import (
     rref,
     solve_exact,
     structural_fix,
+    structural_maps,
     wedge,
     wedge_map,
 )
@@ -40,6 +44,61 @@ def rng():
 # ---------------------------------------------------------------------------
 # exact elimination
 # ---------------------------------------------------------------------------
+
+def _reference_rref(matrix):
+    """Gauss-Jordan elimination in Fractions, the textbook way."""
+    rows = [list(map(Fraction, r)) for r in matrix]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+_entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-10, max_value=10, max_denominator=50),
+    st.fractions(min_value=-10 ** 9, max_value=10 ** 9, max_denominator=10 ** 12),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Tall, wide and square matrices, with zero rows and columns and repeated
+    (possibly rescaled) rows mixed in."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [draw(st.lists(_entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(("zero", "repeat")))
+        i = draw(st.integers(0, len(rows) - 1))
+        if action == "zero":
+            rows[i] = [0] * ncols
+        else:
+            s = draw(st.sampled_from((1, -1, Fraction(-7, 3))))
+            rows.insert(draw(st.integers(0, len(rows))), [s * x for x in rows[i]])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_rref_matches_fraction_gauss_jordan(m):
+    rows, pivots = rref(m)
+    assert (rows, pivots) == _reference_rref(m)
+    assert all(type(x) is Fraction for row in rows for x in row)
+
 
 def test_rref_and_rank():
     m = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
@@ -206,6 +265,21 @@ def test_linmap_kernel_identity_and_zero():
     zero = LinMap(dom=(1, 1, 3, 4), cod=(1, 1, 3, 4),
                   rows=tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
     assert len(linmap_kernel(zero)) == n
+
+
+def test_map_tables_match_the_forms(rng):
+    # the maps contracted from unit-form tables against the maps built column
+    # by column from wedge and internal_act on the coframes themselves
+    eps_random = random_pform(rng, 0, 1)
+    for e in [canonical_coframe()] + [random_coframe(rng) for _ in range(12)]:
+        for x, k, l in ((e, 1, 2), (e, 1, 1), (e, 0, 2), (_bulk_lift(e), 2, 1)):
+            want = _map_rows(lambda y: wedge(x, y), k, l, k + 1, l + 1, x.base_dim, x.space)
+            assert wedge_map(x, k, l).matrix() == want
+        for eps in (canonical_eps(), eps_random):
+            m_v, m_s = structural_maps(e, eps)
+            assert m_v == _map_rows(lambda v: wedge(eps, internal_act(v, e)),
+                                    1, 2, 2, 2, e.base_dim, e.space)
+            assert m_s == _map_rows(lambda s: wedge(e, s), 1, 1, 2, 2, e.base_dim, e.space)
 
 
 def test_coframe_kernel_dim_canonical():

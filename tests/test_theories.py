@@ -253,8 +253,9 @@ def test_make_golden_reproduces_shipped_records():
 
 
 def test_check_symbolic_extracts_once_and_never_revaries(monkeypatch):
-    # on a derived split, check_symbolic extracts the constraints once and
-    # reuses the split's variation: no vertical differential of a scalar density
+    # on a derived split, check_symbolic extracts the constraints once, for
+    # the renderings and the chart together, and reuses the split's
+    # variation: no vertical differential of a scalar density
     from ktphase import calc_var as CV
     from ktphase import verify as VF
     counts = {"extract": 0, "vary": 0}
@@ -271,12 +272,12 @@ def test_check_symbolic_extracts_once_and_never_revaries(monkeypatch):
             return f(v)
         return wrapped
 
+    monkeypatch.setattr(CV, "constraint_extract", counting_extract(CV.constraint_extract))
     for module in (CV, VF):
-        monkeypatch.setattr(module, "constraint_extract", counting_extract(module.constraint_extract))
         monkeypatch.setattr(module, "vertical_delta", counting_delta(module.vertical_delta))
+    TH.derived_split.cache_clear()
     for name in TH.THEORY_NAMES:
         TH.derived_split(name)
-        TH.chart(name)  # a cold derived chart extracts too; not check_symbolic's work
         counts.update(extract=0, vary=0)
         assert VF.check_symbolic(name, TH.golden(name))["passed"]
         assert counts == {"extract": 1, "vary": 0}, name
