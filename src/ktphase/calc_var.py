@@ -299,12 +299,11 @@ def vertical_delta(v: LocalVarForm) -> LocalVarForm:
         raise DegreeError("vertical differential of a degree-2 form would exceed degree 2")
     acc = {}
     for gens, coeff in v.terms:
+        grad = ex.gradient(coeff)
         for w in coeff.jet_vars():
-            if w.meta.background:
+            if w.meta.background or w not in grad:
                 continue
-            d = ex.diff_jet(coeff, w)
-            if d.is_zero():
-                continue
+            d = grad[w]
             key = (w,) + gens
             if key in acc:
                 acc[key] = acc[key] + d

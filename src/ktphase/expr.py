@@ -45,6 +45,7 @@ __all__ = [
     "JetVar",
     "Expr",
     "normalize",
+    "gradient",
     "diff_jet",
     "total_derivative",
     "evaluate",
@@ -345,6 +346,15 @@ def _mono_mul(m1, m2):
     return (vars_, fns)
 
 
+def _accumulate(acc: dict, terms) -> None:
+    """Add ``(monomial, coefficient)`` pairs into the sums of ``acc``."""
+    for m, c in terms:
+        if m in acc:
+            acc[m] += c
+        else:
+            acc[m] = c
+
+
 def _certified_nonneg(e: Expr) -> bool:
     """True when every monomial is manifestly >= 0 wherever it is defined.
 
@@ -440,31 +450,48 @@ def normalize(e: Expr) -> Expr:
     return _resimplify({m: c for m, c in e.terms})
 
 
+def gradient(e: Expr) -> dict:
+    """Every nonzero first partial derivative of ``e``, keyed by jet variable.
+
+    One walk over the terms: each variable factor adds its partial to that
+    variable's sum, and each function factor chains through the gradient of
+    its argument (Leibniz and chain rules).  Variables whose partial
+    vanishes are left out.
+    """
+    acc = {}
+    for (vars_, fns), coeff in e.terms:
+        for i, (w, ex) in enumerate(vars_):
+            rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
+            partial = acc.setdefault(w, {})
+            m = (rest, fns)
+            c = coeff if ex == 1 else coeff * ex
+            if m in partial:
+                partial[m] += c
+            else:
+                partial[m] = c
+        for i, ((name, order, arg), ex) in enumerate(fns):
+            dargs = gradient(arg)
+            if not dargs:
+                continue
+            rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
+            outer = Expr((((vars_, rest), coeff * ex),)) * _fn_factor_derivative(name, order, arg)
+            for w, darg in dargs.items():
+                _accumulate(acc.setdefault(w, {}), (outer * darg).terms)
+    out = {}
+    for w, partial in acc.items():
+        d = _resimplify(partial)
+        if d.terms:
+            out[w] = d
+    return out
+
+
 def diff_jet(e: Expr, v: JetVar) -> Expr:
     """Partial derivative with respect to a single jet variable.
 
     Linear, Leibniz, and chain rules; jet variables are independent
     coordinates, so a variable absent from ``e`` differentiates to zero.
     """
-    acc = {}
-
-    def _add(expr: Expr, scale: Fraction):
-        for m, c in expr.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c * scale
-
-    for (vars_, fns), coeff in e.terms:
-        for i, (w, ex) in enumerate(vars_):
-            if w == v:
-                rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
-                _add(Expr((((rest, fns), coeff * ex),)), Fraction(1))
-        for i, ((name, order, arg), ex) in enumerate(fns):
-            darg = diff_jet(arg, v)
-            if darg.is_zero():
-                continue
-            rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
-            partial = Expr((((vars_, rest), coeff * ex),))
-            _add(partial * _fn_factor_derivative(name, order, arg) * darg, Fraction(1))
-    return _resimplify(acc)
+    return gradient(e).get(v, ZERO)
 
 
 def total_derivative(e: Expr, coord: int, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
@@ -683,11 +710,7 @@ def esum(exprs: Iterable[Expr]) -> Expr:
     """Sum many expressions in one accumulation pass (avoids quadratic rebuilds)."""
     acc: dict = {}
     for e in exprs:
-        for m, c in e.terms:
-            if m in acc:
-                acc[m] += c
-            else:
-                acc[m] = c
+        _accumulate(acc, e.terms)
     return _resimplify(acc)
 
 
@@ -695,17 +718,22 @@ def map_vars(e: Expr, f: Callable[[JetVar], JetVar]) -> Expr:
     """Rebuild ``e`` with every jet variable replaced by ``f(var)``.
 
     Used for boundary restriction (renaming transversal jets); recurses into
-    scalar-function arguments.
+    scalar-function arguments.  The variable factors of a monomial are
+    renamed in place (exponents of variables with one image add up); only
+    function factors are multiplied in as expressions.
     """
-    terms = []
+    acc = {}
     for (vars_, fns), coeff in e.terms:
-        term = Expr.const(coeff)
+        renamed = {}
         for v, ex in vars_:
-            term = term * Expr.var(f(v)) ** ex
+            w = f(v)
+            renamed[w] = renamed.get(w, 0) + ex
+        mono = (tuple(sorted(((w, ex) for w, ex in renamed.items() if ex), key=lambda t: t[0].key)), ())
+        term = Expr(((mono, coeff),))
         for (name, order, arg), ex in fns:
             term = term * apply_fn(name, order, map_vars(arg, f)) ** ex
-        terms.append(term)
-    return esum(terms)
+        _accumulate(acc, term.terms)
+    return _resimplify(acc)
 
 
 def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
@@ -714,26 +742,31 @@ def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_M
     ``images`` maps ``(field, comp)`` of an underived symbol to its defining
     expression; a jet variable carrying derivative indices is replaced by the
     corresponding total derivatives of the image.  Exponents of substituted
-    variables must be nonnegative.
+    variables must be nonnegative.  Variable factors without an image stay
+    in the monomial; only images and function factors are multiplied in as
+    expressions.
     """
-    terms = []
+    acc = {}
     for (vars_, fns), coeff in e.terms:
-        term = Expr.const(coeff)
+        kept, factors = [], []
         for v, ex in vars_:
             key = (v.field, v.comp)
-            if key in images:
-                if ex < 0:
-                    raise ValueError(f"cannot substitute into negative power of {v.field}{v.comp}")
-                img = images[key]
-                for i in v.deriv:
-                    img = total_derivative(img, i, max_order)
-                term = term * img ** ex
-            else:
-                term = term * Expr.var(v) ** ex
+            if key not in images:
+                kept.append((v, ex))
+                continue
+            if ex < 0:
+                raise ValueError(f"cannot substitute into negative power of {v.field}{v.comp}")
+            img = images[key]
+            for i in v.deriv:
+                img = total_derivative(img, i, max_order)
+            factors.append(img ** ex)
+        term = Expr((((tuple(kept), ()), coeff),))
+        for factor in factors:
+            term = term * factor
         for (name, order, arg), ex in fns:
             term = term * apply_fn(name, order, substitute(arg, images, max_order)) ** ex
-        terms.append(term)
-    return esum(terms)
+        _accumulate(acc, term.terms)
+    return _resimplify(acc)
 
 
 def _ipow(x, e: int):

@@ -264,7 +264,7 @@ class _Gradient:
     """The slot gradient of a density, lowered into one kernel.
 
     The kernel has one output per group: a chart slot and the derivative
-    multi-index of a jet of that slot, whose ``diff_jet`` coefficient it
+    multi-index of a jet of that slot, whose ``gradient`` coefficient it
     evaluates.  ``derivs`` lists the groups per multi-index, whose transposed
     stencils apply after the kernel.  ``slots`` are the slots with a group,
     and ``layers[k]`` pairs positions in ``slots`` with each one's k-th
@@ -281,15 +281,13 @@ def _gradient_kernel(e: Expr, slots: tuple) -> _Gradient:
     """Derive and lower the slot gradient of ``e``, once per density and
     slot layout; only the lowered arrays are kept."""
     index = {key: j for j, key in enumerate(slots)}
+    grad = ex.gradient(e)
     groups, coeffs = [], []
     for v in e.jet_vars():
         j = index.get((v.field, v.comp))
-        if j is None:
-            continue
-        d = ex.diff_jet(e, v)
-        if not d.is_zero():
+        if j is not None and v in grad:
             groups.append((j, v.deriv))
-            coeffs.append(d)
+            coeffs.append(grad[v])
     per_slot, derivs = {}, {}
     for g, (j, deriv) in enumerate(groups):
         per_slot.setdefault(j, []).append(g)

@@ -578,11 +578,15 @@ def injective_w21(e: PForm) -> bool:
 @dataclass(frozen=True)
 class StructuralFix:
     """Solution of the structural constraint: the in-class connection shift
-    ``v`` (unique), one admissible ``sigma``, and the dimension of the sigma
-    ambiguity (reported, never asserted)."""
+    ``v`` (unique), one admissible ``sigma``, the dimension of the sigma
+    ambiguity (reported, never asserted), and the residuals of the two
+    identities, ``e ^ v`` and ``eps ^ (T + v.e) - e ^ sigma``, as rechecked
+    exactly after the solve."""
     v: PForm
     sigma: PForm
     sigma_ambiguity: int
+    kernel_residual: PForm
+    constraint_residual: PForm
 
 
 def structural_fix(e: PForm, eps: PForm, T: PForm) -> StructuralFix:
@@ -630,12 +634,14 @@ def structural_fix(e: PForm, eps: PForm, T: PForm) -> StructuralFix:
     sigma = PForm.from_vector(1, 1, sol[nv:], e.base_dim, e.space)
 
     # exact residual recheck; failure here is an internal logic error
-    if not wedge(e, v).is_zero():
+    kernel_residual = wedge(e, v)
+    if not kernel_residual.is_zero():
         raise InconsistentSystemError("structural solve produced v outside the kernel")
-    lhs = wedge(eps, T + internal_act(v, e))
-    if lhs != wedge(e, sigma):
+    constraint_residual = wedge(eps, T + internal_act(v, e)) - wedge(e, sigma)
+    if not constraint_residual.is_zero():
         raise InconsistentSystemError("structural solve violates the constraint identity")
-    return StructuralFix(v=v, sigma=sigma, sigma_ambiguity=len(kern))
+    return StructuralFix(v=v, sigma=sigma, sigma_ambiguity=len(kern),
+                         kernel_residual=kernel_residual, constraint_residual=constraint_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +677,12 @@ def random_coframe(rng: random.Random, base_dim=3, d=4, metric=True,
     definite one (so a time-like section always completes the legs)."""
     while True:
         e = random_pform(rng, 1, 1, base_dim, d)
-        if not boundary_nondegenerate(e):
-            continue
+        # a positive definite induced metric already makes the legs independent
         if require_spacelike:
             if spacelike(e):
                 return e
+            continue
+        if not boundary_nondegenerate(e):
             continue
         if metric and not metric_nondegenerate(e):
             continue

@@ -415,3 +415,148 @@ def test_equality_and_hash_agree_with_the_sort_key(x, y):
         assert (p == q) == (p.sort_key() == q.sort_key())
         if p == q:
             assert hash(p) == hash(q)
+
+
+# ---------------------------------------------------------------------------
+# one-walk derivative, renaming and substitution against the product-built
+# references they replaced
+# ---------------------------------------------------------------------------
+
+def _diff_jet_reference(e, v):
+    # one walk per variable, as diff_jet ran before it read gradient
+    acc = {}
+
+    def _add(expr):
+        for m, c in expr.terms:
+            acc[m] = acc.get(m, Fraction(0)) + c
+
+    for (vars_, fns), coeff in e.terms:
+        for i, (w, ex) in enumerate(vars_):
+            if w == v:
+                rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
+                _add(E.Expr((((rest, fns), coeff * ex),)))
+        for i, ((name, order, arg), ex) in enumerate(fns):
+            darg = _diff_jet_reference(arg, v)
+            if darg.is_zero():
+                continue
+            rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
+            partial = E.Expr((((vars_, rest), coeff * ex),))
+            _add(partial * E._fn_factor_derivative(name, order, arg) * darg)
+    return E._resimplify(acc)
+
+
+def _map_vars_reference(e, f):
+    terms = []
+    for (vars_, fns), coeff in e.terms:
+        term = E.Expr.const(coeff)
+        for v, ex in vars_:
+            term = term * E.Expr.var(f(v)) ** ex
+        for (name, order, arg), ex in fns:
+            term = term * E.apply_fn(name, order, _map_vars_reference(arg, f)) ** ex
+        terms.append(term)
+    return E.esum(terms)
+
+
+def _substitute_reference(e, images, max_order=E.DEFAULT_MAX_JET_ORDER):
+    terms = []
+    for (vars_, fns), coeff in e.terms:
+        term = E.Expr.const(coeff)
+        for v, ex in vars_:
+            key = (v.field, v.comp)
+            if key in images:
+                if ex < 0:
+                    raise ValueError(f"cannot substitute into negative power of {v.field}{v.comp}")
+                img = images[key]
+                for i in v.deriv:
+                    img = E.total_derivative(img, i, max_order)
+                term = term * img ** ex
+            else:
+                term = term * E.Expr.var(v) ** ex
+        for (name, order, arg), ex in fns:
+            term = term * E.apply_fn(name, order, _substitute_reference(arg, images, max_order)) ** ex
+        terms.append(term)
+    return E.esum(terms)
+
+
+# dynamic, positive and background symbols, with jets along both coordinates
+_GCTX = E.Context(coords=("x0", "x1"), transversal=0)
+_GCTX.declare_field("a")
+_GCTX.declare_field("b")
+_GCTX.declare_field("p", meta=E.SymbolMeta(positive=True))
+_GCTX.declare_field("m", meta=E.SymbolMeta(background=True, constant=True, positive=True))
+_GVARS = [_GCTX.jetvar("a", (), 0, ()), _GCTX.jetvar("b", (), 0, ()), _GCTX.jetvar("a", (), 1, ()),
+          _GCTX.jetvar("b", (), 0, (1,)), _GCTX.jetvar("p", (), 0, ()), _GCTX.jetvar("m", (), 0, ())]
+# a renaming target outside the drawn expressions, declared positive so
+# that sqrt factors of renamed arguments can fold
+_GNEW = E.JetVar("r", (), (), E.SymbolMeta(positive=True))
+
+
+@st.composite
+def _monomials(draw, depth, exponents=(-2, 3)):
+    term = E.Expr.const(Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4))))
+    for v in draw(st.lists(st.sampled_from(_GVARS), max_size=3)):
+        term = term * E.Expr.var(v) ** draw(st.integers(*exponents).filter(bool))
+    kind = draw(st.sampled_from(["none", "sqrt", "f"])) if depth else "none"
+    if kind != "none":
+        arg = draw(_sums(depth - 1, exponents)) + Fraction(draw(st.integers(0, 3)))
+        fn = E.sqrt(arg) if kind == "sqrt" else E.apply_fn("f", draw(st.integers(0, 1)), arg)
+        term = term * fn ** draw(st.integers(-2, 2))
+    return term
+
+
+@st.composite
+def _sums(draw, depth=2, exponents=(-2, 3)):
+    return E.esum(draw(st.lists(_monomials(depth, exponents), max_size=4)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sums())
+def test_gradient_matches_the_single_variable_reference(e):
+    grad = E.gradient(e)
+    assert set(grad) <= set(e.jet_vars())
+    for v in e.jet_vars():
+        want = _diff_jet_reference(e, v)
+        assert grad.get(v, E.ZERO) == want
+        assert (v in grad) == (not want.is_zero())
+        assert E.diff_jet(e, v) == want
+
+
+@st.composite
+def _renamings(draw):
+    pool = _GVARS + [_GNEW]
+    images = {v: draw(st.sampled_from(pool)) for v in draw(st.lists(st.sampled_from(_GVARS), unique=True))}
+    return lambda v: images.get(v, v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sums(), _renamings())
+def test_map_vars_matches_the_product_reference(e, f):
+    assert E.map_vars(e, f) == _map_vars_reference(e, f)
+
+
+def test_map_vars_merges_exponents_of_one_image():
+    a, b = _GVARS[0], _GVARS[1]
+    to_b = lambda v: b if v == a else v
+    e = E.Expr.var(a) * E.Expr.var(b) ** -1 + 2 * E.Expr.var(a) ** 2 * E.Expr.var(b) + E.Expr.var(a)
+    got = E.map_vars(e, to_b)
+    # a/b -> b^0 = 1 and a^2 b -> b^3
+    assert got == E.Expr.const(1) + 2 * E.Expr.var(b) ** 3 + E.Expr.var(b)
+    assert got == _map_vars_reference(e, to_b)
+
+
+@st.composite
+def _substitutions(draw):
+    keys = draw(st.lists(st.sampled_from([("a", ()), ("b", ()), ("p", ())]), unique=True))
+    return {k: draw(_sums(1, (0, 2))) for k in keys}
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sums(), _substitutions())
+def test_substitute_matches_the_product_reference(e, images):
+    try:
+        want = _substitute_reference(e, images)
+    except ValueError:
+        with pytest.raises(ValueError):
+            E.substitute(e, images)
+        return
+    assert E.substitute(e, images) == want

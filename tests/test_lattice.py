@@ -492,7 +492,7 @@ def test_second_pc4_lattice_check_differentiates_nothing(monkeypatch):
     golden = TH.golden("pc4")
     golden = {**golden, "lattice": {**golden["lattice"], "states": 1}}
     calls = []
-    monkeypatch.setattr(expr, "diff_jet", lambda *a, f=expr.diff_jet: calls.append(1) or f(*a))
+    monkeypatch.setattr(expr, "gradient", lambda *a, f=expr.gradient: calls.append(1) or f(*a))
     lattice._gradient_kernel.cache_clear()
     verify.check_lattice("pc4", golden, seed=0)
     assert calls  # the counter sees the first check's derivations

@@ -29,6 +29,7 @@ from ktphase.pointlin import (
     rank,
     rref,
     solve_exact,
+    spacelike,
     structural_fix,
     structural_maps,
     wedge,
@@ -360,6 +361,28 @@ def test_structural_fix_exact_identities(rng):
         fix = structural_fix(e, eps, T)
         assert wedge(e, fix.v).is_zero()
         assert wedge(eps, T + internal_act(fix.v, e)) == wedge(e, fix.sigma)
+        # the residuals of the recheck come back with the fix
+        assert fix.kernel_residual == PForm.zero(2, 3)
+        assert fix.constraint_residual == PForm.zero(2, 2)
+
+
+def _spacelike_coframe_two_filters(rng):
+    # the sampler before it dropped the leg-independence test, which a
+    # positive definite induced metric implies
+    while True:
+        e = random_pform(rng, 1, 1)
+        if not boundary_nondegenerate(e):
+            continue
+        if spacelike(e):
+            return e
+
+
+def test_spacelike_sampler_matches_the_two_filter_reference():
+    for seed in range(10):
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert random_coframe(got, require_spacelike=True) == _spacelike_coframe_two_filters(want)
+        assert got.getstate() == want.getstate()
 
 
 def test_structural_fix_uniqueness_sampled(rng):

@@ -347,6 +347,37 @@ def test_pc_structural_rows_against_exact_structural_fix():
         assert np.isclose(np.linalg.norm(R @ flat(om0)), np.linalg.norm(coker), rtol=1e-10)
 
 
+def test_check_point_reads_the_residuals_of_the_structural_solve(monkeypatch):
+    # each sample wedges four times, all inside structural_fix: eps ^ T for
+    # the right-hand side, then e ^ v, eps ^ (T + v.e) and e ^ sigma for the
+    # exact recheck, whose residuals check_point reads
+    from ktphase import pointlin, verify
+    golden = TH.golden("pc4")
+    verify.check_point("pc4", golden, samples=1, seed=0)  # build the map tables
+    calls = []
+    monkeypatch.setattr(pointlin, "wedge", lambda *a, f=pointlin.wedge: calls.append(1) or f(*a))
+    out = verify.check_point("pc4", golden, samples=5, seed=1)
+    assert out["entries"]["structural_fix"] == {"pass": True, "hits": 5, "samples": 5}
+    assert len(calls) == 4 * 5
+
+
+def test_check_point_fails_on_a_corrupted_structural_map(monkeypatch):
+    from ktphase import pointlin, verify
+    from ktphase.errors import InconsistentSystemError
+
+    def corrupted(e, eps, f=pointlin.structural_maps):
+        m_v, m_s = f(e, eps)
+        m_v = [list(row) for row in m_v]
+        row = next(r for r in m_v if any(r))
+        j = next(j for j, x in enumerate(row) if x)
+        row[j] += 1
+        return m_v, m_s
+
+    monkeypatch.setattr(pointlin, "structural_maps", corrupted)
+    with pytest.raises(InconsistentSystemError, match="constraint identity"):
+        verify.check_point("pc4", TH.golden("pc4"), samples=3, seed=0)
+
+
 def test_pc_internal_rotation_formula():
     rng = np.random.default_rng(9)
     e = rng.standard_normal((1, 1, 1, 12))
