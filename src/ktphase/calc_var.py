@@ -111,6 +111,26 @@ class TheorySpec:
         names = [f.name for f in self.fields] + [b.name for b in self.backgrounds] + list(self.functions)
         if len(set(names)) != len(names):
             raise ParseError("duplicate symbol declaration")
+        # a boundary symbol names one transversal jet on the slice (of a
+        # field, or of a background that varies transversally), so it must
+        # be new: restriction would merge it with another symbol
+        keys = [(f, k) for f, k, _ in self.boundary_names]
+        for f, k in keys:
+            if f not in {d.name for d in self.fields}:
+                raise ParseError(f"boundary line names undeclared field {f!r}")
+            if not 1 <= k <= self.jet_order:
+                raise ParseError(f"boundary order {k} of {f!r} outside 1..{self.jet_order}")
+            if keys.count((f, k)) > 1:
+                raise ParseError(f"second boundary name for order {k} of {f!r}")
+        renames = self.renames()
+        moving = self.fields + tuple(b for b in self.backgrounds if not (b.constant or b.time_independent))
+        syms = [_boundary_name(d.name, k, renames) for d in moving for k in range(1, self.jet_order + 1)]
+        for sym in syms:
+            if sym in names:
+                raise ParseError(f"boundary symbol {sym!r} is a declared name")
+        for sym in syms:
+            if syms.count(sym) > 1:
+                raise ParseError(f"two transversal jets share the boundary symbol {sym!r}")
         declared = self._declared_names()
         for v in self.lagrangian.jet_vars():
             if v.field not in declared:
@@ -178,55 +198,40 @@ class TheorySpec:
 # Local variational forms
 # ---------------------------------------------------------------------------
 
-def _sort_gens(gens):
-    """Sort a generator tuple, returning (sorted tuple, sign); None if repeated."""
-    if len(gens) < 2:
-        return gens, 1
-    a, b = gens
-    if a == b:
-        return None, 0
-    if b < a:
-        return (b, a), -1
-    return gens, 1
-
-
 class LocalVarForm:
     """A local form of vertical degree 0, 1, or 2.
 
     Terms map a sorted tuple of vertical generators (jet variables under the
-    vertical differential) to an expression coefficient; antisymmetry of the
-    wedge is absorbed into the coefficients during normalization.
+    vertical differential) to an expression coefficient.  The constructor
+    takes ``(generators, coefficient)`` pairs, in which a generator tuple may
+    repeat: each tuple is sorted, with the sign of the wedge absorbed into
+    its coefficient (a repeated generator makes the term vanish), and the
+    coefficients of one tuple are summed with one ``esum``.
     """
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms=None):
+    def __init__(self, degree: int, terms=()):
         if degree not in (0, 1, 2):
             raise DegreeError(f"vertical degree {degree} out of range")
-        acc = {}
-        for gens, coeff in (terms or {}).items():
+        sums = {}
+        for gens, coeff in terms:
             gens = tuple(gens)
             if len(gens) != degree:
                 raise DegreeError("generator count does not match form degree")
-            gens, sign = _sort_gens(gens)
-            if sign == 0 or coeff.is_zero():
+            if degree == 2 and gens[1] < gens[0]:
+                gens, coeff = gens[::-1], -coeff
+            if len(set(gens)) < degree or coeff.is_zero():
                 continue
-            c = coeff if sign == 1 else -coeff
-            if gens in acc:
-                acc[gens] = acc[gens] + c
-            else:
-                acc[gens] = c
+            sums.setdefault(gens, []).append(coeff)
+        summed = ((g, cs[0] if len(cs) == 1 else ex.esum(cs)) for g, cs in sums.items())
         self.degree = degree
-        self.terms = tuple(sorted(((g, c) for g, c in acc.items() if not c.is_zero()),
+        self.terms = tuple(sorted(((g, c) for g, c in summed if not c.is_zero()),
                                   key=lambda t: tuple(v.key for v in t[0])))
 
     @staticmethod
-    def zero(degree: int) -> "LocalVarForm":
-        return LocalVarForm(degree, {})
-
-    @staticmethod
     def scalar(coeff: Expr) -> "LocalVarForm":
-        return LocalVarForm(0, {(): coeff})
+        return LocalVarForm(0, (((), coeff),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -234,38 +239,26 @@ class LocalVarForm:
     def __add__(self, other):
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
-        acc = {g: c for g, c in self.terms}
-        for g, c in other.terms:
-            acc[g] = acc[g] + c if g in acc else c
-        return LocalVarForm(self.degree, acc)
+        return LocalVarForm(self.degree, self.terms + other.terms)
 
     def __neg__(self):
-        return LocalVarForm(self.degree, {g: -c for g, c in self.terms})
+        return LocalVarForm(self.degree, ((g, -c) for g, c in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor) -> "LocalVarForm":
         factor = Expr._coerce(factor)
-        return LocalVarForm(self.degree, {g: c * factor for g, c in self.terms})
+        return LocalVarForm(self.degree, ((g, c * factor) for g, c in self.terms))
 
     def map_coeffs(self, f) -> "LocalVarForm":
-        return LocalVarForm(self.degree, {g: f(c) for g, c in self.terms})
+        return LocalVarForm(self.degree, ((g, f(c)) for g, c in self.terms))
 
     def __eq__(self, other):
         return isinstance(other, LocalVarForm) and self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.degree, self.terms))
-
-    def jet_vars(self) -> list:
-        seen = {}
-        for gens, coeff in self.terms:
-            for v in gens:
-                seen.setdefault(v.key, v)
-            for v in coeff.jet_vars():
-                seen.setdefault(v.key, v)
-        return sorted(seen.values())
 
     def _render(self, coeff_text, gens_text, sep: str) -> str:
         # a coefficient with several terms or a leading minus is parenthesized
@@ -297,43 +290,22 @@ def vertical_delta(v: LocalVarForm) -> LocalVarForm:
     """Vertical exterior derivative; nilpotent, skips background symbols."""
     if v.degree >= 2:
         raise DegreeError("vertical differential of a degree-2 form would exceed degree 2")
-    acc = {}
+    pairs = []
     for gens, coeff in v.terms:
         grad = ex.gradient(coeff)
-        for w in coeff.jet_vars():
-            if w.meta.background or w not in grad:
-                continue
-            d = grad[w]
-            key = (w,) + gens
-            if key in acc:
-                acc[key] = acc[key] + d
-            else:
-                acc[key] = d
-    return LocalVarForm(v.degree + 1, acc)
+        pairs += (((w,) + gens, grad[w]) for w in coeff.jet_vars() if not w.meta.background and w in grad)
+    return LocalVarForm(v.degree + 1, pairs)
 
 
 def form_total_derivative(v: LocalVarForm, coord: int, max_order: int = ex.DEFAULT_MAX_JET_ORDER) -> LocalVarForm:
     """Total derivative of a local form: acts on coefficients and commutes
     past the vertical generators (bumping their jet index)."""
-    acc = {}
-
-    def _acc(gens, coeff):
-        if gens is None or coeff.is_zero():
-            return
-        if gens in acc:
-            acc[gens] = acc[gens] + coeff
-        else:
-            acc[gens] = coeff
-
+    pairs = []
     for gens, coeff in v.terms:
-        _acc(gens, ex.total_derivative(coeff, coord, max_order))
-        for i, w in enumerate(gens):
-            if not w.meta.depends_on(coord):
-                continue
-            bumped = gens[:i] + (w.with_deriv(coord, max_order),) + gens[i + 1:]
-            sgens, sign = _sort_gens(bumped)
-            _acc(sgens, coeff if sign == 1 else -coeff)
-    return LocalVarForm(v.degree, acc)
+        pairs.append((gens, ex.total_derivative(coeff, coord, max_order)))
+        pairs += ((gens[:i] + (w.with_deriv(coord, max_order),) + gens[i + 1:], coeff)
+                  for i, w in enumerate(gens) if w.meta.depends_on(coord))
+    return LocalVarForm(v.degree, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +372,27 @@ def ibp_split(v: LocalVarForm, t: TheorySpec) -> BoundarySplit:
     if v.degree != 1:
         raise DegreeError("ibp_split expects a degree-1 form")
     n = t.transversal
-    el_acc: dict = {}
-    div_acc: dict = {}
-    alpha_acc: dict = {}
+    el_pairs, alpha_pairs = [], []
+    div_pairs: dict = {}
     queue = [(gens[0], coeff) for gens, coeff in v.terms]
     while queue:
         w, coeff = queue.pop()
         if coeff.is_zero():
             continue
         if not w.deriv:
-            el_acc[w] = el_acc.get(w, ex.ZERO) + coeff
+            el_pairs.append(((w,), coeff))
             continue
         tangential = [i for i in w.deriv if i != n]
         peel = tangential[-1] if tangential else n
         reduced = list(w.deriv)
         reduced.remove(peel)
         w2 = JetVar(w.field, w.comp, tuple(reduced), w.meta)
-        target = alpha_acc if peel == n else div_acc.setdefault(peel, {})
-        target[(w2,)] = target.get((w2,), ex.ZERO) + coeff
+        (alpha_pairs if peel == n else div_pairs.setdefault(peel, [])).append(((w2,), coeff))
         queue.append((w2, -ex.total_derivative(coeff, peel, t.jet_order)))
-    el = tuple(sorted(((w, -c) for w, c in el_acc.items() if not c.is_zero()), key=lambda p: p[0].key))
-    alpha_density = LocalVarForm(1, alpha_acc)
-    sorted_divs = tuple(sorted((i, LocalVarForm(1, terms)) for i, terms in div_acc.items()))
+    # read as a 1-form, the field-equation pairs are summed per generator and ordered
+    el = tuple((w, -c) for (w,), c in LocalVarForm(1, el_pairs).terms)
+    alpha_density = LocalVarForm(1, alpha_pairs)
+    sorted_divs = tuple(sorted((i, LocalVarForm(1, pairs)) for i, pairs in div_pairs.items()))
     restricted = boundary_restrict(alpha_density, t)
     alpha = restricted.scale(Expr.const(t.boundary_side))
     return BoundarySplit(el=el, alpha=alpha, alpha_density=alpha_density,
@@ -433,11 +404,10 @@ def reconstruction_defect(split: BoundarySplit, t: TheorySpec) -> LocalVarForm:
 
     Zero (as a normal form) for every well-formed split; exercised by tests.
     """
-    total = LocalVarForm(1, {(w,): -c for w, c in split.el})
-    for i, form in split.divergences:
-        total = total + form_total_derivative(form, i, t.jet_order + 1)
-    total = total + form_total_derivative(split.alpha_density, t.transversal, t.jet_order + 1)
-    return split.variation - total
+    pairs = [((w,), -c) for w, c in split.el]
+    for i, form in split.divergences + ((t.transversal, split.alpha_density),):
+        pairs += form_total_derivative(form, i, t.jet_order + 1).terms
+    return split.variation - LocalVarForm(1, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +436,8 @@ def boundary_restrict(x, t: TheorySpec):
     if isinstance(x, Expr):
         return ex.map_vars(x, f)
     if isinstance(x, LocalVarForm):
-        return LocalVarForm(x.degree, {tuple(f(w) for w in gens): ex.map_vars(c, f)
-                                       for gens, c in x.terms})
+        return LocalVarForm(x.degree, ((tuple(f(w) for w in gens), ex.map_vars(c, f))
+                                       for gens, c in x.terms))
     raise TypeError(f"cannot restrict {type(x).__name__}")
 
 
@@ -606,8 +576,8 @@ def verify_chart(chart: BoundaryChart, t: TheorySpec, split: BoundarySplit,
     images = chart.momenta_map()
     subst = lambda e: ex.substitute(e, images, t.jet_order + 1)
     declared_alpha = chart.alpha.map_coeffs(subst)
-    declared_alpha = LocalVarForm(1, {tuple(_subst_gen(w, images) for w in gens): c
-                                      for gens, c in declared_alpha.terms})
+    declared_alpha = LocalVarForm(1, ((tuple(_subst_gen(w, images) for w in gens), c)
+                                      for gens, c in declared_alpha.terms))
     if declared_alpha != split.alpha:
         raise CheckFailure(
             f"chart alpha for {chart.theory!r} does not match the derived boundary density:\n"

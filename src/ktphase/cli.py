@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import expr as ex
 from . import theories as TH
@@ -205,11 +205,7 @@ def parse_theory(text: str) -> TheorySpec:
         raise ParseError(f"in lagrangian: {exc}", lagrangian_line) from exc
     except RecursionError:  # nesting deeper than the interpreter's stack
         raise ParseError("in lagrangian: expression nested too deeply", lagrangian_line) from None
-    return TheorySpec(name=name, dim=dim, coords=coords, transversal=transversal,
-                      fields=tuple(fields), backgrounds=tuple(backgrounds),
-                      functions=tuple(functions), lagrangian=L, vdim=vdim,
-                      jet_order=jet_order, boundary_side=side,
-                      boundary_names=tuple(boundary_names))
+    return replace(base, lagrangian=L)
 
 
 def _int(word: str, what: str, lineno: int) -> int:

@@ -18,6 +18,13 @@ Design constraints honoured here:
   the argument is certifiably nonnegative (structurally, or because the
   symbols involved were declared positive).
 
+There is one derivative rule: `gradient` walks an expression once and
+returns every partial derivative (Leibniz and chain rules); `diff_jet` reads
+one of them, and `total_derivative` is the chain rule over `gradient`,
+``D_i e = sum_w de/dw * w_{,i}``.  Coefficient sums go through one
+accumulator, and renaming (`map_vars`) and substitution (`substitute`)
+through one monomial rewriter.
+
 Everything in this module is immutable and side-effect free; values can be
 shared freely between threads.
 """
@@ -231,8 +238,7 @@ class Expr:
         if other is NotImplemented:
             return NotImplemented
         acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
+        _accumulate(acc, other.terms)
         return _resimplify(acc)
 
     __radd__ = __add__
@@ -254,14 +260,7 @@ class Expr:
         if other is NotImplemented:
             return NotImplemented
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                if m in acc:
-                    acc[m] += c
-                else:
-                    acc[m] = c
+        _accumulate(acc, ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms for m2, c2 in other.terms))
         return _resimplify(acc)
 
     __rmul__ = __mul__
@@ -383,32 +382,17 @@ def _resimplify(acc: dict) -> Expr:
     while pending:
         mono, coeff = pending.pop()
         vars_, fns = mono
-        reduced = None
         for i, ((name, order, arg), ex) in enumerate(fns):
-            if name != "sqrt" or order != 0:
-                continue
             k, r = divmod(ex, 2)
-            if k == 0:
-                continue
-            if not _certified_nonneg(arg):
+            if name != "sqrt" or order != 0 or k == 0 or not _certified_nonneg(arg):
                 continue
             if k < 0 and len(arg.terms) != 1:
                 continue  # cannot fold a negative power of a sum back in
-            if r:
-                rest = fns[:i] + (((name, order, arg), r),) + fns[i + 1:]
-            else:
-                rest = fns[:i] + fns[i + 1:]
-            reduced = (vars_, rest, arg, k)
+            rest = fns[:i] + ((((name, order, arg), r),) if r else ()) + fns[i + 1:]
+            pending.extend((Expr((((vars_, rest), coeff),)) * arg ** k).terms)
             break
-        if reduced is None:
-            key = (vars_, fns)
-            out[key] = out.get(key, Fraction(0)) + coeff
-            continue
-        rvars, rfns, arg, k = reduced
-        base = Expr((((rvars, rfns), coeff),))
-        folded = base * (arg ** k)
-        for m, c in folded.terms:
-            pending.append((m, c))
+        else:
+            _accumulate(out, ((mono, coeff),))
     return Expr._from_map(out)
 
 
@@ -462,13 +446,7 @@ def gradient(e: Expr) -> dict:
     for (vars_, fns), coeff in e.terms:
         for i, (w, ex) in enumerate(vars_):
             rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
-            partial = acc.setdefault(w, {})
-            m = (rest, fns)
-            c = coeff if ex == 1 else coeff * ex
-            if m in partial:
-                partial[m] += c
-            else:
-                partial[m] = c
+            _accumulate(acc.setdefault(w, {}), (((rest, fns), coeff if ex == 1 else coeff * ex),))
         for i, ((name, order, arg), ex) in enumerate(fns):
             dargs = gradient(arg)
             if not dargs:
@@ -497,31 +475,17 @@ def diff_jet(e: Expr, v: JetVar) -> Expr:
 def total_derivative(e: Expr, coord: int, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
     """Total derivative along base coordinate ``coord``.
 
-    Chains through every jet variable (bumping its multi-index) and through
-    scalar-function arguments.  Symbols whose metadata excludes ``coord``
-    contribute nothing.  Raises OrderLimitError past ``max_order``.
+    The chain rule over :func:`gradient`: ``sum_w de/dw * w_{,coord}``, with
+    the bumped variable multiplied into each monomial of the partial.
+    Symbols whose metadata excludes ``coord`` contribute nothing.  Raises
+    OrderLimitError past ``max_order``.
     """
     acc = {}
-
-    def _add(expr: Expr):
-        for m, c in expr.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-
-    for (vars_, fns), coeff in e.terms:
-        for i, (w, ex) in enumerate(vars_):
-            if not w.meta.depends_on(coord):
-                continue
-            rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
-            bumped = w.with_deriv(coord, max_order)
-            partial = Expr((((rest, fns), coeff * ex),))
-            _add(partial * Expr.var(bumped))
-        for i, ((name, order, arg), ex) in enumerate(fns):
-            darg = total_derivative(arg, coord, max_order)
-            if darg.is_zero():
-                continue
-            rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
-            partial = Expr((((vars_, rest), coeff * ex),))
-            _add(partial * _fn_factor_derivative(name, order, arg) * darg)
+    for w, partial in gradient(e).items():
+        if not w.meta.depends_on(coord):
+            continue
+        bumped = (((w.with_deriv(coord, max_order), 1),), ())
+        _accumulate(acc, ((_mono_mul(m, bumped), c) for m, c in partial.terms))
     return _resimplify(acc)
 
 
@@ -714,26 +678,40 @@ def esum(exprs: Iterable[Expr]) -> Expr:
     return _resimplify(acc)
 
 
+def _rewrite(e: Expr, image: Callable[[JetVar, int], JetVar | Expr]) -> Expr:
+    """Rebuild ``e`` monomial by monomial, recursing into function arguments.
+
+    ``image(v, ex)`` of a variable factor ``v^ex`` is either a jet variable,
+    kept in the monomial with exponent ``ex`` (exponents of variables with
+    one image add up), or an expression, multiplied in as the factor's
+    value.  Function factors are multiplied in with rewritten arguments.
+    """
+    acc = {}
+    for (vars_, fns), coeff in e.terms:
+        kept, factors = {}, []
+        for v, ex in vars_:
+            w = image(v, ex)
+            if isinstance(w, JetVar):
+                kept[w] = kept.get(w, 0) + ex
+            else:
+                factors.append(w)
+        mono = (tuple(sorted(((w, ex) for w, ex in kept.items() if ex), key=lambda t: t[0].key)), ())
+        term = Expr(((mono, coeff),))
+        for factor in factors:
+            term = term * factor
+        for (name, order, arg), ex in fns:
+            term = term * apply_fn(name, order, _rewrite(arg, image)) ** ex
+        _accumulate(acc, term.terms)
+    return _resimplify(acc)
+
+
 def map_vars(e: Expr, f: Callable[[JetVar], JetVar]) -> Expr:
     """Rebuild ``e`` with every jet variable replaced by ``f(var)``.
 
     Used for boundary restriction (renaming transversal jets); recurses into
-    scalar-function arguments.  The variable factors of a monomial are
-    renamed in place (exponents of variables with one image add up); only
-    function factors are multiplied in as expressions.
+    scalar-function arguments.
     """
-    acc = {}
-    for (vars_, fns), coeff in e.terms:
-        renamed = {}
-        for v, ex in vars_:
-            w = f(v)
-            renamed[w] = renamed.get(w, 0) + ex
-        mono = (tuple(sorted(((w, ex) for w, ex in renamed.items() if ex), key=lambda t: t[0].key)), ())
-        term = Expr(((mono, coeff),))
-        for (name, order, arg), ex in fns:
-            term = term * apply_fn(name, order, map_vars(arg, f)) ** ex
-        _accumulate(acc, term.terms)
-    return _resimplify(acc)
+    return _rewrite(e, lambda v, ex: f(v))
 
 
 def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
@@ -742,31 +720,19 @@ def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_M
     ``images`` maps ``(field, comp)`` of an underived symbol to its defining
     expression; a jet variable carrying derivative indices is replaced by the
     corresponding total derivatives of the image.  Exponents of substituted
-    variables must be nonnegative.  Variable factors without an image stay
-    in the monomial; only images and function factors are multiplied in as
-    expressions.
+    variables must be nonnegative.  Variables without an image are kept.
     """
-    acc = {}
-    for (vars_, fns), coeff in e.terms:
-        kept, factors = [], []
-        for v, ex in vars_:
-            key = (v.field, v.comp)
-            if key not in images:
-                kept.append((v, ex))
-                continue
-            if ex < 0:
-                raise ValueError(f"cannot substitute into negative power of {v.field}{v.comp}")
-            img = images[key]
-            for i in v.deriv:
-                img = total_derivative(img, i, max_order)
-            factors.append(img ** ex)
-        term = Expr((((tuple(kept), ()), coeff),))
-        for factor in factors:
-            term = term * factor
-        for (name, order, arg), ex in fns:
-            term = term * apply_fn(name, order, substitute(arg, images, max_order)) ** ex
-        _accumulate(acc, term.terms)
-    return _resimplify(acc)
+    def image(v: JetVar, ex: int):
+        img = images.get((v.field, v.comp))
+        if img is None:
+            return v
+        if ex < 0:
+            raise ValueError(f"cannot substitute into negative power of {v.field}{v.comp}")
+        for i in v.deriv:
+            img = total_derivative(img, i, max_order)
+        return img ** ex
+
+    return _rewrite(e, image)
 
 
 def _ipow(x, e: int):

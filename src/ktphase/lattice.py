@@ -105,6 +105,15 @@ class LatticeGrid:
     def diff_transpose(self, arr: np.ndarray, axis: int) -> np.ndarray:
         return -self.diff(arr, axis)
 
+    def smooth(self, arr: np.ndarray) -> np.ndarray:
+        """Periodic 3-point average along every grid axis (the leading axes
+        of ``arr``); a length-1 axis is skipped, where the average is the
+        array itself."""
+        for axis, n in enumerate(self.shape):
+            if n > 1:
+                arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
+        return arr
+
 
 class LatticeModel:
     """A boundary chart realized on a grid, with background bindings.
@@ -454,11 +463,7 @@ class SmearedConstraint:
         out = {}
         for sym, comps in self.smear_shapes:
             for comp in comps:
-                arr = rng.standard_normal(model.grid.shape)
-                for axis, n in enumerate(model.grid.shape):
-                    if n > 1:  # along a length-1 axis the average is the array itself
-                        arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
-                out[(sym, comp)] = arr
+                out[(sym, comp)] = model.grid.smooth(rng.standard_normal(model.grid.shape))
         return out
 
     def value(self, model: LatticeModel, state: dict, smear: dict) -> float:
@@ -624,16 +629,12 @@ def divergence_free_em_data(grid: LatticeGrid, rng: np.random.Generator, scale=1
     nd = grid.ndim
     if nd != 3:
         raise ValueError("divergence-free sampling via curl needs three axes")
-    W = rng.standard_normal(grid.shape + (3,)) * scale
-    for axis in range(3):
-        W = (W + np.roll(W, 1, axis) + np.roll(W, -1, axis)) / 3.0
+    W = grid.smooth(rng.standard_normal(grid.shape + (3,)) * scale)
     F0 = np.zeros(grid.shape + (3,))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         F0[..., i] = grid.diff(W[..., k], j) - grid.diff(W[..., j], k)
-    A = rng.standard_normal(grid.shape + (3,)) * scale
-    for axis in range(3):
-        A = (A + np.roll(A, 1, axis) + np.roll(A, -1, axis)) / 3.0
+    A = grid.smooth(rng.standard_normal(grid.shape + (3,)) * scale)
     return {"A": A, "F0": F0}
 
 

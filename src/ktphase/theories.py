@@ -103,7 +103,7 @@ def _length_chart(t: TheorySpec) -> BoundaryChart:
     q0 = [JetVar("q0", (i,), (), umeta) for i in range(3)]
     speed = ex.sqrt(ex.esum(Expr.var(w) ** 2 for w in q0))
     momenta = tuple((("u", (i,)), Expr.var(q0[i]) * speed ** (-1)) for i in range(3))
-    alpha = LocalVarForm(1, {(JetVar("q", (i,), (), qmeta),): Expr.var(u[i]) for i in range(3)})
+    alpha = LocalVarForm(1, (((JetVar("q", (i,), (), qmeta),), Expr.var(u[i])) for i in range(3)))
     surface = (ex.esum(Expr.var(w) ** 2 for w in u) - 1,)
     return BoundaryChart(theory="length", tangential=(),
                          fields=(ChartField("q", tuple((i,) for i in range(3))),
@@ -129,8 +129,8 @@ def _em_chart(t: TheorySpec) -> BoundaryChart:
     momenta = tuple((("F0", (j,)),
                      Expr.var(JetVar("A0", (j,), (), meta)) - Expr.var(JetVar("A", (0,), (j,), meta)))
                     for j in tang)
-    alpha = LocalVarForm(1, {(JetVar("A", (j,), (), meta),):
-                             ex.esum(hv(i, j) * F0(i) for i in tang) * rh for j in tang})
+    alpha = LocalVarForm(1, (((JetVar("A", (j,), (), meta),), ex.esum(hv(i, j) * F0(i) for i in tang) * rh)
+                             for j in tang))
     gauss = ex.esum(ex.total_derivative(hv(i, j) * F0(j) * rh, i, t.jet_order + 1)
                     for i in tang for j in tang)
     H = Expr.const(Fraction(1, 2)) * rh * ex.esum(hv(i, j) * F0(i) * F0(j) for i in tang for j in tang) \

@@ -172,7 +172,7 @@ def _length_lattice(golden, seed, rank_tol=1e-8):
         sv = np.linalg.svd(B, compute_uv=False)
         rank = int((sv > rank_tol * sv[0]).sum())
         ranks_ok = ranks_ok and rank == spec["rank"]
-        gap = sv[3] / max(sv[4], 1e-300)
+        gap = sv[spec["rank"] - 1] / max(sv[spec["rank"]], 1e-300)
         worst_gap = min(worst_gap, gap)
         _, _, Vt = np.linalg.svd(B)
         kvec = P @ Vt[-1]
@@ -197,10 +197,9 @@ def _scalar_lattice(golden, seed, grid_shape=None, rank_tol=1e-8):
     rank = two_form_rank(omega, rank_tol)
     entries["rank"] = _entry(rank == 2 * grid.nsites, rank=rank, expected=2 * grid.nsites)
 
-    def smooth(a, n=6):
-        for _ in range(n):
-            for axis in range(grid.ndim):
-                a = (a + np.roll(a, 1, axis) + np.roll(a, -1, axis)) / 3.0
+    def smooth(a):
+        for _ in range(6):
+            a = grid.smooth(a)
         return a
 
     x0 = {"phi": smooth(rng.standard_normal(shape)), "phi0": smooth(rng.standard_normal(shape))}

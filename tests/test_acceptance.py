@@ -55,8 +55,8 @@ def test_criterion_1_mechanics():
     bctx.declare_field("q")
     bctx.declare_field("v")
     bctx.declare_field("m", meta=E.SymbolMeta(background=True, constant=True))
-    alpha_ok = split.alpha == LocalVarForm(1, {(bctx.jetvar("q", (), 0, ()),):
-                                               E.parse("m*v", bctx)})
+    alpha_ok = split.alpha == LocalVarForm(1, [((bctx.jetvar("q", (), 0, ()),),
+                                                E.parse("m*v", bctx))])
 
     m_val = 2.0
     model = LatticeModel(TH.chart("mechanics"), LatticeGrid(shape=()),
@@ -114,8 +114,8 @@ def test_criterion_3_scalar_field():
     bctx.declare_field("phi")
     bctx.declare_field("phi0")
     bctx.declare_field("rh", meta=E.SymbolMeta(background=True, positive=True))
-    alpha_ok = split.alpha == LocalVarForm(1, {(bctx.jetvar("phi", (), 0, ()),):
-                                               E.parse("phi0*rh", bctx)})
+    alpha_ok = split.alpha == LocalVarForm(1, [((bctx.jetvar("phi", (), 0, ()),),
+                                                E.parse("phi0*rh", bctx))])
 
     result = VF.check_lattice("scalar", TH.golden("scalar"), seed=SEED)
     rank_entry = result["entries"]["rank"]

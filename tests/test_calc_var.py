@@ -141,7 +141,7 @@ def test_split_idempotent(mech, scalar):
     # re-splitting the el part yields the same el and no boundary term
     for t in (mech, scalar):
         split = ibp_split(variation(t), t)
-        again = ibp_split(LocalVarForm(1, {(w,): -c for w, c in split.el}), t)
+        again = ibp_split(LocalVarForm(1, [((w,), -c) for w, c in split.el]), t)
         assert again.el == split.el
         assert again.alpha.is_zero()
         assert again.divergences == ()
@@ -309,10 +309,10 @@ def test_constraints_pc4_families():
 def test_form_total_derivative_leibniz(mech):
     ctx = mech.context()
     c = E.parse("m*q'", ctx)
-    form = LocalVarForm(1, {(mech.var("q"),): c})
+    form = LocalVarForm(1, [((mech.var("q"),), c)])
     d = form_total_derivative(form, 0, mech.jet_order)
-    want = LocalVarForm(1, {(mech.var("q"),): E.parse("m*q''", ctx),
-                            (mech.var("q", deriv=(0,)),): c})
+    want = LocalVarForm(1, [((mech.var("q"),), E.parse("m*q''", ctx)),
+                            ((mech.var("q", deriv=(0,)),), c)])
     assert d == want
 
 

@@ -1,5 +1,6 @@
 """Theory files, report serialization, and the command-line front end."""
 
+import dataclasses
 import importlib.resources
 import json
 import os
@@ -122,6 +123,43 @@ lagrangian "q"
     t = parse_theory(text)
     assert t.transversal == 1
     assert "@transversal x1" in emit_theory(t)
+
+
+# a renamed mechanics copy; a file whose second field is the default
+# boundary name of the first one's transversal jet (a' -> a0); and one whose
+# field is the default boundary name of a background varying in time (b' -> b0)
+_RENAMED = MECHANICS.replace("theory mechanics", "theory mine")
+_SHADOWING = 'theory shadow\ndim 1\ncoords t\nfield a\nfield a0\nlagrangian "1/2*a\'^2 + a*a0"\n'
+_MOVING = 'theory moving\ndim 1\ncoords t\nbackground b\nfield b0\nlagrangian "1/2*b0^2*b\' + 1/2*b0\'^2"\n'
+
+
+@pytest.mark.parametrize("text, message", [
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 m"), "boundary symbol 'm'"),
+    (_SHADOWING, "boundary symbol 'a0'"),
+    (_MOVING, "boundary symbol 'b0'"),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary q 2 v"), "boundary symbol 'v'"),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary zz 1 w"), "undeclared field 'zz'"),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 0 w"), "order 0"),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 4 w"), "order 4"),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary q 1 w"), "second boundary name"),
+], ids=["symbol-is-background", "default-symbol-is-field", "background-symbol-is-field",
+        "two-equal-symbols", "undeclared-field", "order-zero", "order-above-jetorder",
+        "repeated-field-order"])
+def test_malformed_boundary_line_exits_one(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.theory"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_theory(text)
+    assert main(["derive", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
+
+
+def test_boundary_names_checked_on_specs_built_directly():
+    t = TH.builtin("mechanics")
+    with pytest.raises(ParseError, match="boundary symbol 'm'"):
+        dataclasses.replace(t, boundary_names=(("q", 1, "m"),))
+    assert dataclasses.replace(t, boundary_names=(("q", 1, "p"),)).renames() == {("q", 1): "p"}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktphase import expr as E
+from ktphase.calc_var import LocalVarForm
 from ktphase.errors import (
     DomainError,
     OrderLimitError,
@@ -445,6 +446,32 @@ def _diff_jet_reference(e, v):
     return E._resimplify(acc)
 
 
+def _total_derivative_reference(e, coord, max_order=E.DEFAULT_MAX_JET_ORDER):
+    # its own Leibniz and chain-rule walk, as total_derivative ran before it
+    # was the chain rule over gradient
+    acc = {}
+
+    def _add(expr):
+        for m, c in expr.terms:
+            acc[m] = acc.get(m, Fraction(0)) + c
+
+    for (vars_, fns), coeff in e.terms:
+        for i, (w, ex) in enumerate(vars_):
+            if not w.meta.depends_on(coord):
+                continue
+            rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
+            bumped = w.with_deriv(coord, max_order)
+            _add(E.Expr((((rest, fns), coeff * ex),)) * E.Expr.var(bumped))
+        for i, ((name, order, arg), ex) in enumerate(fns):
+            darg = _total_derivative_reference(arg, coord, max_order)
+            if darg.is_zero():
+                continue
+            rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
+            partial = E.Expr((((vars_, rest), coeff * ex),))
+            _add(partial * E._fn_factor_derivative(name, order, arg) * darg)
+    return E._resimplify(acc)
+
+
 def _map_vars_reference(e, f):
     terms = []
     for (vars_, fns), coeff in e.terms:
@@ -519,6 +546,40 @@ def test_gradient_matches_the_single_variable_reference(e):
         assert grad.get(v, E.ZERO) == want
         assert (v in grad) == (not want.is_zero())
         assert E.diff_jet(e, v) == want
+
+
+# The reference reads the meta of each occurrence of a variable, gradient
+# keys a variable by its first occurrence and reads that one's meta; the
+# drawn variables carry one meta each, so the two agree here.
+@settings(max_examples=50, deadline=None)
+@given(_sums(), st.sampled_from([0, 1]), st.sampled_from([1, 2, 3]))
+def test_total_derivative_matches_the_walk_reference(e, coord, max_order):
+    try:
+        want = _total_derivative_reference(e, coord, max_order)
+    except OrderLimitError:
+        with pytest.raises(OrderLimitError):
+            E.total_derivative(e, coord, max_order)
+        return
+    assert E.total_derivative(e, coord, max_order) == want
+
+
+@st.composite
+def _generator_pairs(draw):
+    gens = st.lists(st.sampled_from(_GVARS[:4]), min_size=2, max_size=2)
+    return draw(st.lists(st.tuples(gens, _sums(1)), max_size=6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_generator_pairs())
+def test_local_form_sums_repeated_generators_like_pairwise_addition(pairs):
+    want = {}
+    for gens, c in pairs:
+        if gens[0] == gens[1]:
+            continue
+        key, c = (tuple(gens), c) if gens[0] < gens[1] else ((gens[1], gens[0]), -c)
+        want[key] = want[key] + c if key in want else c
+    form = LocalVarForm(2, pairs)
+    assert form.terms == tuple((g, c) for g, c in sorted(want.items()) if not c.is_zero())
 
 
 @st.composite

@@ -167,7 +167,7 @@ def test_derived_split_shares_one_entry_per_theory():
 
 
 def _form(ctx, var, coeff):
-    return LocalVarForm(1, {(E.JetVar(var),): E.parse(coeff, ctx)})
+    return LocalVarForm(1, [((E.JetVar(var),), E.parse(coeff, ctx))])
 
 
 def test_derived_mechanics_chart_oracle():
