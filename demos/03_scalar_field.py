@@ -33,7 +33,7 @@ rng = np.random.default_rng(3)
 
 def smooth(a):
     for _ in range(6):
-        a = (a + np.roll(a, 1) + np.roll(a, -1)) / 3.0
+        a = grid.smooth(a)
     return a
 
 x0 = {"phi": smooth(rng.standard_normal(32)), "phi0": smooth(rng.standard_normal(32))}

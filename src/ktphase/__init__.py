@@ -36,21 +36,6 @@ from .calc_var import (
 )
 from .cli import emit_report, emit_theory, parse_theory, run_pipeline
 from .expr import Context, Expr, JetVar, SymbolMeta, diff_jet, evaluate, normalize, total_derivative
-from .lattice import (
-    ConstraintSet,
-    LatticeGrid,
-    LatticeModel,
-    SmearedConstraint,
-    TwoFormMatrix,
-    assemble_two_form,
-    coisotropy_check,
-    evolve_em,
-    evolve_scalar,
-    hamiltonian_vector_field,
-    poisson_bracket,
-    symplectic_current_check,
-    two_form_rank,
-)
 from .pointlin import (
     InternalSpace,
     LinMap,
@@ -65,6 +50,15 @@ from .pointlin import (
 from .theories import builtin, chart, constraint_set, golden
 
 __version__ = "0.1.0"
+
+# the lattice imports numpy, so its names load on first use (PEP 562) and
+# deriving a theory does not pay for numpy
+_LATTICE_NAMES = (
+    "LatticeGrid", "LatticeModel", "TwoFormMatrix", "ConstraintSet", "SmearedConstraint",
+    "assemble_two_form", "two_form_rank",
+    "hamiltonian_vector_field", "poisson_bracket", "evolve_em", "evolve_scalar",
+    "symplectic_current_check", "coisotropy_check",
+)
 
 __all__ = [
     "errors",
@@ -81,11 +75,15 @@ __all__ = [
     "wedge", "internal_act", "linmap_kernel", "coframe_kernel_dim",
     "injective_w21", "structural_fix",
     # lattice
-    "LatticeGrid", "LatticeModel", "TwoFormMatrix", "ConstraintSet", "SmearedConstraint",
-    "assemble_two_form", "two_form_rank",
-    "hamiltonian_vector_field", "poisson_bracket", "evolve_em", "evolve_scalar",
-    "symplectic_current_check", "coisotropy_check",
+    *_LATTICE_NAMES,
     # corpus and front end
     "builtin", "golden", "chart", "constraint_set",
     "parse_theory", "emit_theory", "run_pipeline", "emit_report",
 ]
+
+
+def __getattr__(name):
+    if name in _LATTICE_NAMES:
+        from . import lattice
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -108,29 +108,35 @@ class TheorySpec:
             object.__setattr__(self, "vdim", self.dim)
         if len(self.coords) != self.dim:
             raise ParseError(f"{self.dim} coordinates expected, got {len(self.coords)}")
-        names = [f.name for f in self.fields] + [b.name for b in self.backgrounds] + list(self.functions)
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate symbol declaration")
+        names = [d.name for d in self.fields + self.backgrounds] + list(self.functions) + ["sqrt"]
+        for name in names:
+            if names.count(name) > 1:
+                raise ParseError(f"duplicate symbol declaration {name!r}", subject=name)
         # a boundary symbol names one transversal jet on the slice (of a
         # field, or of a background that varies transversally), so it must
         # be new: restriction would merge it with another symbol
         keys = [(f, k) for f, k, _ in self.boundary_names]
-        for f, k in keys:
+        for i, (f, k) in enumerate(keys):
+            at = ("boundary", i)  # the subject of an error: see ParseError
             if f not in {d.name for d in self.fields}:
-                raise ParseError(f"boundary line names undeclared field {f!r}")
+                raise ParseError(f"boundary line names undeclared field {f!r}", subject=at)
             if not 1 <= k <= self.jet_order:
-                raise ParseError(f"boundary order {k} of {f!r} outside 1..{self.jet_order}")
-            if keys.count((f, k)) > 1:
-                raise ParseError(f"second boundary name for order {k} of {f!r}")
+                raise ParseError(f"boundary order {k} of {f!r} outside 1..{self.jet_order}", subject=at)
+            if (f, k) in keys[:i]:
+                raise ParseError(f"second boundary name for order {k} of {f!r}", subject=at)
         renames = self.renames()
         moving = self.fields + tuple(b for b in self.backgrounds if not (b.constant or b.time_independent))
-        syms = [_boundary_name(d.name, k, renames) for d in moving for k in range(1, self.jet_order + 1)]
-        for sym in syms:
-            if sym in names:
-                raise ParseError(f"boundary symbol {sym!r} is a declared name")
-        for sym in syms:
-            if syms.count(sym) > 1:
-                raise ParseError(f"two transversal jets share the boundary symbol {sym!r}")
+        seen = set()
+        for d in moving:
+            for k in range(1, self.jet_order + 1):
+                sym = _boundary_name(d.name, k, renames)
+                named = ("boundary", keys.index((d.name, k))) if (d.name, k) in keys else None
+                if sym in names:
+                    raise ParseError(f"boundary symbol {sym!r} is a declared name", subject=named or sym)
+                if sym in seen:
+                    raise ParseError(f"two transversal jets share the boundary symbol {sym!r}",
+                                     subject=named or d.name)
+                seen.add(sym)
         declared = self._declared_names()
         for v in self.lagrangian.jet_vars():
             if v.field not in declared:

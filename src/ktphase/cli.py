@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 from . import expr as ex
 from . import theories as TH
-from . import verify as VF
 from .calc_var import (
     BackgroundDecl,
     FieldDecl,
@@ -41,7 +40,6 @@ from .calc_var import (
     vertical_delta,
 )
 from .errors import CheckFailure, KtError, OrderLimitError, ParseError
-from .lattice import LatticeGrid
 
 __all__ = ["parse_theory", "emit_theory", "run_pipeline", "emit_report",
            "canonical_json", "RunOptions", "main"]
@@ -104,6 +102,7 @@ def parse_theory(text: str) -> TheorySpec:
     backgrounds = []
     functions = []
     boundary_names = []
+    lines = {}  # declared name or ("boundary", i) -> its line
     side = 1
     lagrangian_src = None
     lagrangian_line = 0
@@ -151,8 +150,7 @@ def parse_theory(text: str) -> TheorySpec:
                 i += 1
             coords = tuple(names)
         elif key == "field":
-            decl = _parse_field_line(words, lineno)
-            fields.append(decl)
+            fields.append(_parse_field_line(words, lineno))
         elif key == "background":
             backgrounds.append(_parse_background_line(words, lineno))
         elif key == "function":
@@ -164,9 +162,11 @@ def parse_theory(text: str) -> TheorySpec:
                 raise ParseError("usage: metric split h time-independent", lineno)
             backgrounds.append(BackgroundDecl("hinv", base=2, time_independent=True))
             backgrounds.append(BackgroundDecl("rh", time_independent=True, positive=True))
+            lines["hinv"] = lines["rh"] = lineno
         elif key == "boundary":
             if len(words) != 4:
                 raise ParseError("usage: boundary FIELD ORDER SYMBOL", lineno)
+            lines[("boundary", len(boundary_names))] = lineno
             boundary_names.append((words[1], _int(words[2], "ORDER", lineno), words[3]))
         elif key == "side":
             dup("side", lineno)
@@ -182,6 +182,8 @@ def parse_theory(text: str) -> TheorySpec:
             lagrangian_line = lineno
         else:
             raise ParseError(f"unknown declaration {key!r}", lineno)
+        if key in ("field", "background", "function"):
+            lines[words[1]] = lineno
 
     dim, vdim, jet_order = ints.get("dim"), ints["vdim"], ints["jetorder"]
     if name is None or dim is None or coords is None:
@@ -193,10 +195,13 @@ def parse_theory(text: str) -> TheorySpec:
     if lagrangian_src is None:
         raise ParseError("missing lagrangian")
 
-    base = TheorySpec(name=name, dim=dim, coords=coords, transversal=transversal,
-                      fields=tuple(fields), backgrounds=tuple(backgrounds),
-                      functions=tuple(functions), vdim=vdim, jet_order=jet_order,
-                      boundary_side=side, boundary_names=tuple(boundary_names))
+    try:
+        base = TheorySpec(name=name, dim=dim, coords=coords, transversal=transversal,
+                          fields=tuple(fields), backgrounds=tuple(backgrounds),
+                          functions=tuple(functions), vdim=vdim, jet_order=jet_order,
+                          boundary_side=side, boundary_names=tuple(boundary_names))
+    except ParseError as exc:  # attach the line of what it is about
+        raise ParseError(str(exc), lines.get(exc.subject)) from None
     try:
         L = ex.parse(lagrangian_src, base.context())
     except ParseError as exc:
@@ -352,6 +357,7 @@ def run_pipeline(t: TheorySpec, options: RunOptions | None = None) -> dict:
     if not is_builtin:
         raise CheckFailure(f"[check] no golden record for theory {t.name!r}; "
                            "checks run against the builtin corpus")
+    from . import verify as VF
     golden = TH.golden(t.name)
     checks = {"symbolic": VF.check_symbolic(t.name, golden)}
     if options.point_checks is not None or t.name == "pc4":
@@ -437,6 +443,7 @@ MAX_SITES = 2 ** 20
 def _parse_grid(s: str, t: TheorySpec) -> tuple:
     """The ``--lattice`` shape, checked against the grid rules and against
     the theory's boundary slice before any check runs."""
+    from .lattice import LatticeGrid
     try:
         shape = tuple(int(p) for p in s.lower().split("x"))
         LatticeGrid(shape=shape)

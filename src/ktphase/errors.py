@@ -6,11 +6,15 @@ class KtError(Exception):
 
 
 class ParseError(KtError):
-    """Syntax or declaration error in a theory file or expression string."""
+    """Syntax or declaration error in a theory file or expression string.
 
-    def __init__(self, message, line=None, col=None):
+    ``subject`` names what an error found after parsing is about (a declared
+    name, or ``("boundary", i)``), for the parser to attach its line."""
+
+    def __init__(self, message, line=None, col=None, subject=None):
         self.line = line
         self.col = col
+        self.subject = subject
         loc = ""
         if line is not None:
             loc = f" at line {line}" + (f", col {col}" if col is not None else "")

@@ -10,7 +10,8 @@ restriction) reduce to syntactic identities.
 Design constraints honoured here:
 
 * coefficients are `fractions.Fraction`; no floating point ever enters the
-  symbolic layer;
+  symbolic layer, which imports no numpy (expressions over grid arrays run
+  as float kernels lowered by ``lattice.Lowered``);
 * monomials are kept sorted under a fixed total order (lexicographic on
   ``(field, component, derivative multi-index)``), so rendered output is
   byte-stable;
@@ -36,8 +37,6 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 from .errors import (
     DomainError,
     OrderLimitError,
@@ -56,7 +55,6 @@ __all__ = [
     "diff_jet",
     "total_derivative",
     "evaluate",
-    "Lowered",
     "sqrt",
     "apply_fn",
     "Context",
@@ -490,51 +488,29 @@ def total_derivative(e: Expr, coord: int, max_order: int = DEFAULT_MAX_JET_ORDER
 
 
 def _eval_sqrt(x):
+    if x < 0:
+        raise DomainError(f"sqrt of negative value {x}")
     if isinstance(x, Fraction):
-        if x < 0:
-            raise DomainError(f"sqrt of negative rational {x}")
         rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
         if rn * rn == x.numerator and rd * rd == x.denominator:
             return Fraction(rn, rd)
-        return math.sqrt(float(x))
-    if x < 0:
-        raise DomainError(f"sqrt of negative value {x}")
     return math.sqrt(x)
 
 
 def evaluate(e: Expr, point: Mapping[JetVar, object], fns: Mapping | None = None):
-    """Evaluate at a point binding every jet variable to a value.
+    """Evaluate at a point binding every jet variable to a number, in one
+    walk over the terms.
 
-    A bound value is a rational (``int`` or ``Fraction``), a float, or a
-    numpy array, which is evaluated elementwise.  When every value in
-    ``point`` is rational the terms are walked in exact arithmetic, and the
-    result is a ``Fraction`` unless a scalar function returns a float (sqrt
-    of a non-square, or a callable from ``fns``).  Otherwise the expression
-    is lowered (:class:`Lowered`) and run in float arithmetic over the
-    broadcast shape of the values; a scalar result is a numpy float.
-    ``fns`` maps ``(name, order)`` to a callable for opaque functions;
-    ``("sqrt", 0)`` in ``fns`` replaces the built-in sqrt, which is exact on
-    rational squares and raises DomainError on negative arguments.
+    A bound value is a rational (``int`` or ``Fraction``) or a float.  On
+    rationals the walk is exact, and the result is a ``Fraction`` unless a
+    scalar function returns a float (sqrt of a non-square, or a callable from
+    ``fns``).  Arrays over grid sites are evaluated by
+    ``lattice.LatticeModel.evaluate``.  ``fns`` maps ``(name, order)`` to a
+    callable for opaque functions; ``("sqrt", 0)`` in ``fns`` replaces the
+    built-in sqrt, which is exact on rational squares and raises DomainError
+    on negative arguments.
     """
     fns = fns or {}
-    if all(isinstance(x, (int, Fraction)) for x in point.values()):
-        return _evaluate_exact(e, point, fns)
-    low = Lowered((e,))
-    values = []
-    for v in low.cols:
-        if v not in point:
-            raise UnboundVariableError(f"no binding for jet variable {v.field}{v.comp}{v.deriv}")
-        values.append(point[v])
-    table = np.empty((low.nrows,) + np.broadcast_shapes(*(np.shape(x) for x in values)))
-    flat = np.zeros(low.nrows, dtype=bool)
-    for row, x in enumerate(values, 1):
-        table[row] = x
-        flat[row] = np.ndim(x) == 0
-    # indexing with () turns a 0-d result into a numpy scalar
-    return low.run(table, flat, fns)[0][()]
-
-
-def _evaluate_exact(e: Expr, point, fns):
     total = Fraction(0)
     for (vars_, fxs), coeff in e.terms:
         val = coeff
@@ -545,129 +521,12 @@ def _evaluate_exact(e: Expr, point, fns):
                 raise UnboundVariableError(f"no binding for jet variable {v.field}{v.comp}{v.deriv}") from None
             val = val * _ipow(x, ex)
         for (name, order, arg), ex in fxs:
-            val = val * _ipow(_scalar_fn(fns, name, order)(_evaluate_exact(arg, point, fns)), ex)
+            fn = fns.get((name, order), _eval_sqrt if name == "sqrt" else None)
+            if fn is None:
+                raise UnboundVariableError(f"no callable bound for {name!r} (derivative order {order})")
+            val = val * _ipow(fn(evaluate(arg, point, fns)), ex)
         total = total + val
     return total
-
-
-def _scalar_fn(fns, name: str, order: int):
-    fn = fns.get((name, order), _eval_sqrt if name == "sqrt" else None)
-    if fn is None:
-        raise UnboundVariableError(f"no callable bound for {name!r} (derivative order {order})")
-    return fn
-
-
-# -- lowering for float evaluation ----------------------------------------------
-
-class _Poly:
-    """Flat polynomials over the rows of an evaluation table.
-
-    Term ``t`` is ``coef[t]`` times the table rows ``idx[:, t]`` (padded
-    with the row of ones), multiplied left to right in the order of its
-    monomial, into the table row ``terms.start + t``.  Output ``k`` is the
-    sum of the rows ``sel[:, k]``: its terms in their order, padded with the
-    row of zeros.
-    """
-
-    __slots__ = ("idx", "coef", "terms", "sel")
-
-    def __init__(self, idx, coef, terms, sel):
-        self.idx, self.coef, self.terms, self.sel = idx, coef, terms, sel
-
-    def run(self, table: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        body = table[self.terms]
-        coef = self.coef.reshape((-1,) + (1,) * (table.ndim - 1))
-        np.multiply(coef, _factor(table, flat, self.idx[0]), out=body)
-        for rows in self.idx[1:]:
-            np.multiply(body, _factor(table, flat, rows), out=body)
-        return table[self.sel].sum(axis=0)
-
-
-def _factor(table: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # rows that are flat (the same at every point) are read at the first
-    # point only, and broadcast
-    if flat[rows].all():
-        return table[(rows,) + (slice(0, 1),) * (table.ndim - 1)]
-    return table[rows]
-
-
-class Lowered:
-    """Expressions lowered once to flat polynomials over their shared jet
-    columns, for float evaluation in a few numpy operations.
-
-    ``cols`` are the distinct jet variables, sorted.  A run takes a table of
-    ``nrows`` rows, each a value broadcast over the evaluation points, with
-    the bound columns in rows ``1 .. len(cols)``; ``flat`` marks the rows
-    that hold one value at every point, which are read once.  The run fills
-    every other row: ones (row 0), zeros, one row per function factor (its
-    argument lowered over the same table), one per power other than 1 of a
-    column or factor, and one per term.  It returns one row per lowered
-    expression.  Each term multiplies its coefficient and factors in the
-    order of the term walk, as floats.
-    """
-
-    __slots__ = ("cols", "nrows", "_zero", "_steps", "_poly")
-
-    def __init__(self, exprs):
-        cols = sorted({v for e in exprs for v in e.jet_vars()})
-        self.cols = tuple(cols)
-        self._zero = len(cols) + 1
-        self.nrows = len(cols) + 2
-        self._steps = []  # ("fn", row, name, order, _Poly) | ("pow", row, base row, exponent)
-        rows = {v: i for i, v in enumerate(cols, 1)}  # column, function factor or power -> row
-        self._poly = self._lower(exprs, rows)
-
-    def _row(self, rows: dict, factor, exponent: int) -> int:
-        if factor not in rows:  # a function factor: lower its argument first
-            name, order, arg = factor
-            poly = self._lower((arg,), rows)
-            rows[factor] = self._new_rows(1)
-            self._steps.append(("fn", rows[factor], name, order, poly))
-        base = rows[factor]
-        if exponent == 1:
-            return base
-        if (base, exponent) not in rows:
-            rows[(base, exponent)] = self._new_rows(1)
-            self._steps.append(("pow", rows[(base, exponent)], base, exponent))
-        return rows[(base, exponent)]
-
-    def _new_rows(self, n: int) -> int:
-        self.nrows += n
-        return self.nrows - n
-
-    def _lower(self, exprs, rows) -> _Poly:
-        factors, coef, counts = [], [], []
-        for e in exprs:
-            counts.append(len(e.terms))
-            for (vars_, fxs), c in e.terms:
-                coef.append(float(c))
-                factors.append([self._row(rows, v, k) for v, k in vars_]
-                               + [self._row(rows, f, k) for f, k in fxs])
-        idx = np.zeros((max([1] + [len(f) for f in factors]), len(factors)), dtype=np.intp)
-        for t, f in enumerate(factors):
-            idx[:len(f), t] = f
-        first = self._new_rows(len(factors))
-        sel = np.full((max([1] + counts), len(exprs)), self._zero, dtype=np.intp)
-        row = first
-        for k, n in enumerate(counts):
-            sel[:n, k] = np.arange(row, row + n)
-            row += n
-        return _Poly(idx, np.array(coef), slice(first, row), sel)
-
-    def run(self, table: np.ndarray, flat: np.ndarray, fns: Mapping) -> np.ndarray:
-        """Fill the rows of ``table`` after its columns, then return the
-        lowered expressions, stacked along the first axis."""
-        table[0] = 1.0
-        table[self._zero] = 0.0
-        flat[0] = flat[self._zero] = True
-        for kind, row, *step in self._steps:
-            if kind == "fn":
-                name, order, poly = step
-                table[row] = _scalar_fn(fns, name, order)(poly.run(table, flat)[0])
-            else:
-                base, exponent = step
-                table[row] = table[base] ** exponent
-        return self._poly.run(table, flat)
 
 
 def esum(exprs: Iterable[Expr]) -> Expr:
@@ -736,15 +595,8 @@ def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_M
 
 
 def _ipow(x, e: int):
-    if e == 1:
-        return x
-    if e >= 0:
-        return x ** e
-    if isinstance(x, (int, Fraction)):
-        if x == 0:
-            raise ZeroDivisionError("negative power of zero during evaluation")
-        return Fraction(1) / x ** (-e)
-    return x ** e
+    # an integer stays exact under a negative power
+    return (Fraction(x) if isinstance(x, int) and e < 0 else x) ** e
 
 
 # =============================================================================
@@ -983,8 +835,6 @@ def eval_ast(node, ctx: Context, point, fns=None):
             return a - b
         if op == "mul":
             return a * b
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a / b
         return a / b
     if op == "pow":
         return _ipow(eval_ast(node[1], ctx, point, fns), node[2])

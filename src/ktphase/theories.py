@@ -19,9 +19,11 @@ the theory declares a change of coordinates: ``length`` (a unit vector on a
 surface) and ``em`` (the electric-field momentum) do, and
 ``calc_var.verify_chart`` checks those declarations exactly against the
 derivation.  This module also adds the smeared constraint families for the
-lattice backend.  The coframe-gravity chart keeps the six-per-point kernel of
-its 2-form (connection shifts annihilated by the coframe); the lattice
-reports it as kernel data rather than quotienting.
+lattice backend; they and the ``pc_*`` float helpers import numpy and
+``lattice`` when called, so deriving a theory loads neither.  The
+coframe-gravity chart keeps the six-per-point kernel of its 2-form
+(connection shifts annihilated by the coframe); the lattice reports it as
+kernel data rather than quotienting.
 
 Sign conventions per theory, recorded because each is a genuine choice:
 the equation-of-motion densities follow the classical form (kinetic term
@@ -40,8 +42,6 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import expr as ex
 from .calc_var import (
     BoundaryChart,
@@ -55,7 +55,6 @@ from .calc_var import (
 )
 from .errors import CheckFailure
 from .expr import Expr, JetVar, SymbolMeta
-from .lattice import ConstraintSet, SmearedConstraint
 from .pointlin import PForm, canonical_eps, structural_maps
 
 __all__ = [
@@ -238,6 +237,7 @@ def constraint_set(name: str) -> ConstraintSet:
     minus the site sum of the smeared Gauss density exactly, by the discrete
     summation-by-parts identity of the centered stencils.
     """
+    from .lattice import ConstraintSet, SmearedConstraint
     if name in ("mechanics", "length", "scalar"):
         return ConstraintSet(())
     if name == "em":
@@ -286,6 +286,7 @@ def pc_internal_rotation(c_arrays: dict, e_state: np.ndarray) -> np.ndarray:
     shape (*grid, 12) with component order (a, i) lexicographic.  Returns the
     same layout as the coframe block.
     """
+    import numpy as np
     shape = e_state.shape[:-1]
     e = e_state.reshape(shape + (4, 3))
     cmat = np.zeros(shape + (4, 4))
@@ -312,6 +313,7 @@ def _pc_structural_tables():
     eps, as float arrays: (12, 18, 18) for ``2 m_v`` in the chart's
     connection column order, and (12, 18, 12) for ``m_s``; the unit
     ``e^a_i`` is slice ``3 * a + i``, the layout of ``E.reshape(12)``."""
+    import numpy as np
     eps = canonical_eps()
     tv, ts = [], []
     for a in range(4):
@@ -334,6 +336,7 @@ def pc_structural_rows(E: np.ndarray) -> np.ndarray:
     of the unit coframes.  Returns a (6, 18) matrix R with R . omega = 0 as
     the condition.
     """
+    import numpy as np
     tv, ts = _pc_structural_tables()
     e = np.asarray(E, dtype=float).reshape(12)
     U, sv, _ = np.linalg.svd(np.tensordot(e, ts, 1))
@@ -346,6 +349,7 @@ def pc_structural_rows(E: np.ndarray) -> np.ndarray:
 
 def pc_random_coframe(rng: np.random.Generator, det_min=0.05, cond_max=50.0) -> np.ndarray:
     """Rejection-sample a metric-nondegenerate coframe block E[a, i]."""
+    import numpy as np
     eta = np.array(ETA_DIAG, float)
     while True:
         E = rng.standard_normal((4, 3))
@@ -366,6 +370,7 @@ def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True
     invariance genuinely fails), so ``structural=True`` is what "on the
     constraint surface" means for bracket checks.
     """
+    import numpy as np
     ch = model.chart
     cons = dict(ch.constraints)
     names = [f"omega[{a},{b},0]" for a, b in _PC_IPAIRS] + [f"e[{a},0]" for a in range(4)]
@@ -400,6 +405,7 @@ def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True
 def pc_surface_violation(model, state: dict, structural: bool = True) -> float:
     """Max constraint-density violation of a single-site state (including the
     structural conditions when requested)."""
+    import numpy as np
     cons = dict(model.chart.constraints)
     vals = [abs(float(np.asarray(model.evaluate(d, state)).reshape(()))) for d in cons.values()]
     if structural:

@@ -133,26 +133,40 @@ _SHADOWING = 'theory shadow\ndim 1\ncoords t\nfield a\nfield a0\nlagrangian "1/2
 _MOVING = 'theory moving\ndim 1\ncoords t\nbackground b\nfield b0\nlagrangian "1/2*b0^2*b\' + 1/2*b0\'^2"\n'
 
 
-@pytest.mark.parametrize("text, message", [
-    (_RENAMED.replace("boundary q 1 v", "boundary q 1 m"), "boundary symbol 'm'"),
-    (_SHADOWING, "boundary symbol 'a0'"),
-    (_MOVING, "boundary symbol 'b0'"),
-    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary q 2 v"), "boundary symbol 'v'"),
-    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary zz 1 w"), "undeclared field 'zz'"),
-    (_RENAMED.replace("boundary q 1 v", "boundary q 0 w"), "order 0"),
-    (_RENAMED.replace("boundary q 1 v", "boundary q 4 w"), "order 4"),
-    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary q 1 w"), "second boundary name"),
+# the line is that of the offending boundary line, or of the declaration of
+# the name a default boundary symbol collides with
+@pytest.mark.parametrize("text, message, line", [
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 m"), "boundary symbol 'm'", 7),
+    (_SHADOWING, "boundary symbol 'a0'", 5),
+    (_MOVING, "boundary symbol 'b0'", 5),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary q 2 v"), "boundary symbol 'v'", 8),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary zz 1 w"), "undeclared field 'zz'", 8),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 0 w"), "order 0", 7),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 4 w"), "order 4", 7),
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 v\nboundary q 1 w"), "second boundary name", 8),
 ], ids=["symbol-is-background", "default-symbol-is-field", "background-symbol-is-field",
         "two-equal-symbols", "undeclared-field", "order-zero", "order-above-jetorder",
         "repeated-field-order"])
-def test_malformed_boundary_line_exits_one(tmp_path, capsys, text, message):
+def test_malformed_boundary_line_exits_one(tmp_path, capsys, text, message, line):
     path = tmp_path / "bad.theory"
     path.write_text(text)
-    with pytest.raises(ParseError, match=re.escape(message)):
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
         parse_theory(text)
+    assert info.value.line == line
     assert main(["derive", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("parse error:") and message in err
+    assert err.startswith("parse error:") and message in err and err.rstrip().endswith(f" at line {line}")
+
+
+@pytest.mark.parametrize("text, message", [
+    (MECHANICS.replace("function V", "function V\nfield m"), "declaration 'm' at line 7"),
+    # sqrt is built in
+    (MECHANICS.replace("function V", "function sqrt"), "declaration 'sqrt' at line 6"),
+    (MECHANICS.replace("field q", "field q\nfield sqrt"), "declaration 'sqrt' at line 6"),
+], ids=["field-is-background", "function-sqrt", "field-sqrt"])
+def test_duplicate_declaration_names_its_line(text, message):
+    with pytest.raises(ParseError, match=re.escape(f"duplicate symbol {message}")):
+        parse_theory(text)
 
 
 def test_boundary_names_checked_on_specs_built_directly():
@@ -336,6 +350,22 @@ def test_python_m_ktphase_runs_the_cli():
     assert (proc.returncode, proc.stderr) == (0, b"")
     report = run_pipeline(TH.builtin("mechanics"), RunOptions(symbolic_only=True))
     assert proc.stdout == emit_report(report, "data")
+
+
+@pytest.mark.parametrize("args", [["mechanics"], ["pc4", "--format", "latex"]],
+                         ids=["mechanics", "pc4-latex"])
+def test_derive_does_not_import_numpy(args):
+    # the derivation is exact; only checks load numpy and the lattice
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "KT_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ktphase", "derive", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ktphase.cli" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy" or m == "ktphase.lattice"}
 
 
 def test_cli_check_mechanics_passes(tmp_path, capsys):

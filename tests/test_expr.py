@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktphase import expr as E
+from ktphase import lattice as L
 from ktphase.calc_var import LocalVarForm
 from ktphase.errors import (
     DomainError,
@@ -232,6 +233,19 @@ def test_evaluate_sqrt_negative():
             E.evaluate(e, {ctx.jetvar("x", (), 0, ()): x})
 
 
+def _run_lowered(e, point, fns):
+    """``e`` run as a lattice kernel (``lattice.Lowered``) over the values of
+    ``point``, broadcast together, with numpy's sqrt."""
+    low = L.Lowered((e,))
+    values = [point[v] for v in low.cols]
+    table = np.empty((low.nrows,) + np.broadcast_shapes(*(np.shape(x) for x in values)))
+    flat = np.zeros(low.nrows, dtype=bool)
+    for row, x in enumerate(values, 1):
+        table[row] = x
+        flat[row] = np.ndim(x) == 0
+    return low.run(table, flat, {("sqrt", 0): np.sqrt, **fns})[0]
+
+
 @pytest.mark.parametrize("src", [
     "m*q'^2 - 3/7*q + 2",
     "q^-2 - 1/3*q*q'",
@@ -239,8 +253,8 @@ def test_evaluate_sqrt_negative():
     "5/3",
 ])
 def test_evaluate_arrays_elementwise(src):
-    # signed powers of two keep every product exact, so the array path and
-    # the scalar-float path must agree bit for bit
+    # signed powers of two keep every product exact, so the lattice kernel
+    # over arrays and the exact walk over floats must agree bit for bit
     ctx = E.Context(coords=("t",))
     ctx.declare_field("q")
     ctx.declare_field("m", meta=E.SymbolMeta(background=True, constant=True, positive=True))
@@ -253,11 +267,13 @@ def test_evaluate_arrays_elementwise(src):
               ctx.jetvar("q", (), 1, ()): rng.choice(dyadic, 6),
               ctx.jetvar("m", (), 0, ()): np.abs(rng.choice(dyadic, 6))}
     cube = {("V", 0): lambda x: x ** 3}
-    out = np.broadcast_to(E.evaluate(e, arrays, {("sqrt", 0): np.sqrt, **cube}), (6,))
+    out = np.broadcast_to(_run_lowered(e, arrays, cube), (6,))
     assert out.dtype == np.float64
     for k in range(6):
         scalar = E.evaluate(e, {v: float(a[k]) for v, a in arrays.items()}, cube)
-        assert isinstance(scalar, float) and out[k] == scalar
+        # the walk stays exact where no float enters it: the constant
+        assert isinstance(scalar, float if e.jet_vars() else Fraction)
+        assert out[k] == float(scalar)
 
 
 def test_evaluate_sqrt_exact_on_perfect_squares():
@@ -367,8 +383,8 @@ def test_evaluate_after_normalize(e):
     assert E.evaluate(E.normalize(e), pt) == E.evaluate(e, pt)
 
 
-# lowered float evaluation against the exact walk: constants, the zero
-# expression, negative exponents, sqrt and one opaque function
+# the lattice's lowered float kernel against the exact walk: constants, the
+# zero expression, negative exponents, sqrt and one opaque function
 _LCTX = E.Context(coords=("x0", "x1"), transversal=0)
 for _name in ("a", "b", "c"):
     _LCTX.declare_field(_name)
@@ -402,7 +418,7 @@ def lowered_cases(draw):
 def test_lowered_evaluation_matches_the_exact_walk(case):
     e, point = case
     exact = E.evaluate(e, point, _LFNS)
-    lowered = E.evaluate(e, {v: float(x) for v, x in point.items()}, _LFNS)
+    lowered = _run_lowered(e, {v: float(x) for v, x in point.items()}, _LFNS)
     # relative to the size of the terms, so cancellation between them is fair
     scale = sum(abs(float(E.evaluate(E.Expr((term,)), point, _LFNS))) for term in e.terms)
     assert abs(float(lowered) - float(exact)) <= 1e-12 * scale

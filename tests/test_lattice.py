@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ktphase import expr as E
+from ktphase import lattice
 from ktphase import theories as TH
+from ktphase import verify as VF
 from ktphase.errors import CFLError, CheckFailure
 from ktphase.lattice import (
     LatticeGrid,
@@ -328,11 +330,11 @@ def test_symplectic_current_self_is_zero(rng):
 
 
 def test_symplectic_current_second_order(rng):
-    model, _ = scalar_model((16,))
+    model, grid = scalar_model((16,))
 
     def smooth(a):
         for _ in range(5):
-            a = (a + np.roll(a, 1) + np.roll(a, -1)) / 3.0
+            a = grid.smooth(a)
         return a
 
     x0 = {"phi": smooth(rng.standard_normal(16)), "phi0": smooth(rng.standard_normal(16))}
@@ -342,6 +344,35 @@ def test_symplectic_current_second_order(rng):
     orders = [np.log2(defects[i] / defects[i + 1]) for i in range(2)]
     for o in orders:
         assert 1.8 <= o <= 2.2
+
+
+def test_current_order_is_two_at_every_seed():
+    # seeds 7, 11, 24 and 31 failed the mean of pairwise log2 ratios (2.30,
+    # 1.79, 1.58, 1.54); seed 19's defects change sign between dts
+    golden = TH.golden("scalar")
+    for seed in range(40):
+        entry = VF.check_lattice("scalar", golden, seed=seed)["entries"]["current_order"]
+        assert entry["pass"] and abs(entry["order"] - 2.0) <= 0.06, (seed, entry)
+
+
+def test_current_order_fails_with_a_first_order_integrator(monkeypatch):
+    # negative control: one of the two integrators drifts at first order
+    rk = lattice._rk_evolve
+
+    def euler_for_third_order(z, rhs, dt, steps, record, order):
+        if order != 3:
+            return rk(z, rhs, dt, steps, record, order)
+        out = {}
+        for n in range(steps + 1):
+            if n in record:
+                out[n] = z
+            z = z + dt * rhs(z)
+        return out
+
+    monkeypatch.setattr(lattice, "_rk_evolve", euler_for_third_order)
+    for seed in (0, 7, 24):
+        entry = VF.check_lattice("scalar", TH.golden("scalar"), seed=seed)["entries"]["current_order"]
+        assert not entry["pass"] and abs(entry["order"] - 1.0) <= 0.05, (seed, entry)
 
 
 def test_em_gauge_directions_are_null(rng):
@@ -438,9 +469,7 @@ def curved_em_model(shape=(6, 6, 6), seed=5):
     t = TH.builtin("em")
     grid = LatticeGrid(shape=shape)
     rng = np.random.default_rng(seed)
-    bump = 0.15 * rng.standard_normal(shape + (3, 3))
-    for axis in range(3):
-        bump = (bump + np.roll(bump, 1, axis) + np.roll(bump, -1, axis)) / 3.0
+    bump = grid.smooth(0.15 * rng.standard_normal(shape + (3, 3)))
     h = np.eye(3) + 0.5 * (bump + np.swapaxes(bump, -1, -2))
     hinv = np.linalg.inv(h)
     bindings = {("hinv", (i + 1, j + 1)): hinv[..., i, j] for i in range(3) for j in range(i, 3)}
