@@ -30,7 +30,7 @@ rng = np.random.default_rng(4)
 state = divergence_free_em_data(grid, rng)
 print(f"\n16^3 grid; initial Gauss residual: {np.abs(em_gauss(grid, state['F0'])).max():.2e}")
 
-_, gauss = evolve_em(state, grid, dt=0.2, steps=1000, record_every=1000)
+_, gauss = evolve_em(state, grid, dt=0.2, steps=1000)
 print(f"Gauss residual after 1000 leapfrog steps: {gauss[-1]:.2e} "
       f"(drift {gauss.max() - gauss[0]:.2e})")
 

@@ -56,7 +56,7 @@ __version__ = "0.1.0"
 _LATTICE_NAMES = (
     "LatticeGrid", "LatticeModel", "TwoFormMatrix", "ConstraintSet", "SmearedConstraint",
     "assemble_two_form", "two_form_rank",
-    "hamiltonian_vector_field", "poisson_bracket", "evolve_em", "evolve_scalar",
+    "hamiltonian_vector_field", "poisson_bracket", "evolve_em",
     "symplectic_current_check", "coisotropy_check",
 )
 

@@ -18,8 +18,12 @@ Theory files are line-oriented::
 Unknown keys are rejected; errors carry line numbers.  Reports serialize
 deterministically: UTF-8, sorted keys, floats at 17 significant digits.
 
-Exit codes: 0 all requested checks pass; 1 parse error; 2 check failure;
-3 internal error.
+Exit codes: 0 all requested checks pass (and ``--help``); 1 user error: a
+usage error, a theory file that cannot be read or parsed, an ``--out`` path
+that cannot be written, or a check option that the theory's golden record
+cannot honour (``--lattice`` without a golden ``grid``, ``--point-checks``
+below 1 or without a golden ``point`` block); 2 check failure; 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .calc_var import (
     TheorySpec,
     vertical_delta,
 )
-from .errors import CheckFailure, KtError, OrderLimitError, ParseError
+from .errors import CheckFailure, KtError, OrderLimitError, ParseError, UsageError
 
 __all__ = ["parse_theory", "emit_theory", "run_pipeline", "emit_report",
            "canonical_json", "RunOptions", "main"]
@@ -318,7 +322,6 @@ class RunOptions:
     point_checks: int | None = None
     grid_shape: tuple | None = None
     seed: int = 0
-    rank_tol: float = 1e-8
 
 
 def _derivation_block(t: TheorySpec) -> dict:
@@ -357,15 +360,20 @@ def run_pipeline(t: TheorySpec, options: RunOptions | None = None) -> dict:
     if not is_builtin:
         raise CheckFailure(f"[check] no golden record for theory {t.name!r}; "
                            "checks run against the builtin corpus")
-    from . import verify as VF
     golden = TH.golden(t.name)
+    if options.grid_shape is not None and "grid" not in golden["lattice"]:
+        raise ParseError(f"--lattice: the golden record of {t.name!r} has no lattice grid")
+    if options.point_checks is not None and "point" not in golden:
+        raise ParseError(f"--point-checks: the golden record of {t.name!r} has no point block")
+    if options.point_checks is not None and options.point_checks < 1:
+        raise ParseError(f"--point-checks {options.point_checks}: need at least 1 sample")
+    from . import verify as VF
     checks = {"symbolic": VF.check_symbolic(t.name, golden)}
-    if options.point_checks is not None or t.name == "pc4":
+    if "point" in golden:
         checks["point"] = VF.check_point(t.name, golden, samples=options.point_checks,
                                          seed=options.seed)
     checks["lattice"] = VF.check_lattice(t.name, golden, seed=options.seed,
-                                         grid_shape=options.grid_shape,
-                                         rank_tol=options.rank_tol)
+                                         grid_shape=options.grid_shape)
     report["checks"] = checks
     report["passed"] = all(c["passed"] for c in checks.values())
     return report
@@ -431,8 +439,25 @@ def emit_report(report: dict, fmt: str, t: TheorySpec | None = None) -> bytes:
 def _load_theory(arg: str) -> TheorySpec:
     if arg in TH.THEORY_NAMES:
         return TH.builtin(arg)
-    with open(arg, "r", encoding="utf-8") as fh:
-        return parse_theory(fh.read())
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read theory file {arg!r}: {_reason(exc)}") from None
+    return parse_theory(text)
+
+
+def _reason(exc: Exception) -> str:
+    return getattr(exc, "strerror", None) or str(exc)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here that is a user error, exit 1
+    (``--help`` still exits 0).  Subcommand parsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 # largest --lattice grid accepted: em measured 46 MB at 16^3 and 96 MB at
@@ -459,8 +484,7 @@ def _parse_grid(s: str, t: TheorySpec) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="ktphase",
-                                     description="boundary phase-space workbench")
+    parser = _Parser(prog="ktphase", description="boundary phase-space workbench")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in ("derive", "check"):
         p = sub.add_parser(cmd)
@@ -468,7 +492,6 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("data", "latex", "plain"), default="data")
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
         if cmd == "check":
             p.add_argument("--lattice", default=None, help="grid, e.g. 16x16x16")
             p.add_argument("--point-checks", type=int, default=None)
@@ -480,16 +503,19 @@ def main(argv=None) -> int:
             seed = _int(os.environ["KT_SEED"], "KT_SEED", None)
         t = _load_theory(args.theory)
         if args.command == "derive":
-            options = RunOptions(symbolic_only=True, seed=seed, rank_tol=args.tol)
+            options = RunOptions(symbolic_only=True, seed=seed)
         else:
-            options = RunOptions(check_golden=True, seed=seed, rank_tol=args.tol,
-                                 point_checks=args.point_checks,
-                                 grid_shape=_parse_grid(args.lattice, t) if args.lattice else None)
+            grid = None if args.lattice is None else _parse_grid(args.lattice, t)
+            options = RunOptions(check_golden=True, seed=seed, point_checks=args.point_checks,
+                                 grid_shape=grid)
         report = run_pipeline(t, options)
         payload = emit_report(report, args.format, t)
         if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(payload)
+            try:
+                with open(args.out, "wb") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out file {args.out!r}: {_reason(exc)}") from None
         else:
             sys.stdout.buffer.write(payload)
         if args.command == "check" and not report.get("passed", False):
@@ -498,7 +524,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except OrderLimitError as exc:  # the theory's declared jetorder is too small
+    except (OrderLimitError, UsageError) as exc:  # too small a jetorder; an unusable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CheckFailure as exc:

@@ -57,6 +57,10 @@ class InconsistentSystemError(KtError):
     """
 
 
+class UsageError(KtError):
+    """A file named on the command line cannot be read or written."""
+
+
 class CFLError(KtError):
     """Requested time step violates the stability bound of the integrator."""
 

@@ -15,6 +15,12 @@ machine precision.  Axes of length 1 are permitted as degenerate (ultralocal)
 directions: the centered difference along them is identically zero, which
 realizes single-point and single-site toy models.
 
+Metrics: a :class:`LatticeModel` evaluates a chart under any background
+binding, so a curved metric is a binding of ``hinv`` and ``rh``.  The
+hand-written stencils that evolve em (``evolve_em``, ``em_gauss``) and the
+linearized scalar field (``symplectic_current_check``) are for the flat
+metric only.
+
 Determinism: assembly and sampling loops are plain vectorized numpy with a
 fixed reduction order, so results are bit-identical for a fixed seed.
 Densities and their slot gradients run as kernels lowered once per process
@@ -53,7 +59,6 @@ __all__ = [
     "hamiltonian_vector_field",
     "poisson_bracket",
     "evolve_em",
-    "evolve_scalar",
     "symplectic_current_check",
     "coisotropy_check",
     "surface_tangent_basis",
@@ -273,8 +278,8 @@ class LatticeModel:
         return {name: np.zeros(self.grid.shape + (len(comps),))
                 for name, comps in self.field_comps.items()}
 
-    def random_state(self, rng: np.random.Generator, scale=1.0) -> dict:
-        return {name: scale * rng.standard_normal(self.grid.shape + (len(comps),))
+    def random_state(self, rng: np.random.Generator) -> dict:
+        return {name: rng.standard_normal(self.grid.shape + (len(comps),))
                 for name, comps in self.field_comps.items()}
 
     def check_state(self, state: dict) -> None:
@@ -505,12 +510,13 @@ def _alpha_is_ultralocal(chart: BoundaryChart) -> bool:
     return True
 
 
-def two_form_rank(m: TwoFormMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
+def two_form_rank(m: TwoFormMatrix) -> int:
+    """Number of singular values above ``DEFAULT_RANK_TOL`` times the largest
+    one."""
     sv = m.singular_values()
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[0]))
 
 
 def _norm(x: np.ndarray) -> float:
@@ -533,14 +539,14 @@ def hamiltonian_vector_field(m: TwoFormMatrix, df: np.ndarray):
     return X, residual
 
 
-def poisson_bracket(f_grad: np.ndarray, g_grad: np.ndarray, m: TwoFormMatrix,
-                    residual_tol: float = DEFAULT_RESIDUAL_TOL) -> float:
-    """{f, g} = dg(X_f); raises if X_f is not defined at this state."""
+def poisson_bracket(f_grad: np.ndarray, g_grad: np.ndarray, m: TwoFormMatrix) -> float:
+    """{f, g} = dg(X_f); raises if X_f is not defined at this state, that is
+    if its residual exceeds ``DEFAULT_RESIDUAL_TOL`` relative to ``|df|``."""
     X_f, res = hamiltonian_vector_field(m, f_grad)
     scale = max(1.0, _norm(f_grad))
-    if res > residual_tol * scale:
+    if res > DEFAULT_RESIDUAL_TOL * scale:
         raise CheckFailure(f"hamiltonian vector field residual {res:.3e} exceeds "
-                           f"{residual_tol:.1e} (relative); bracket ill-defined")
+                           f"{DEFAULT_RESIDUAL_TOL:.1e} (relative); bracket ill-defined")
     return float(np.sum(g_grad * X_f))
 
 
@@ -626,11 +632,12 @@ class CoisotropyResult:
 
 
 def constraint_violation(cs: ConstraintSet, model: LatticeModel, state: dict,
-                         rng: np.random.Generator, samples: int = 4) -> float:
-    """Max absolute smeared constraint value over random unit-normalized smearings."""
+                         rng: np.random.Generator) -> float:
+    """Max absolute smeared constraint value over four random unit-normalized
+    smearings per constraint."""
     worst = 0.0
     for c in cs:
-        for _ in range(samples):
+        for _ in range(4):
             smear = c.random_smear(model, rng)
             norm = max(1.0, max(_norm(a) for a in smear.values()))
             worst = max(worst, abs(c.value(model, state, smear)) / norm)
@@ -639,8 +646,7 @@ def constraint_violation(cs: ConstraintSet, model: LatticeModel, state: dict,
 
 def coisotropy_check(cs: ConstraintSet, model: LatticeModel, state: dict,
                      rng: np.random.Generator, samples: int = 10,
-                     bracket_tol: float = 1e-6, surface_tol: float = 1e-8,
-                     residual_tol: float = DEFAULT_RESIDUAL_TOL) -> CoisotropyResult:
+                     bracket_tol: float = 1e-6, surface_tol: float = 1e-8) -> CoisotropyResult:
     """Sample smeared constraint pairs and bound their brackets at a state.
 
     Passes when the state is on the constraint surface (violation below
@@ -661,7 +667,7 @@ def coisotropy_check(cs: ConstraintSet, model: LatticeModel, state: dict,
         gi = ci.gradient(model, state, si)
         gj = cj.gradient(model, state, sj)
         try:
-            val = poisson_bracket(gi, gj, omega, residual_tol)
+            val = poisson_bracket(gi, gj, omega)
         except CheckFailure:
             pairs.append((ci.name, cj.name, float("nan")))
             max_bracket = float("inf")
@@ -675,122 +681,60 @@ def coisotropy_check(cs: ConstraintSet, model: LatticeModel, state: dict,
 
 
 # ---------------------------------------------------------------------------
-# Electromagnetic and scalar evolution (temporal gauge, leapfrog)
+# Electromagnetic evolution (flat metric, temporal gauge, leapfrog)
 # ---------------------------------------------------------------------------
 
-def _metric_arrays(grid: LatticeGrid, hinv, rh):
-    """The metric as float arrays, or ``(None, None)`` for the flat metric."""
-    if hinv is None and rh is None:
-        return None, None
-    nd = grid.ndim
-    if hinv is None:
-        hinv = np.broadcast_to(np.eye(nd), grid.shape + (nd, nd))
-    if rh is None:
-        rh = np.ones(grid.shape)
-    return np.asarray(hinv, float), np.asarray(rh, float)
+def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
+    """Discrete Gauss density d_i F_0i of the flat metric."""
+    return grid.divergence(np.moveaxis(F0, -1, 0))
 
 
-def _leapfrog(grid: LatticeGrid, dt: float, steps: int, q: np.ndarray, p: np.ndarray,
-              force, record) -> None:
-    """Kick-drift-kick leapfrog of ``dq/dt = p, dp/dt = force(q)``; calls
-    ``record(n, q, p)`` for n = 0..steps with ``p`` synchronized to step n."""
-    if dt > grid.spacing:
-        raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
-    record(0, q, p)
-    ph = p + 0.5 * dt * force(q)
-    for n in range(1, steps + 1):
-        q = q + dt * ph
-        f = force(q)
-        record(n, q, ph + 0.5 * dt * f)
-        ph = ph + dt * f
-
-
-def em_gauss(grid: LatticeGrid, F0: np.ndarray, hinv=None, rh=None) -> np.ndarray:
-    """Discrete Gauss density d_i(h^ij F_0j sqrt(h)).
-
-    ``hinv=None, rh=None`` is the flat metric: its factors are skipped.
-    """
-    hinv, rh = _metric_arrays(grid, hinv, rh)
-    flux = F0 if hinv is None else np.einsum("...ij,...j->...i", hinv, F0) * rh[..., None]
-    return grid.divergence(np.moveaxis(flux, -1, 0))
-
-
-def _em_rhs(grid: LatticeGrid, A: np.ndarray, hinv, rh, hlow):
-    """dF_0r/dt = h_rk sqrt(h)^-1 d_i(h^ij h^kl F_jl sqrt(h)); flat if hinv is None."""
+def _em_rhs(grid: LatticeGrid, A: np.ndarray) -> np.ndarray:
+    """dF_0l/dt = d_j F_jl of the flat metric."""
     dA = np.stack([grid.diff(A, j) for j in range(grid.ndim)])  # dA[j, ..., l] = d_j A_l
-    dens = dA - np.swapaxes(dA, 0, -1)  # dens[j, ..., l] = F_jl
-    if hinv is not None:
-        dens = np.einsum("...ij,...kl,...jl->...ik", hinv, hinv, np.moveaxis(dens, 0, -2))
-        dens = np.moveaxis(dens * rh[..., None, None], -2, 0)
-    div = grid.divergence(dens)
-    if hinv is None:
-        return div
-    return np.einsum("...rk,...k->...r", hlow, div) / rh[..., None]
+    return grid.divergence(dA - np.swapaxes(dA, 0, -1))  # F_jl = d_j A_l - d_l A_j
 
 
-def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int,
-              hinv=None, rh=None, record_every: int = 1):
-    """Leapfrog Maxwell evolution in temporal gauge.
+def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
+    """Kick-drift-kick leapfrog of Maxwell's equations in temporal gauge,
+    with the flat metric.
 
     State fields: ``A`` (potential, lower index) and ``F0`` (electric
     covector F_{0j}); both shaped grid.shape + (ndim,).  A advances on
     integer steps, F0 on half steps; each F0 increment is a discrete
     divergence of an antisymmetric flux, so the Gauss density is conserved
-    to roundoff.  ``hinv=None, rh=None`` is the flat metric: its factors are
-    skipped.  Returns (trajectory, gauss residual series).
+    to roundoff.  A curved metric is a binding of :class:`LatticeModel` on
+    the em chart, not a parameter here.  Returns the final state, with F0
+    synchronized to the last step, and the max Gauss residual at each step
+    0..steps.
     """
-    hinv, rh = _metric_arrays(grid, hinv, rh)
-    hlow = None if hinv is None else np.linalg.inv(hinv)
-    traj, gauss = [], []
+    if dt > grid.spacing:
+        raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
+    A, F0 = np.array(state["A"], float), np.array(state["F0"], float)
+    gauss = [float(np.max(np.abs(em_gauss(grid, F0))))]
+    half = F0 + 0.5 * dt * _em_rhs(grid, A)
+    for _ in range(steps):
+        A = A + dt * half
+        force = _em_rhs(grid, A)
+        F0 = half + 0.5 * dt * force
+        gauss.append(float(np.max(np.abs(em_gauss(grid, F0)))))
+        half = half + dt * force
+    return {"A": A, "F0": F0}, np.array(gauss)
 
-    def record(n, A, F0):
-        gauss.append(float(np.max(np.abs(em_gauss(grid, F0, hinv, rh)))))
-        if n % record_every == 0:
-            traj.append({"A": A, "F0": F0})
 
-    _leapfrog(grid, dt, steps, np.array(state["A"], float), np.array(state["F0"], float),
-              lambda A: _em_rhs(grid, A, hinv, rh, hlow), record)
-    return traj, np.array(gauss)
-
-
-def divergence_free_em_data(grid: LatticeGrid, rng: np.random.Generator, scale=1.0):
+def divergence_free_em_data(grid: LatticeGrid, rng: np.random.Generator):
     """Random EM state whose electric field is a discrete curl, hence exactly
     divergence-free (flat metric): centered differences commute."""
     nd = grid.ndim
     if nd != 3:
         raise ValueError("divergence-free sampling via curl needs three axes")
-    W = grid.smooth(rng.standard_normal(grid.shape + (3,)) * scale)
+    W = grid.smooth(rng.standard_normal(grid.shape + (3,)))
     F0 = np.zeros(grid.shape + (3,))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         F0[..., i] = grid.diff(W[..., k], j) - grid.diff(W[..., j], k)
-    A = grid.smooth(rng.standard_normal(grid.shape + (3,)) * scale)
+    A = grid.smooth(rng.standard_normal(grid.shape + (3,)))
     return {"A": A, "F0": F0}
-
-
-def _scalar_rhs(grid: LatticeGrid, phi: np.ndarray, hinv, rh):
-    """d_i(h^ij d_j phi sqrt(h)) / sqrt(h); flat if hinv is None."""
-    flux = [grid.diff(phi, j) for j in range(grid.ndim)]
-    if hinv is not None:
-        flux = np.einsum("...ij,...j->...i", hinv, np.stack(flux, axis=-1)) * rh[..., None]
-        flux = np.moveaxis(flux, -1, 0)
-    out = grid.divergence(flux)
-    return out if hinv is None else out / rh
-
-
-def evolve_scalar(state: dict, grid: LatticeGrid, dt: float, steps: int,
-                  hinv=None, rh=None):
-    """Leapfrog wave evolution: phi at integer steps, phi0 at half steps.
-
-    ``hinv=None, rh=None`` is the flat metric: its factors are skipped.
-    Returns the trajectory of synchronized (phi, phi0) snapshots.
-    """
-    hinv, rh = _metric_arrays(grid, hinv, rh)
-    phi, phi0 = (np.array(state[k], float).reshape(grid.shape) for k in ("phi", "phi0"))
-    traj = []
-    _leapfrog(grid, dt, steps, phi, phi0, lambda phi: _scalar_rhs(grid, phi, hinv, rh),
-              lambda n, phi, phi0: traj.append({"phi": phi, "phi0": phi0}))
-    return traj
 
 
 def _rk_evolve(z: np.ndarray, rhs, dt: float, steps: int, record: set, order: int) -> dict:
@@ -831,8 +775,8 @@ def symplectic_current_check(model: LatticeModel, X0: dict, Y0: dict,
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
 
-    def rhs(z):  # z stacks (phi, phi0)
-        return np.stack([z[1], _scalar_rhs(grid, z[0], None, None)])
+    def rhs(z):  # z stacks (phi, phi0); phi0 moves by the flat wave operator
+        return np.stack([z[1], grid.divergence([grid.diff(z[0], j) for j in range(grid.ndim)])])
 
     x, y = (np.stack([np.asarray(Z[k], float).reshape(grid.shape) for k in ("phi", "phi0")])
             for Z in (X0, Y0))

@@ -670,11 +670,11 @@ def random_pform(rng: random.Random, k, l, base_dim=3, d=4) -> PForm:
     return PForm(k, l, coeffs, base_dim, InternalSpace(d))
 
 
-def random_coframe(rng: random.Random, base_dim=3, d=4, metric=True,
+def random_coframe(rng: random.Random, base_dim=3, d=4,
                    require_spacelike=False) -> PForm:
-    """Rejection-sample an exact coframe; ``metric`` additionally demands a
-    nondegenerate induced boundary metric, ``require_spacelike`` a positive
-    definite one (so a time-like section always completes the legs)."""
+    """Rejection-sample an exact coframe with a nondegenerate induced
+    boundary metric; ``require_spacelike`` demands a positive definite one
+    (so a time-like section always completes the legs)."""
     while True:
         e = random_pform(rng, 1, 1, base_dim, d)
         # a positive definite induced metric already makes the legs independent
@@ -682,8 +682,5 @@ def random_coframe(rng: random.Random, base_dim=3, d=4, metric=True,
             if spacelike(e):
                 return e
             continue
-        if not boundary_nondegenerate(e):
-            continue
-        if metric and not metric_nondegenerate(e):
-            continue
-        return e
+        if boundary_nondegenerate(e) and metric_nondegenerate(e):
+            return e

@@ -347,28 +347,29 @@ def pc_structural_rows(E: np.ndarray) -> np.ndarray:
     return U[:, 12:].T @ np.tensordot(e, tv, 1)
 
 
-def pc_random_coframe(rng: np.random.Generator, det_min=0.05, cond_max=50.0) -> np.ndarray:
-    """Rejection-sample a metric-nondegenerate coframe block E[a, i]."""
+def pc_random_coframe(rng: np.random.Generator) -> np.ndarray:
+    """Rejection-sample a coframe block E[a, i] whose induced metric g has
+    ``|det g| > 0.05`` and condition number below 50."""
     import numpy as np
     eta = np.array(ETA_DIAG, float)
     while True:
         E = rng.standard_normal((4, 3))
         g = np.einsum("ai,a,aj->ij", E, eta, E)
-        if abs(np.linalg.det(g)) > det_min and np.linalg.cond(g) < cond_max:
+        if abs(np.linalg.det(g)) > 0.05 and np.linalg.cond(g) < 50.0:
             return E
 
 
-def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True,
-                        tol: float = 1e-12, max_iter: int = 80) -> dict:
+def pc_on_surface_state(model, rng: np.random.Generator) -> dict:
     """A random single-site state of coframe gravity on the Cauchy surface.
 
     Draws a metric-nondegenerate coframe, then Newton-solves for the
-    connection: the six torsion constraints, the four curvature constraints,
-    and (by default) the six structural-constraint conditions that select the
-    unique connection representative.  Without the structural conditions the
-    curvature family's hamiltonian vector fields do not exist (its kernel
-    invariance genuinely fails), so ``structural=True`` is what "on the
-    constraint surface" means for bracket checks.
+    connection, to a max residual below 1e-12 within 80 iterations: the six
+    torsion constraints, the four curvature constraints, and the six
+    structural-constraint conditions that select the unique connection
+    representative.  Without the structural conditions the curvature
+    family's hamiltonian vector fields do not exist (its kernel invariance
+    genuinely fails), so they are part of what "on the constraint surface"
+    means for bracket checks.
     """
     import numpy as np
     ch = model.chart
@@ -381,15 +382,15 @@ def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True
     state = model.random_state(rng)
     state["e"] = E.reshape(state["e"].shape)
     state["omega"] *= 0.3
-    SR = pc_structural_rows(E) if structural else np.zeros((0, 18))
+    SR = pc_structural_rows(E)
     w = model.grid.cell_volume()
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(80):
         r = np.concatenate([
             np.array([float(np.asarray(model.evaluate(cons[n], state)).reshape(())) for n in names]),
             SR @ state["omega"].reshape(18)])
         residual = float(np.max(np.abs(r)))
-        if residual < tol:
+        if residual < 1e-12:
             return state
         J = np.concatenate([
             np.array([model.density_gradient(cons[n], state).reshape(-1)[om_slots] / w
@@ -402,13 +403,12 @@ def pc_on_surface_state(model, rng: np.random.Generator, structural: bool = True
     raise CheckFailure(f"constraint solve did not converge: residual {residual:.2e}")
 
 
-def pc_surface_violation(model, state: dict, structural: bool = True) -> float:
-    """Max constraint-density violation of a single-site state (including the
-    structural conditions when requested)."""
+def pc_surface_violation(model, state: dict) -> float:
+    """Max violation of a single-site state: the constraint densities and
+    the structural conditions."""
     import numpy as np
     cons = dict(model.chart.constraints)
     vals = [abs(float(np.asarray(model.evaluate(d, state)).reshape(()))) for d in cons.values()]
-    if structural:
-        E = state["e"].reshape(4, 3)
-        vals.extend(np.abs(pc_structural_rows(E) @ state["omega"].reshape(18)))
+    E = state["e"].reshape(4, 3)
+    vals.extend(np.abs(pc_structural_rows(E) @ state["omega"].reshape(18)))
     return max(vals)

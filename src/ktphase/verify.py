@@ -5,8 +5,9 @@ Each driver returns a dict of named entries ``{entry: {"pass": bool, ...}}``
 plus an overall flag; these are the lattice report records (ranks, residuals,
 bracket values, convergence orders) that the command-line front end embeds in
 its reports, and the acceptance suite asserts them one by one.  All
-randomness is seeded; grid sizes and tolerances come from the golden record
-unless overridden by the caller.
+randomness is seeded; tolerances come from the golden record (the 2-form
+rank cutoff is ``lattice.DEFAULT_RANK_TOL``), and so do grid sizes unless the
+caller gives a grid shape.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .calc_var import (
 )
 from .errors import CheckFailure
 from .lattice import (
+    DEFAULT_RANK_TOL,
     LatticeGrid,
     LatticeModel,
     assemble_two_form,
@@ -123,7 +125,7 @@ def check_point(name: str, golden: dict, samples: int | None = None, seed: int =
 # lattice checks, one driver per theory
 # ---------------------------------------------------------------------------
 
-def _mechanics_lattice(golden, seed, rank_tol=1e-8):
+def _mechanics_lattice(golden, seed):
     spec = golden["lattice"]
     m_val = spec["m"]
     model = LatticeModel(TH.chart("mechanics"), LatticeGrid(shape=()),
@@ -137,8 +139,8 @@ def _mechanics_lattice(golden, seed, rank_tol=1e-8):
     expected = np.array([[0.0, -m_val], [m_val, 0.0]])  # (q, v) slot order
     entries["omega_matrix"] = _entry(np.allclose(omega.blocks[0], expected, atol=0),
                                      block=omega.blocks[0].tolist())
-    entries["rank"] = _entry(two_form_rank(omega, rank_tol) == 2,
-                             rank=two_form_rank(omega, rank_tol))
+    rank = two_form_rank(omega)
+    entries["rank"] = _entry(rank == 2, rank=rank)
     worst = 0.0
     H = TH.chart("mechanics").hamiltonian
     for _ in range(spec["ham_points"]):
@@ -153,7 +155,7 @@ def _mechanics_lattice(golden, seed, rank_tol=1e-8):
     return entries
 
 
-def _length_lattice(golden, seed, rank_tol=1e-8):
+def _length_lattice(golden, seed):
     spec = golden["lattice"]
     model = LatticeModel(TH.chart("length"), LatticeGrid(shape=()))
     rng = np.random.default_rng(seed)
@@ -170,7 +172,7 @@ def _length_lattice(golden, seed, rank_tol=1e-8):
         P = surface_tangent_basis(model, state)
         B = P.T @ omega.full() @ P
         sv = np.linalg.svd(B, compute_uv=False)
-        rank = int((sv > rank_tol * sv[0]).sum())
+        rank = int((sv > DEFAULT_RANK_TOL * sv[0]).sum())
         ranks_ok = ranks_ok and rank == spec["rank"]
         gap = sv[spec["rank"] - 1] / max(sv[spec["rank"]], 1e-300)
         worst_gap = min(worst_gap, gap)
@@ -204,7 +206,7 @@ def _convergence_order(dts, defects) -> tuple:
     return float(orders[k]), float(coef[k, 0]), float(coef[k, 1]), float(residual[k])
 
 
-def _scalar_lattice(golden, seed, grid_shape=None, rank_tol=1e-8):
+def _scalar_lattice(golden, seed, grid_shape=None):
     spec = golden["lattice"]
     t = TH.builtin("scalar")
     shape = tuple(grid_shape or spec["grid"])
@@ -213,7 +215,7 @@ def _scalar_lattice(golden, seed, grid_shape=None, rank_tol=1e-8):
     rng = np.random.default_rng(seed)
     entries = {}
     omega = assemble_two_form(model, model.zero_state())
-    rank = two_form_rank(omega, rank_tol)
+    rank = two_form_rank(omega)
     entries["rank"] = _entry(rank == 2 * grid.nsites, rank=rank, expected=2 * grid.nsites)
 
     def smooth(a):
@@ -244,8 +246,7 @@ def _em_lattice(golden, seed, grid_shape=None):
     entries = {}
 
     state = divergence_free_em_data(grid, rng)
-    _, gauss = evolve_em(state, grid, dt=spec["dt"], steps=spec["gauss_steps"],
-                         record_every=spec["gauss_steps"])
+    _, gauss = evolve_em(state, grid, dt=spec["dt"], steps=spec["gauss_steps"])
     drift = float(gauss.max() - gauss[0])
     entries["gauss_drift"] = _entry(drift <= spec["gauss_drift_tol"], drift=drift,
                                     initial=float(gauss[0]), tol=spec["gauss_drift_tol"])
@@ -277,7 +278,7 @@ def _em_lattice(golden, seed, grid_shape=None):
     return entries
 
 
-def _pc4_lattice(golden, seed, rank_tol=1e-8):
+def _pc4_lattice(golden, seed):
     spec = golden["lattice"]
     model = LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)),
                          bindings={"Lam": spec.get("lam", 0.0)})
@@ -290,7 +291,7 @@ def _pc4_lattice(golden, seed, rank_tol=1e-8):
     for _ in range(spec["states"]):
         state = TH.pc_on_surface_state(model, rng)
         omega = assemble_two_form(model, state)
-        kdim = model.nslots - two_form_rank(omega, rank_tol)
+        kdim = model.nslots - two_form_rank(omega)
         worst_kernel = max(worst_kernel, abs(kdim - spec["kernel_per_site"]))
         smear = P.random_smear(model, rng)
         X, res = hamiltonian_vector_field(omega, P.gradient(model, state, smear))
@@ -313,19 +314,18 @@ def _pc4_lattice(golden, seed, rank_tol=1e-8):
     return entries
 
 
-def check_lattice(name: str, golden: dict, seed: int = 0, grid_shape=None,
-                  rank_tol: float = 1e-8) -> dict:
+def check_lattice(name: str, golden: dict, seed: int = 0, grid_shape=None) -> dict:
     t0 = time.time()
     if name == "mechanics":
-        entries = _mechanics_lattice(golden, seed, rank_tol)
+        entries = _mechanics_lattice(golden, seed)
     elif name == "length":
-        entries = _length_lattice(golden, seed, rank_tol)
+        entries = _length_lattice(golden, seed)
     elif name == "scalar":
-        entries = _scalar_lattice(golden, seed, grid_shape, rank_tol)
+        entries = _scalar_lattice(golden, seed, grid_shape)
     elif name == "em":
         entries = _em_lattice(golden, seed, grid_shape)
     elif name == "pc4":
-        entries = _pc4_lattice(golden, seed, rank_tol)
+        entries = _pc4_lattice(golden, seed)
     else:
         raise KeyError(name)
     entries["runtime_s"] = _entry(True, seconds=round(time.time() - t0, 3))

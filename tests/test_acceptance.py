@@ -163,7 +163,7 @@ def test_criterion_4_electromagnetism():
         worst_jj = max(worst_jj, abs(v))
     jj_ok = worst_jj <= 1e-10
 
-    _, gauss = evolve_em(state, grid, dt=0.2, steps=1000, record_every=1000)
+    _, gauss = evolve_em(state, grid, dt=0.2, steps=1000)
     drift = float(gauss.max() - gauss[0])
     gauss_drift_ok = drift <= 1e-12
 

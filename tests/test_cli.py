@@ -337,7 +337,61 @@ def test_cli_check_failure_exit_two(tmp_path, capsys):
 
 
 def test_cli_internal_error_exit_three(capsys):
-    assert main(["derive", "/nonexistent/path.theory"]) == 3
+    # a bug inside the pipeline, not a bad input
+    with mock.patch("ktphase.cli.run_pipeline", side_effect=RuntimeError("boom")):
+        assert main(["derive", "mechanics"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "mechanics", "--bogus"], "unrecognized arguments: --bogus"),
+    (["check", "mechanics", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["frob"], "invalid choice: 'frob'"),
+    (["derive", "mechanics", "--tol", "1e-8"], "unrecognized arguments: --tol"),
+    (["derive", "{tmp}/missing.theory"], "cannot read theory file '{tmp}/missing.theory'"),
+    (["derive", "{tmp}"], "cannot read theory file '{tmp}'"),
+    (["derive", "{tmp}/latin1.theory"], "cannot read theory file '{tmp}/latin1.theory'"),
+    (["derive", "mechanics", "--out", "{tmp}/missing/x.json"],
+     "cannot write --out file '{tmp}/missing/x.json'"),
+], ids=["unknown-option", "bad-seed", "unknown-command", "tol", "missing-file", "directory",
+        "not-utf8", "out-dir-missing"])
+def test_cli_usage_and_file_errors_exit_one(tmp_path, capsys, argv, message):
+    # argparse's own code is 2, which the contract keeps for check failures;
+    # a file that cannot be read or written is the user's error, not a bug
+    (tmp_path / "latin1.theory").write_bytes(("# é\n" + MECHANICS).encode("latin-1"))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert _exit_code(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message.format(tmp=tmp_path) in err
+
+
+def test_cli_help_exits_zero(capsys):
+    # control for the usage errors above
+    assert _exit_code(["--help"]) == 0
+    assert _exit_code(["check", "--help"]) == 0
+    assert "--point-checks" in capsys.readouterr().out
+
+
+def test_cli_check_options_the_golden_record_honours(tmp_path, capsys):
+    # controls: pc4's record has a point block; a user theory has no record,
+    # so after the axes check it still fails the check, not the options
+    out = tmp_path / "pc4.json"
+    with mock.patch("ktphase.verify.check_lattice", return_value={"entries": {}, "passed": True}):
+        assert main(["check", "pc4", "--point-checks", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"]["point"]["entries"]["kernel_dim"]["samples"] == 1
+    custom = tmp_path / "custom.theory"
+    custom.write_text(MECHANICS.replace("theory mechanics", "theory custom"))
+    assert main(["check", str(custom), "--point-checks", "0"]) == 2
+    assert "no golden record" in capsys.readouterr().err
+    assert main(["check", str(custom), "--lattice", "4"]) == 1
+    assert "boundary slice of 'custom' has 0" in capsys.readouterr().err
 
 
 def test_python_m_ktphase_runs_the_cli():
@@ -423,9 +477,17 @@ def test_cli_scalar_lattice_flag(tmp_path):
     (None, ["check", "em", "--lattice", "8x8"]),
     (None, ["check", "em", "--lattice", "100000x100000x100000"]),
     (None, ["check", "em", "--lattice", "128x128x65"]),
+    (None, ["check", "em", "--lattice", ""]),
+    # options that the golden record cannot honour
+    (None, ["check", "pc4", "--lattice", "4x4x4"]),
+    (None, ["check", "pc4", "--point-checks", "-3"]),
+    (None, ["check", "pc4", "--point-checks", "0"]),
+    (None, ["check", "mechanics", "--point-checks", "2"]),
 ], ids=["dim", "vdim", "boundary-order", "jetorder", "jetorder-too-small", "side", "field-base",
         "field-internal", "background-base", "rational-lagrangian", "deep-nesting", "lattice-16x",
-        "lattice-2x2x2", "lattice-rank", "lattice-huge", "lattice-over-max-sites"])
+        "lattice-2x2x2", "lattice-rank", "lattice-huge", "lattice-over-max-sites", "lattice-empty",
+        "lattice-without-golden-grid", "point-checks-negative", "point-checks-zero",
+        "point-checks-without-golden-point"])
 def test_cli_user_errors_exit_one(tmp_path, capsys, edit, argv):
     if edit is not None:
         assert edit[0] in MECHANICS

@@ -14,9 +14,7 @@ from ktphase.lattice import (
     assemble_two_form,
     coisotropy_check,
     divergence_free_em_data,
-    em_gauss,
     evolve_em,
-    evolve_scalar,
     hamiltonian_vector_field,
     poisson_bracket,
     surface_tangent_basis,
@@ -242,9 +240,9 @@ def test_two_form_pinv_is_factored_once(rng, monkeypatch):
 def test_evolve_em_zero_data():
     grid = LatticeGrid(shape=(4, 4, 4))
     state = {"A": np.zeros((4, 4, 4, 3)), "F0": np.zeros((4, 4, 4, 3))}
-    traj, gauss = evolve_em(state, grid, dt=0.1, steps=20, record_every=20)
-    assert np.all(traj[-1]["A"] == 0.0) and np.all(traj[-1]["F0"] == 0.0)
-    assert np.all(gauss == 0.0)
+    final, gauss = evolve_em(state, grid, dt=0.1, steps=20)
+    assert np.all(final["A"] == 0.0) and np.all(final["F0"] == 0.0)
+    assert gauss.shape == (21,) and np.all(gauss == 0.0)
 
 
 def test_evolve_em_cfl():
@@ -256,46 +254,29 @@ def test_evolve_em_cfl():
 
 def test_gauss_conservation_telescopes(rng):
     # derived oracle: each electric increment is a discrete divergence of an
-    # antisymmetric flux, so the Gauss density change telescopes to zero,
-    # for flat and for curved time-independent metrics
+    # antisymmetric flux, so the Gauss density change telescopes to zero
     grid = LatticeGrid(shape=(6, 6, 6))
     state = divergence_free_em_data(grid, rng)
-    hinv = np.broadcast_to(np.eye(3), grid.shape + (3, 3)).copy()
-    bump = 0.2 * np.sin(2 * np.pi * np.arange(6) / 6)
-    hinv = hinv * (1.0 + bump[:, None, None, None, None])
-    rh = 1.0 / np.sqrt(np.linalg.det(hinv))
-    traj, gauss = evolve_em(state, grid, dt=0.2, steps=200, hinv=hinv, rh=rh,
-                            record_every=200)
+    _, gauss = evolve_em(state, grid, dt=0.2, steps=200)
     assert gauss.max() - gauss[0] < 1e-13
 
 
-def _metric_run(kernel, grid, state, **metric):
-    """Every array a kernel returns, in one list."""
-    if kernel == "em_gauss":
-        return [em_gauss(grid, state["F0"], **metric)]
-    if kernel == "evolve_em":
-        traj, gauss = evolve_em(state, grid, dt=0.2, steps=30, **metric)
-        return [s[k] for s in traj for k in ("A", "F0")] + [gauss]
-    return [s[k] for s in evolve_scalar(state, grid, dt=0.2, steps=30, **metric)
-            for k in ("phi", "phi0")]
-
-
-@pytest.mark.parametrize("kernel, shape", [("evolve_em", (6, 6, 6)), ("em_gauss", (6, 6, 6)),
-                                           ("evolve_scalar", (8, 6))])
-def test_flat_metric_fast_path_equals_identity_metric(kernel, shape, rng):
-    # the default flat metric skips the identity hinv and unit rh; passing
-    # them explicitly runs the general path, which must agree bit for bit
-    grid = LatticeGrid(shape=shape)
-    nd = grid.ndim
-    if kernel == "evolve_scalar":
-        state = {"phi": rng.standard_normal(shape), "phi0": rng.standard_normal(shape)}
-    else:
-        state = {"A": rng.standard_normal(shape + (nd,)), "F0": rng.standard_normal(shape + (nd,))}
-    identity = {"hinv": np.broadcast_to(np.eye(nd), shape + (nd, nd)), "rh": np.ones(shape)}
-    fast = _metric_run(kernel, grid, state)
-    general = _metric_run(kernel, grid, state, **identity)
-    assert len(fast) == len(general)
-    assert all(np.array_equal(a, b) for a, b in zip(fast, general))
+def test_gauss_law_commutes_with_the_curved_hamiltonian(rng):
+    # a curved metric is a binding of the em chart: the vector field of every
+    # smeared Gauss generator is a gauge direction, along which the curved
+    # hamiltonian is constant
+    model, _ = curved_em_model()
+    state = model.random_state(rng)
+    omega = assemble_two_form(model, state)
+    J = TH.constraint_set("em").by_name("J")
+    dH = model.density_gradient(model.chart.hamiltonian, state)
+    a1 = next(g for (g,), _ in model.chart.alpha.terms if g.comp == (1,))
+    d_a1_sq = model.density_gradient(E.Expr.var(a1) ** 2, state)
+    for _ in range(5):
+        dJ = J.gradient(model, state, J.random_smear(model, rng))
+        assert abs(poisson_bracket(dJ, dH, omega)) <= 1e-12
+        # negative control: A[1]^2 is not gauge invariant
+        assert abs(poisson_bracket(dJ, d_a1_sq, omega)) >= 0.1
 
 
 def test_em_dispersion_matches_discrete_oracle():
@@ -310,12 +291,12 @@ def test_em_dispersion_matches_discrete_oracle():
     A = np.zeros((n, n, n, 3))
     A[..., 1] = np.cos(k * x)[:, None, None]
     state = {"A": A, "F0": np.zeros((n, n, n, 3))}
-    traj, _ = evolve_em(state, grid, dt=dt, steps=steps, record_every=steps)
+    final, _ = evolve_em(state, grid, dt=dt, steps=steps)
     ktilde = np.sin(k * h) / h
     omega_num = (2.0 / dt) * np.arcsin(dt * ktilde / 2.0)
     expected = np.cos(k * x)[:, None, None] * np.cos(omega_num * steps * dt)
-    assert np.abs(traj[-1]["A"][..., 1] - expected).max() < 1e-8
-    assert np.abs(traj[-1]["A"][..., 0]).max() < 1e-12
+    assert np.abs(final["A"][..., 1] - expected).max() < 1e-8
+    assert np.abs(final["A"][..., 0]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +320,10 @@ def test_symplectic_current_second_order(rng):
 
     x0 = {"phi": smooth(rng.standard_normal(16)), "phi0": smooth(rng.standard_normal(16))}
     y0 = {"phi": smooth(rng.standard_normal(16)), "phi0": smooth(rng.standard_normal(16))}
-    defects = [symplectic_current_check(model, x0, y0, int(2 / dt), int(6 / dt), dt)
-               for dt in (0.2, 0.1, 0.05)]
-    orders = [np.log2(defects[i] / defects[i + 1]) for i in range(2)]
-    for o in orders:
-        assert 1.8 <= o <= 2.2
+    dts = (0.2, 0.1, 0.05)
+    defects = [symplectic_current_check(model, x0, y0, int(2 / dt), int(6 / dt), dt) for dt in dts]
+    order, *_ = VF._convergence_order(dts, defects)
+    assert 1.8 <= order <= 2.2
 
 
 def test_current_order_is_two_at_every_seed():
@@ -384,21 +364,6 @@ def test_em_gauge_directions_are_null(rng):
     omega = assemble_two_form(model, model.zero_state())
     xv, yv = model.state_to_vector(X), model.state_to_vector(Y)
     assert abs(float(np.sum(xv * omega.apply(yv)))) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# scalar evolution
-# ---------------------------------------------------------------------------
-
-def test_evolve_scalar_conserves_energy_approximately(rng):
-    grid = LatticeGrid(shape=(16,))
-    phi = np.sin(2 * np.pi * np.arange(16) / 16)
-    state = {"phi": phi, "phi0": np.zeros(16)}
-    traj = evolve_scalar(state, grid, dt=0.1, steps=100)
-    def energy(s):
-        d = grid.diff(s["phi"], 0)
-        return float(np.sum(s["phi0"] ** 2 + d ** 2))
-    assert abs(energy(traj[-1]) - energy(traj[0])) < 1e-3 * max(energy(traj[0]), 1)
 
 
 # ---------------------------------------------------------------------------
