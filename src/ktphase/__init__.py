@@ -37,13 +37,10 @@ from .calc_var import (
 from .cli import emit_report, emit_theory, parse_theory, run_pipeline
 from .expr import Context, Expr, JetVar, SymbolMeta, diff_jet, evaluate, normalize, total_derivative
 from .pointlin import (
-    InternalSpace,
-    LinMap,
     PForm,
     coframe_kernel_dim,
     injective_w21,
     internal_act,
-    linmap_kernel,
     structural_fix,
     wedge,
 )
@@ -71,8 +68,7 @@ __all__ = [
     "variation", "ibp_split", "vertical_delta", "boundary_restrict",
     "constraint_extract", "verify_chart",
     # pointwise algebra
-    "InternalSpace", "PForm", "LinMap",
-    "wedge", "internal_act", "linmap_kernel", "coframe_kernel_dim",
+    "PForm", "wedge", "internal_act", "coframe_kernel_dim",
     "injective_w21", "structural_fix",
     # lattice
     *_LATTICE_NAMES,

@@ -405,11 +405,12 @@ def ibp_split(v: LocalVarForm, t: TheorySpec) -> BoundarySplit:
                          divergences=sorted_divs, side=t.boundary_side, variation=v, theory=t)
 
 
-def reconstruction_defect(split: BoundarySplit, t: TheorySpec) -> LocalVarForm:
+def reconstruction_defect(split: BoundarySplit) -> LocalVarForm:
     """variation - [ -sum el*delta + sum D_i(div_i) + D_n(alpha_density) ].
 
     Zero (as a normal form) for every well-formed split; exercised by tests.
     """
+    t = split.theory
     pairs = [((w,), -c) for w, c in split.el]
     for i, form in split.divergences + ((t.transversal, split.alpha_density),):
         pairs += form_total_derivative(form, i, t.jet_order + 1).terms
@@ -538,9 +539,9 @@ class BoundaryChart:
         return {key: img for key, img in self.momenta}
 
 
-def derived_chart(t: TheorySpec, split: BoundarySplit) -> BoundaryChart:
-    """The chart of preboundary fields, read off the split with no change of
-    coordinates.
+def derived_chart(split: BoundarySplit) -> BoundaryChart:
+    """The chart of preboundary fields, read off the split of a theory with
+    no change of coordinates.
 
     The fields are the symbols of ``split.alpha``, ordered by field
     declaration and then by transversal order, with their components in
@@ -552,6 +553,7 @@ def derived_chart(t: TheorySpec, split: BoundarySplit) -> BoundaryChart:
     transversal component acting as a multiplier, say), which is decided
     before the energy is expanded.
     """
+    t = split.theory
     n, names = t.transversal, t.renames()
     order = {_boundary_name(f.name, k, names): (i, k)
              for i, f in enumerate(t.fields) for k in range(t.jet_order + 1)}
@@ -569,16 +571,15 @@ def derived_chart(t: TheorySpec, split: BoundarySplit) -> BoundaryChart:
                          hamiltonian=hamiltonian)
 
 
-def verify_chart(chart: BoundaryChart, t: TheorySpec, split: BoundarySplit,
-                 extracted: list) -> None:
+def verify_chart(chart: BoundaryChart, split: BoundarySplit) -> None:
     """Exact check that the declared chart reproduces the derived boundary data.
 
     Substituting the momenta definitions into the declared boundary 1-form
     must reproduce the restricted pipeline density (theory side applied); the
-    declared constraint densities must likewise match ``extracted``, the
-    ``constraint_extract`` list of ``split``.  Raises CheckFailure on any
-    mismatch.
+    declared constraint densities must likewise match the constraints of
+    ``split``, up to sign.  Raises CheckFailure on any mismatch.
     """
+    t, extracted = split.theory, split.constraints
     images = chart.momenta_map()
     subst = lambda e: ex.substitute(e, images, t.jet_order + 1)
     declared_alpha = chart.alpha.map_coeffs(subst)

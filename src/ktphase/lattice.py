@@ -249,10 +249,11 @@ class Lowered:
 class LatticeModel:
     """A boundary chart realized on a grid, with background bindings.
 
-    ``bindings`` maps background symbol names to values: scalars, arrays of
-    shape ``grid.shape`` (per component, keyed ``(name, comp)``), or arrays of
-    shape ``grid.shape + comp_shape``.  ``functions`` maps ``(name, order)``
-    to numpy-aware callables for opaque scalar functions.
+    ``bindings`` maps each component of a background symbol to its value,
+    keyed ``(name, comp)``; a symbol without components may be keyed by its
+    bare ``name``.  A value is a scalar (a flat background) or an array of
+    shape ``grid.shape``.  ``functions`` maps ``(name, order)`` to
+    numpy-aware callables for opaque scalar functions.
     """
 
     def __init__(self, chart: BoundaryChart, grid: LatticeGrid, bindings=None, functions=None):

@@ -1,13 +1,16 @@
 """Exact multilinear algebra of (k,l)-forms at a boundary point.
 
-A (k,l)-form has k antisymmetric slots over the boundary tangent space
-(dimension 3 by default) and l antisymmetric slots over the internal vector
-space V (dimension ``d``, metric of signature (1, d-1) with the time-like
-slot at index 0 and orientation eps_{0123} = +1).  Coefficients are exact
-rationals stored on strictly increasing multi-indices; every question below
-(kernel dimensions, injectivity, the structural solve for the unique
-connection representative) reduces to exact elimination, so the answers
-carry no floating-point caveats.
+The geometry is the one of four-dimensional coframe gravity.  A (k,l)-form
+has k antisymmetric slots over the tangent space of the 3-dimensional
+boundary slice and l antisymmetric slots over the internal space V, which is
+4-dimensional Minkowski space: metric ``ETA`` = diag(-1, 1, 1, 1), with the
+time-like slot at index 0, and orientation eps_{0123} = +1.  Forms over the
+4-dimensional bulk appear once: ``injective_w21`` lifts the boundary coframe
+by a transversal leg.  Coefficients are exact rationals stored on strictly
+increasing multi-indices; every question below (kernel dimensions,
+injectivity, the structural solve for the unique connection representative)
+reduces to exact elimination, so the answers carry no floating-point
+caveats.
 
 ``rref`` eliminates on integers: each row is cleared of denominators, rows
 are combined fraction-free and kept primitive by their gcd, and one Fraction
@@ -16,10 +19,10 @@ per entry is formed at the end.  The linear maps the questions ask about
 matrices are contracted from sparse tables of the unit forms, built on first
 use once per shape.
 
-Index conventions: boundary tangent indices run over 0..base_dim-1 (these are
-the tangential coordinates of the slice); internal indices over 0..d-1.
-Antisymmetrization in the component formula of ``internal_act`` is weight one
-(average over the two index orders).
+Index conventions: slice tangent indices run over 0..2 (the tangential
+coordinates of the slice), bulk ones over 0..3 with 0 transversal; internal
+indices over 0..3.  Antisymmetrization in the component formula of
+``internal_act`` is weight one (average over the two index orders).
 """
 
 from __future__ import annotations
@@ -29,18 +32,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import InconsistentSystemError, NondegeneracyError
 
 __all__ = [
-    "InternalSpace",
+    "ETA",
     "PForm",
-    "LinMap",
     "pform_dim",
+    "perm_sign",
     "wedge",
     "internal_act",
-    "linmap_kernel",
     "wedge_map",
     "coframe_kernel_dim",
     "injective_w21",
@@ -61,6 +63,10 @@ __all__ = [
     "spacelike",
     "induced_metric",
 ]
+
+
+# the diagonal of the metric of V, time-like slot first
+ETA = (-1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +180,23 @@ def solve_exact(matrix, rhs):
 
 
 # ---------------------------------------------------------------------------
-# The internal space and (k,l)-forms
+# (k,l)-forms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InternalSpace:
-    """V with diagonal metric of signature (1, d-1); the time-like slot is 0."""
-    d: int = 4
-
-    def eta(self, a: int, b: int) -> Fraction:
-        if a != b:
-            return Fraction(0)
-        return Fraction(-1) if a == 0 else Fraction(1)
-
-    def eta_diag(self):
-        return [self.eta(a, a) for a in range(self.d)]
-
 
 @lru_cache(maxsize=None)
 def _basis(ndim: int, k: int):
     return tuple(itertools.combinations(range(ndim), k))
 
 
-def pform_dim(k: int, l: int, base_dim: int = 3, d: int = 4) -> int:
-    from math import comb
-    return comb(base_dim, k) * comb(d, l)
+def pform_dim(k: int, l: int, base_dim: int = 3) -> int:
+    return comb(base_dim, k) * comb(4, l)
+
+
+def perm_sign(p) -> int:
+    """Sign of a sequence of distinct numbers: -1 for an odd number of
+    inversions, so also the sign of sorting it."""
+    inv = sum(1 for i, x in enumerate(p) for y in p[i + 1:] if x > y)
+    return -1 if inv % 2 else 1
 
 
 def _merge_sign(s1, s2):
@@ -212,15 +210,15 @@ def _merge_sign(s1, s2):
 
 
 class PForm:
-    """An exact (k,l)-form at a point; immutable."""
+    """An exact (k,l)-form at a point, over the slice (``base_dim`` 3) or the
+    bulk (4); immutable."""
 
-    __slots__ = ("k", "l", "base_dim", "space", "coeffs")
+    __slots__ = ("k", "l", "base_dim", "coeffs")
 
-    def __init__(self, k, l, coeffs=None, base_dim=3, space=InternalSpace()):
+    def __init__(self, k, l, coeffs=None, base_dim=3):
         self.k = k
         self.l = l
         self.base_dim = base_dim
-        self.space = space
         clean = {}
         for (I, A), c in (coeffs or {}).items():
             c = Fraction(c)
@@ -231,96 +229,66 @@ class PForm:
             clean[(tuple(I), tuple(A))] = c
         self.coeffs = clean
 
-    # -- construction helpers -------------------------------------------------
-
     @staticmethod
-    def zero(k, l, base_dim=3, space=InternalSpace()):
-        return PForm(k, l, {}, base_dim, space)
-
-    @staticmethod
-    def from_vector(k, l, vec, base_dim=3, space=InternalSpace()):
-        sb = _basis(base_dim, k)
-        ib = _basis(space.d, l)
-        coeffs = {}
-        idx = 0
-        for I in sb:
-            for A in ib:
-                if vec[idx] != 0:
-                    coeffs[(I, A)] = Fraction(vec[idx])
-                idx += 1
-        return PForm(k, l, coeffs, base_dim, space)
+    def from_vector(k, l, vec):
+        """The (k,l)-form over the slice with components ``vec``, in
+        ``to_vector`` order."""
+        keys = ((I, A) for I in _basis(3, k) for A in _basis(4, l))
+        return PForm(k, l, dict(zip(keys, vec)))
 
     def to_vector(self):
-        sb = _basis(self.base_dim, self.k)
-        ib = _basis(self.space.d, self.l)
-        return [self.coeffs.get((I, A), Fraction(0)) for I in sb for A in ib]
-
-    def dim(self) -> int:
-        return pform_dim(self.k, self.l, self.base_dim, self.space.d)
+        return [self.coeffs.get((I, A), _ZERO)
+                for I in _basis(self.base_dim, self.k) for A in _basis(4, self.l)]
 
     # -- algebra ---------------------------------------------------------------
 
-    def _like(self, other):
-        return (self.base_dim == other.base_dim and self.space == other.space)
-
     def __add__(self, other):
-        if (self.k, self.l) != (other.k, other.l) or not self._like(other):
+        if (self.k, self.l, self.base_dim) != (other.k, other.l, other.base_dim):
             raise ValueError("shape mismatch in PForm addition")
         acc = dict(self.coeffs)
         for key, c in other.coeffs.items():
             acc[key] = acc.get(key, Fraction(0)) + c
-        return PForm(self.k, self.l, acc, self.base_dim, self.space)
+        return PForm(self.k, self.l, acc, self.base_dim)
 
     def __neg__(self):
-        return PForm(self.k, self.l, {k: -c for k, c in self.coeffs.items()}, self.base_dim, self.space)
+        return PForm(self.k, self.l, {k: -c for k, c in self.coeffs.items()}, self.base_dim)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
         s = Fraction(s)
-        return PForm(self.k, self.l, {k: s * c for k, c in self.coeffs.items()}, self.base_dim, self.space)
+        return PForm(self.k, self.l, {k: s * c for k, c in self.coeffs.items()}, self.base_dim)
 
     def is_zero(self):
         return not self.coeffs
 
     def __eq__(self, other):
-        return (isinstance(other, PForm) and (self.k, self.l) == (other.k, other.l)
-                and self._like(other) and self.coeffs == other.coeffs)
+        return (isinstance(other, PForm)
+                and (self.k, self.l, self.base_dim) == (other.k, other.l, other.base_dim)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.k, self.l, self.base_dim, self.space, tuple(sorted(self.coeffs.items()))))
+        return hash((self.k, self.l, self.base_dim, tuple(sorted(self.coeffs.items()))))
 
     def get_full(self, I, A):
         """Coefficient at an arbitrary (possibly unsorted) index pair, with sign."""
         if len(set(I)) != len(I) or len(set(A)) != len(A):
             return Fraction(0)
-        sI, sgnI = _sort_with_sign(I)
-        sA, sgnA = _sort_with_sign(A)
-        return self.coeffs.get((sI, sA), Fraction(0)) * sgnI * sgnA
+        c = self.coeffs.get((tuple(sorted(I)), tuple(sorted(A))), _ZERO)
+        return c * perm_sign(I) * perm_sign(A)
 
     def __repr__(self):
         return f"PForm(k={self.k}, l={self.l}, {len(self.coeffs)} coeffs)"
 
 
-def _sort_with_sign(idx):
-    idx = list(idx)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return tuple(idx), sign
-
-
 def wedge(a: PForm, b: PForm) -> PForm:
     """Wedge in both gradings; graded-commutative with sign (-1)^(kk'+ll')."""
-    if not a._like(b):
-        raise ValueError("PForms live over different spaces")
+    if a.base_dim != b.base_dim:
+        raise ValueError("PForms live over different bases")
     k, l = a.k + b.k, a.l + b.l
-    if k > a.base_dim or l > a.space.d:
-        raise ValueError(f"wedge degree ({k},{l}) overflows the ({a.base_dim},{a.space.d}) space")
+    if k > a.base_dim or l > 4:
+        raise ValueError(f"wedge degree ({k},{l}) overflows the ({a.base_dim},4) space")
     acc = {}
     for (I1, A1), c1 in a.coeffs.items():
         for (I2, A2), c2 in b.coeffs.items():
@@ -332,7 +300,7 @@ def wedge(a: PForm, b: PForm) -> PForm:
                 continue
             key = (I, A)
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * sI * sA
-    return PForm(k, l, acc, a.base_dim, a.space)
+    return PForm(k, l, acc, a.base_dim)
 
 
 def internal_act(v: PForm, e: PForm) -> PForm:
@@ -343,8 +311,6 @@ def internal_act(v: PForm, e: PForm) -> PForm:
     """
     if (v.k, v.l) != (1, 2) or (e.k, e.l) != (1, 1):
         raise ValueError("internal_act expects a (1,2)-form acting on a (1,1)-form")
-    space = v.space
-    eta = space.eta_diag()
     acc = {}
     half = Fraction(1, 2)
     for (Iv, Av), cv in v.coeffs.items():
@@ -358,51 +324,34 @@ def internal_act(v: PForm, e: PForm) -> PForm:
             for a, b, sgn in ((Av[0], Av[1], 1), (Av[1], Av[0], -1)):
                 if b != c:
                     continue
-                val = half * cv * ce * sgn * eta[b]
+                val = half * cv * ce * sgn * ETA[b]
                 (ii, jj), s = ((i, j), 1) if i < j else ((j, i), -1)
                 key = ((ii, jj), (a,))
                 acc[key] = acc.get(key, Fraction(0)) + val * s
-    return PForm(2, 1, acc, v.base_dim, space)
+    return PForm(2, 1, acc, v.base_dim)
 
 
 # ---------------------------------------------------------------------------
 # Linear maps between PForm spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinMap:
-    """Exact matrix of a linear map between two PForm shapes."""
-    dom: tuple            # (k, l, base_dim, d)
-    cod: tuple
-    rows: tuple           # tuple of tuples, cod_dim x dom_dim
-
-    def matrix(self):
-        return [list(r) for r in self.rows]
-
-    def apply(self, form: PForm) -> PForm:
-        vec = form.to_vector()
-        out = [sum(r[j] * vec[j] for j in range(len(vec))) for r in self.rows]
-        k, l, base_dim, d = self.cod
-        return PForm.from_vector(k, l, out, base_dim, InternalSpace(d))
-
-
-def _map_rows(f, k, l, kc, lc, base_dim, space):
+def _map_rows(f, k, l, kc, lc, base_dim):
     """Exact matrix of a linear map from (k,l)- to (kc,lc)-forms, one column
     per unit form of the domain, rows in ``_basis`` order of the codomain."""
     cod_index = {key: i for i, key in enumerate(
-        (I, A) for I in _basis(base_dim, kc) for A in _basis(space.d, lc))}
-    dom_basis = [(I, A) for I in _basis(base_dim, k) for A in _basis(space.d, l)]
-    rows = [[Fraction(0)] * len(dom_basis) for _ in range(len(cod_index))]
-    for j, key in enumerate(dom_basis):
-        for ckey, c in f(PForm(k, l, {key: Fraction(1)}, base_dim, space)).coeffs.items():
+        (I, A) for I in _basis(base_dim, kc) for A in _basis(4, lc))}
+    units = _units(k, l, base_dim)
+    rows = [[Fraction(0)] * len(units) for _ in range(len(cod_index))]
+    for j, (_, u) in enumerate(units):
+        for ckey, c in f(u).coeffs.items():
             rows[cod_index[ckey]][j] = c
     return rows
 
 
-def _units(k, l, base_dim, space):
+def _units(k, l, base_dim):
     """The unit (k,l)-forms in ``_basis`` order, with their keys."""
-    return [((I, A), PForm(k, l, {(I, A): 1}, base_dim, space))
-            for I in _basis(base_dim, k) for A in _basis(space.d, l)]
+    return [((I, A), PForm(k, l, {(I, A): 1}, base_dim))
+            for I in _basis(base_dim, k) for A in _basis(4, l)]
 
 
 def _sparse(rows):
@@ -410,20 +359,19 @@ def _sparse(rows):
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(ke, le, k, l, base_dim, space):
+def _wedge_table(ke, le, k, l, base_dim):
     """Per unit (ke,le)-form ``u``, the nonzero entries ``(row, column, value)``
     of the matrix of ``x -> u ^ x`` on (k,l)-forms."""
-    return {key: _sparse(_map_rows(lambda x: wedge(u, x), k, l, ke + k, le + l, base_dim, space))
-            for key, u in _units(ke, le, base_dim, space)}
+    return {key: _sparse(_map_rows(lambda x: wedge(u, x), k, l, ke + k, le + l, base_dim))
+            for key, u in _units(ke, le, base_dim)}
 
 
 @lru_cache(maxsize=None)
-def _structural_table(base_dim, space):
+def _structural_table():
     """Per pair of a unit (1,1)-form ``u`` and a unit (0,1)-form ``p``, the
     nonzero entries of the matrix of ``v -> p ^ (v.u)`` on (1,2)-forms."""
-    return {(ku, kp): _sparse(_map_rows(lambda v: wedge(p, internal_act(v, u)),
-                                        1, 2, 2, 2, base_dim, space))
-            for ku, u in _units(1, 1, base_dim, space) for kp, p in _units(0, 1, base_dim, space)}
+    return {(ku, kp): _sparse(_map_rows(lambda v: wedge(p, internal_act(v, u)), 1, 2, 2, 2, 3))
+            for ku, u in _units(1, 1, 3) for kp, p in _units(0, 1, 3)}
 
 
 def _contract(table, coeffs, nrows, ncols):
@@ -435,17 +383,14 @@ def _contract(table, coeffs, nrows, ncols):
     return rows
 
 
-def wedge_map(e: PForm, k: int, l: int) -> LinMap:
-    """The map ``x -> e ^ x`` on (k,l)-forms, as an exact matrix.
+def wedge_map(e: PForm, k: int, l: int) -> list:
+    """The map ``x -> e ^ x`` on (k,l)-forms, as exact rows.
 
     The map is linear in ``e``: its matrix is contracted from the matrices of
     the unit forms of e's shape, which are built once per shape."""
-    base_dim, d = e.base_dim, e.space.d
-    kc, lc = k + e.k, l + e.l
-    table = _wedge_table(e.k, e.l, k, l, base_dim, e.space)
-    rows = _contract(table, e.coeffs, pform_dim(kc, lc, base_dim, d), pform_dim(k, l, base_dim, d))
-    return LinMap(dom=(k, l, base_dim, d), cod=(kc, lc, base_dim, d),
-                  rows=tuple(tuple(r) for r in rows))
+    n = e.base_dim
+    table = _wedge_table(e.k, e.l, k, l, n)
+    return _contract(table, e.coeffs, pform_dim(k + e.k, l + e.l, n), pform_dim(k, l, n))
 
 
 def structural_maps(e: PForm, eps: PForm):
@@ -454,19 +399,10 @@ def structural_maps(e: PForm, eps: PForm):
     of ``sigma -> e ^ sigma`` on (1,1)-forms.
 
     ``m_v`` is bilinear in ``(e, eps)``, so it is contracted from the
-    matrices of pairs of unit forms, built once per shape."""
-    base_dim, d = e.base_dim, e.space.d
+    matrices of pairs of unit forms, built once."""
     pairs = {(ku, kp): cu * cp for ku, cu in e.coeffs.items() for kp, cp in eps.coeffs.items()}
-    m_v = _contract(_structural_table(base_dim, e.space), pairs,
-                    pform_dim(2, 2, base_dim, d), pform_dim(1, 2, base_dim, d))
-    return m_v, wedge_map(e, 1, 1).matrix()
-
-
-def linmap_kernel(m: LinMap):
-    """Exact basis of the kernel, as PForms of the domain shape."""
-    k, l, base_dim, d = m.dom
-    vecs = nullspace(m.matrix(), pform_dim(k, l, base_dim, d))
-    return [PForm.from_vector(k, l, v, base_dim, InternalSpace(d)) for v in vecs]
+    m_v = _contract(_structural_table(), pairs, pform_dim(2, 2), pform_dim(1, 2))
+    return m_v, wedge_map(e, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +411,7 @@ def linmap_kernel(m: LinMap):
 
 def _legs(e: PForm):
     """The spatial legs of a (1,1)-form as vectors in V."""
-    d = e.space.d
-    legs = []
-    for i in range(e.base_dim):
-        legs.append([e.coeffs.get(((i,), (a,)), Fraction(0)) for a in range(d)])
-    return legs
+    return [[e.coeffs.get(((i,), (a,)), _ZERO) for a in range(4)] for i in range(e.base_dim)]
 
 
 def boundary_nondegenerate(e: PForm) -> bool:
@@ -488,11 +420,8 @@ def boundary_nondegenerate(e: PForm) -> bool:
 
 def induced_metric(e: PForm):
     """g_ij = eta(e_i, e_j) on the slice, exact."""
-    eta = e.space.eta_diag()
     legs = _legs(e)
-    n = e.base_dim
-    return [[sum(eta[a] * legs[i][a] * legs[j][a] for a in range(e.space.d)) for j in range(n)]
-            for i in range(n)]
+    return [[sum(eta * x * y for eta, x, y in zip(ETA, u, w)) for w in legs] for u in legs]
 
 
 def metric_nondegenerate(e: PForm) -> bool:
@@ -534,29 +463,27 @@ def _det(m):
 
 def coframe_kernel_dim(e: PForm) -> int:
     """dim ker of ``e ^ .`` on (1,2)-forms; 6 for every nondegenerate coframe
-    over the 3-dimensional slice with d = 4."""
+    over the slice."""
     if not boundary_nondegenerate(e):
         raise NondegeneracyError("coframe legs are linearly dependent")
-    m = wedge_map(e, 1, 2)
-    return pform_dim(1, 2, e.base_dim, e.space.d) - rank(m.matrix())
+    return pform_dim(1, 2) - rank(wedge_map(e, 1, 2))
 
 
 def _bulk_lift(e: PForm) -> PForm:
-    """Extend the boundary coframe to a coframe over a (base_dim+1)-dimensional
-    base: slot 0 is the new transversal direction, filled with the first
+    """Extend the boundary coframe to a coframe over the four-dimensional
+    bulk: slot 0 is the new transversal direction, filled with the first
     standard basis vector of V that keeps the legs independent."""
-    d = e.space.d
     legs = _legs(e)
     chosen = 0
-    for a in range(d):
-        cand = [Fraction(int(b == a)) for b in range(d)]
-        if rank(legs + [cand]) == min(e.base_dim + 1, d):
+    for a in range(4):
+        cand = [Fraction(int(b == a)) for b in range(4)]
+        if rank(legs + [cand]) == 4:
             chosen = a
             break
     coeffs = {((0,), (chosen,)): Fraction(1)}
     for (I, A), c in e.coeffs.items():
         coeffs[((I[0] + 1,), A)] = c
-    return PForm(1, 1, coeffs, e.base_dim + 1, e.space)
+    return PForm(1, 1, coeffs, base_dim=4)
 
 
 def injective_w21(e: PForm) -> bool:
@@ -569,10 +496,7 @@ def injective_w21(e: PForm) -> bool:
     contraction.  The boundary coframe is lifted by one transversal leg, so
     the answer is True precisely for boundary-nondegenerate ``e``.
     """
-    bulk = _bulk_lift(e)
-    m = wedge_map(bulk, 2, 1)
-    dom = pform_dim(2, 1, bulk.base_dim, bulk.space.d)
-    return rank(m.matrix()) == dom
+    return rank(wedge_map(_bulk_lift(e), 2, 1)) == pform_dim(2, 1, 4)
 
 
 @dataclass(frozen=True)
@@ -607,20 +531,17 @@ def structural_fix(e: PForm, eps: PForm, T: PForm) -> StructuralFix:
         raise ValueError("structural_fix expects e:(1,1), eps:(0,1), T:(2,1)")
     if not metric_nondegenerate(e):
         raise NondegeneracyError("coframe is not metric nondegenerate")
-    eta = e.space.eta_diag()
     evec = eps.to_vector()
-    norm = sum(eta[a] * evec[a] * evec[a] for a in range(e.space.d))
-    if norm >= 0:
+    if sum(eta * x * x for eta, x in zip(ETA, evec)) >= 0:
         raise NondegeneracyError("eps must be time-like")
-    if rank(_legs(e) + [evec]) != e.space.d:
+    if rank(_legs(e) + [evec]) != 4:
         raise NondegeneracyError("eps does not complete the coframe to a basis")
 
-    nv = pform_dim(1, 2, e.base_dim, e.space.d)
-    ns = pform_dim(1, 1, e.base_dim, e.space.d)
+    nv, ns = pform_dim(1, 2), pform_dim(1, 1)
     # columns: v components then sigma components; rows: e ^ v = 0, then
     # eps ^ (v.e) - e ^ sigma = -eps ^ T
     m_v, m_s = structural_maps(e, eps)
-    system = [list(r) + [Fraction(0)] * ns for r in wedge_map(e, 1, 2).rows]
+    system = [r + [_ZERO] * ns for r in wedge_map(e, 1, 2)]
     rhs = [Fraction(0)] * len(system)
     system += [rv + [-x for x in rs] for rv, rs in zip(m_v, m_s)]
     rhs += [-c for c in wedge(eps, T).to_vector()]
@@ -630,8 +551,8 @@ def structural_fix(e: PForm, eps: PForm, T: PForm) -> StructuralFix:
     if v_ambiguous:
         raise InconsistentSystemError(
             "structural constraint admits more than one kernel shift; uniqueness violated")
-    v = PForm.from_vector(1, 2, sol[:nv], e.base_dim, e.space)
-    sigma = PForm.from_vector(1, 1, sol[nv:], e.base_dim, e.space)
+    v = PForm.from_vector(1, 2, sol[:nv])
+    sigma = PForm.from_vector(1, 1, sol[nv:])
 
     # exact residual recheck; failure here is an internal logic error
     kernel_residual = wedge(e, v)
@@ -648,35 +569,31 @@ def structural_fix(e: PForm, eps: PForm, T: PForm) -> StructuralFix:
 # Sampling helpers (seeded, exact)
 # ---------------------------------------------------------------------------
 
-def canonical_coframe(base_dim=3, d=4) -> PForm:
+def canonical_coframe() -> PForm:
     """e_i = (i+1)-th standard basis vector of V (skipping the time-like slot)."""
-    coeffs = {((i,), (i + 1,)): Fraction(1) for i in range(base_dim)}
-    return PForm(1, 1, coeffs, base_dim, InternalSpace(d))
+    return PForm(1, 1, {((i,), (i + 1,)): 1 for i in range(3)})
 
 
-def canonical_eps(d=4) -> PForm:
-    return PForm(0, 1, {((), (0,)): Fraction(1)}, 3, InternalSpace(d))
+def canonical_eps() -> PForm:
+    return PForm(0, 1, {((), (0,)): 1})
 
 
-def random_fraction(rng: random.Random, num=6, den=3) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+def random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
 
-def random_pform(rng: random.Random, k, l, base_dim=3, d=4) -> PForm:
-    coeffs = {}
-    for I in _basis(base_dim, k):
-        for A in _basis(d, l):
-            coeffs[(I, A)] = random_fraction(rng)
-    return PForm(k, l, coeffs, base_dim, InternalSpace(d))
+def random_pform(rng: random.Random, k, l) -> PForm:
+    """A (k,l)-form over the slice with every component drawn by
+    ``random_fraction``."""
+    return PForm(k, l, {(I, A): random_fraction(rng) for I in _basis(3, k) for A in _basis(4, l)})
 
 
-def random_coframe(rng: random.Random, base_dim=3, d=4,
-                   require_spacelike=False) -> PForm:
+def random_coframe(rng: random.Random, require_spacelike=False) -> PForm:
     """Rejection-sample an exact coframe with a nondegenerate induced
     boundary metric; ``require_spacelike`` demands a positive definite one
     (so a time-like section always completes the legs)."""
     while True:
-        e = random_pform(rng, 1, 1, base_dim, d)
+        e = random_pform(rng, 1, 1)
         # a positive definite induced metric already makes the legs independent
         if require_spacelike:
             if spacelike(e):

@@ -55,7 +55,7 @@ from .calc_var import (
 )
 from .errors import CheckFailure
 from .expr import Expr, JetVar, SymbolMeta
-from .pointlin import PForm, canonical_eps, structural_maps
+from .pointlin import ETA, PForm, canonical_eps, perm_sign, structural_maps
 
 __all__ = [
     "THEORY_NAMES",
@@ -64,7 +64,6 @@ __all__ = [
     "chart",
     "constraint_set",
     "flat_metric_bindings",
-    "ETA_DIAG",
     "eps4",
     "pc_on_surface_state",
     "pc_internal_rotation",
@@ -72,30 +71,18 @@ __all__ = [
 
 THEORY_NAMES = ("mechanics", "length", "scalar", "em", "pc4")
 
-ETA_DIAG = (-1, 1, 1, 1)
-
-
-def _perm_sign(p):
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
 
 @lru_cache(maxsize=None)
 def eps4():
     """Orientation tensor entries: (permutation of 0..3, sign), eps_0123 = +1."""
-    return tuple((p, _perm_sign(p)) for p in itertools.permutations(range(4)))
+    return tuple((p, perm_sign(p)) for p in itertools.permutations(range(4)))
 
 
 # ---------------------------------------------------------------------------
 # length functional
 # ---------------------------------------------------------------------------
 
-def _length_chart(t: TheorySpec) -> BoundaryChart:
+def _length_chart() -> BoundaryChart:
     umeta = SymbolMeta(excluded=frozenset({0}))
     qmeta = SymbolMeta(excluded=frozenset({0}))
     u = [JetVar("u", (i,), (), umeta) for i in range(3)]
@@ -196,10 +183,10 @@ def chart(name: str) -> BoundaryChart:
     the theory declares a change of coordinates (``length``, ``em``)."""
     t = builtin(name)
     if name == "length":
-        return _length_chart(t)
+        return _length_chart()
     if name == "em":
         return _em_chart(t)
-    return derived_chart(t, derived_split(name))
+    return derived_chart(derived_split(name))
 
 
 def flat_metric_bindings(t: TheorySpec) -> dict:
@@ -296,7 +283,7 @@ def pc_internal_rotation(c_arrays: dict, e_state: np.ndarray) -> np.ndarray:
         a, b = comp
         cmat[..., a, b] = arr
         cmat[..., b, a] = -arr
-    eta = np.array(ETA_DIAG, dtype=float)
+    eta = np.array(ETA, dtype=float)
     out = np.einsum("...ar,r,...ri->...ai", cmat, eta, e)
     return out.reshape(shape + (12,))
 
@@ -351,7 +338,7 @@ def pc_random_coframe(rng: np.random.Generator) -> np.ndarray:
     """Rejection-sample a coframe block E[a, i] whose induced metric g has
     ``|det g| > 0.05`` and condition number below 50."""
     import numpy as np
-    eta = np.array(ETA_DIAG, float)
+    eta = np.array(ETA, float)
     while True:
         E = rng.standard_normal((4, 3))
         g = np.einsum("ai,a,aj->ij", E, eta, E)

@@ -59,14 +59,13 @@ def check_symbolic(name: str, golden: dict) -> dict:
     """Compare the canonical renderings of the derived split with the golden
     record, verify the declared chart, and assert the structural identities
     (reconstruction, nilpotency of the vertical differential)."""
-    t = TH.builtin(name)
     split = TH.derived_split(name)
     entries = {key: _entry(got == golden[key], got=got, expected=golden[key])
                for key, got in split.renderings.items()}
-    entries["reconstruction"] = _entry(reconstruction_defect(split, t).is_zero())
+    entries["reconstruction"] = _entry(reconstruction_defect(split).is_zero())
     entries["delta_squared"] = _entry(vertical_delta(split.variation).is_zero())
     try:
-        verify_chart(TH.chart(name), t, split, split.constraints)
+        verify_chart(TH.chart(name), split)
         entries["chart"] = _entry(True)
     except CheckFailure as exc:
         entries["chart"] = _entry(False, error=str(exc))

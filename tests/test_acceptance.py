@@ -248,7 +248,7 @@ def test_criterion_7_property_suite():
         t = TH.builtin(name)
         d1 = vertical_delta(LocalVarForm.scalar(t.lagrangian))
         delta_sq = delta_sq and vertical_delta(d1).is_zero()
-        reconstruction = reconstruction and reconstruction_defect(TH.derived_split(name), t).is_zero()
+        reconstruction = reconstruction and reconstruction_defect(TH.derived_split(name)).is_zero()
 
     # divergence-shift invariance of the field equations
     from ktphase.calc_var import TheorySpec

@@ -422,6 +422,23 @@ def test_derive_does_not_import_numpy(args):
     assert not {m for m in imported if m.split(".")[0] == "numpy" or m == "ktphase.lattice"}
 
 
+def test_export_lists_resolve():
+    # every name in the export list of the package and of each submodule that
+    # has one resolves, the lattice names the package loads on first use too
+    import importlib
+    import pkgutil
+
+    import ktphase
+    modules = [ktphase] + [importlib.import_module(f"ktphase.{m.name}")
+                           for m in pkgutil.iter_modules(ktphase.__path__) if m.name != "__main__"]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert missing == []
+    assert "evolve_em" in ktphase.__all__ and callable(ktphase.evolve_em)
+    for gone in ("InternalSpace", "LinMap", "linmap_kernel"):
+        assert gone not in ktphase.__all__ and not hasattr(ktphase, gone)
+
+
 def test_cli_check_mechanics_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["check", "mechanics", "--out", str(out)]) == 0

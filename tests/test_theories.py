@@ -1,5 +1,6 @@
 """Builtin theory corpus: Lagrangian content, charts, goldens, constraint sets."""
 
+import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 
 from ktphase import expr as E
 from ktphase import theories as TH
-from ktphase.calc_var import ChartField, LocalVarForm, constraint_extract, verify_chart
+from ktphase.calc_var import ChartField, LocalVarForm, verify_chart
+from ktphase.errors import CheckFailure
 from ktphase.lattice import (
     LatticeGrid,
     LatticeModel,
@@ -17,6 +19,7 @@ from ktphase.lattice import (
     hamiltonian_vector_field,
 )
 from ktphase.pointlin import (
+    ETA,
     canonical_eps,
     internal_act,
     random_coframe,
@@ -91,7 +94,7 @@ def test_pc4_lagrangian_against_orientation_oracle():
     t = TH.builtin("pc4")
     rng = random.Random(23)
     eps4 = TH.eps4()
-    eta = TH.ETA_DIAG
+    eta = ETA
     for _ in range(3):
         ev = {(a, mu): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
               for a in range(4) for mu in range(4)}
@@ -157,8 +160,37 @@ def test_scalar_lagrangian_signature():
 
 def test_all_charts_verify():
     for name in TH.THEORY_NAMES:
-        t, split = TH.builtin(name), TH.derived_split(name)
-        verify_chart(TH.chart(name), t, split, constraint_extract(t, split))
+        verify_chart(TH.chart(name), TH.derived_split(name))
+
+
+def _doubled_gradient_momenta(ch):
+    # F0[j] = A0[j] - 2 d[j]A[0] instead of A0[j] - d[j]A[0]
+    out = []
+    for key, img in ch.momenta:
+        a0 = next(v for v in img.jet_vars() if v.field == "A0")
+        out.append((key, img * E.Expr.const(2) - E.Expr.var(a0)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("em", lambda ch: dataclasses.replace(ch, momenta=_doubled_gradient_momenta(ch))),
+    ("length", lambda ch: dataclasses.replace(ch, alpha=ch.alpha.scale(2))),
+    ("em", lambda ch: dataclasses.replace(ch, constraints=ch.constraints[1:])),
+    ("pc4", lambda ch: dataclasses.replace(ch, constraints=ch.constraints[1:])),
+], ids=["em-momentum", "length-alpha", "em-dropped-constraint", "pc4-dropped-constraint"])
+def test_verify_chart_rejects_a_wrong_chart(name, broken):
+    with pytest.raises(CheckFailure):
+        verify_chart(broken(TH.chart(name)), TH.derived_split(name))
+
+
+def test_check_symbolic_reports_a_wrong_chart(monkeypatch):
+    from ktphase.verify import check_symbolic
+    good = TH.chart("em")
+    monkeypatch.setattr(TH, "chart", lambda name: dataclasses.replace(good, alpha=good.alpha.scale(2)))
+    res = check_symbolic("em", TH.golden("em"))
+    chart = res["entries"]["chart"]
+    assert chart["pass"] is False and "does not match" in chart["error"]
+    assert not res["passed"]
 
 
 def test_derived_split_shares_one_entry_per_theory():
@@ -321,7 +353,7 @@ def test_pc_structural_rows_against_exact_structural_fix():
     # pins the scale of the rows
     rng = random.Random(31)
     eps = canonical_eps()
-    eta = np.array(TH.ETA_DIAG, float)
+    eta = np.array(ETA, float)
     pairs3 = [(i, j) for i in range(3) for j in range(i + 1, 3)]
 
     def flat(w):
@@ -384,7 +416,7 @@ def test_pc_internal_rotation_formula():
     c = {("c", (a, b)): rng.standard_normal((1, 1, 1)) for a in range(4) for b in range(a + 1, 4)}
     out = TH.pc_internal_rotation(c, e).reshape(4, 3)
     E4 = e.reshape(4, 3)
-    eta = np.array(TH.ETA_DIAG, float)
+    eta = np.array(ETA, float)
     cm = np.zeros((4, 4))
     for (_, (a, b)), arr in c.items():
         cm[a, b] = float(arr.reshape(()))
@@ -411,7 +443,7 @@ def test_hamiltonian_vector_field_of_T_moves_coframe_by_connection():
         W[a, b, i - 1] = w
         W[b, a, i - 1] = -w
     mu = np.array([float(smear[("mu", (a,))].reshape(())) for a in range(4)])
-    eta = np.array(TH.ETA_DIAG, float)
+    eta = np.array(ETA, float)
     dmu = np.einsum("abi,b,b->ai", W, eta, mu)
     assert np.abs(Y[0, :12].reshape(4, 3) - dmu).max() < 1e-12
 
