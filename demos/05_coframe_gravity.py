@@ -64,7 +64,7 @@ ce = theories.pc_internal_rotation(smear, state["e"]).reshape(-1)
 print(f"internal rotation generator: |X_c(e) - c.e| = {np.abs(X[0, :12] - ce).max():.2e}, "
       f"residual {res:.2e}")
 
-result = coisotropy_check(cs, model, state, nrng, samples=10)
+result = coisotropy_check(cs, Omega, state, nrng, samples=10)
 print(f"coisotropy: max |bracket| = {result.max_bracket:.2e} over sampled pairs "
       f"of (internal, curvature, hamiltonian, momentum) generators -> "
       f"{'coisotropic' if result.passed else 'NOT coisotropic'}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 from . import expr as ex
 from .errors import CheckFailure, DegreeError, ParseError
@@ -58,8 +57,11 @@ __all__ = [
 class FieldDecl:
     """A dynamical field: ``internal`` indices range over ``vdim`` of the
     theory, ``base`` indices over the coordinates.  ``antisym`` marks an
-    antisymmetric internal index pair (stored with strictly increasing
-    indices)."""
+    antisymmetric pair of the first two internal indices: the Lagrangian
+    uses only components whose pair is strictly increasing (checked).
+
+    The attributes are the grammar of ``field`` lines: each int is a
+    ``KEY=N`` attribute and each bool a flag word (``_`` written ``-``)."""
     name: str
     base: int = 0
     internal: int = 0
@@ -71,7 +73,8 @@ class FieldDecl:
 class BackgroundDecl:
     """A non-varied symbol.  ``base`` indices range over the coordinates;
     ``constant`` kills all total derivatives, ``time_independent`` only the
-    transversal one."""
+    transversal one.  The attributes are the grammar of ``background`` lines,
+    as for :class:`FieldDecl`."""
     name: str
     base: int = 0
     constant: bool = False
@@ -102,16 +105,19 @@ class TheorySpec:
     boundary_names: tuple = ()          # ((field, transversal order, symbol name), ...)
 
     def __post_init__(self):
+        if len(self.coords) != self.dim:
+            raise ParseError(f"dim {self.dim} but {len(self.coords)} coordinates")
         if not (0 <= self.transversal < self.dim):
             raise ParseError(f"transversal index {self.transversal} out of range")
         if self.vdim == 0:
             object.__setattr__(self, "vdim", self.dim)
-        if len(self.coords) != self.dim:
-            raise ParseError(f"{self.dim} coordinates expected, got {len(self.coords)}")
         names = [d.name for d in self.fields + self.backgrounds] + list(self.functions) + ["sqrt"]
         for name in names:
             if names.count(name) > 1:
                 raise ParseError(f"duplicate symbol declaration {name!r}", subject=name)
+        for f in self.fields:
+            if f.antisym and f.internal < 2:
+                raise ParseError(f"antisym field {f.name!r} needs two internal indices", subject=f.name)
         # a boundary symbol names one transversal jet on the slice (of a
         # field, or of a background that varies transversally), so it must
         # be new: restriction would merge it with another symbol
@@ -138,11 +144,15 @@ class TheorySpec:
                                      subject=named or d.name)
                 seen.add(sym)
         declared = self._declared_names()
+        antisym = {f.name for f in self.fields if f.antisym}
         for v in self.lagrangian.jet_vars():
             if v.field not in declared:
                 raise ParseError(f"Lagrangian uses undeclared symbol {v.field!r}")
             if v.order() > self.jet_order:
                 raise ParseError(f"Lagrangian jet order exceeds declared maximum {self.jet_order}")
+            if v.field in antisym and not v.comp[0] < v.comp[1]:
+                raise ParseError(f"component {v.comp} of antisym field {v.field!r}: its first "
+                                 "two internal indices must increase strictly")
 
     def _declared_names(self):
         return {f.name for f in self.fields} | {b.name for b in self.backgrounds}
@@ -166,19 +176,6 @@ class TheorySpec:
             return (self.vdim,) * decl.internal + (self.dim,) * decl.base
         return (self.dim,) * decl.base
 
-    def components(self, decl) -> list:
-        """All stored component tuples of a declaration, in lexicographic order."""
-        sizes = self.index_sizes(decl)
-        if not sizes:
-            return [()]
-        comps = []
-        for tup in product(*(range(s) for s in sizes)):
-            if isinstance(decl, FieldDecl) and decl.antisym:
-                if not tup[0] < tup[1]:
-                    continue
-            comps.append(tup)
-        return comps
-
     def context(self) -> Context:
         ctx = Context(coords=self.coords, transversal=self.transversal)
         for f in self.fields:
@@ -189,15 +186,6 @@ class TheorySpec:
             ctx.declare_function(fn)
         ctx.declare_function("sqrt")
         return ctx
-
-    def var(self, name: str, comp=(), deriv=()) -> JetVar:
-        for f in self.fields:
-            if f.name == name:
-                return JetVar(name, comp, deriv, self.field_meta(f))
-        for b in self.backgrounds:
-            if b.name == name:
-                return JetVar(name, comp, deriv, self.background_meta(b))
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------

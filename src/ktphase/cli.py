@@ -6,14 +6,19 @@ Theory files are line-oriented::
     dim D
     [vdim N]                                # internal index range, default D
     coords x0 x1 ... [@transversal xk]      # default transversal: first
-    field NAME [base=B] [internal=I] [antisym] [positive]
-    background NAME [base=B] [constant] [time-independent] [positive]
+    field NAME [base=N] [internal=N] [antisym] [positive]
+    background NAME [base=N] [constant] [time-independent] [positive]
     function NAME
     metric split h time-independent         # declares hinv (2 indices) and rh
     boundary FIELD ORDER SYMBOL             # boundary symbol name override
     side upper|lower                        # boundary copy of the 1-form
     jetorder N
     lagrangian "EXPR"
+
+The attributes of ``field`` and ``background`` lines are the fields of
+``FieldDecl`` and ``BackgroundDecl``: an int is ``KEY=N``, a bool a flag word
+(``_`` written ``-``).  ``emit_theory`` writes the canonical text, and
+``parse_theory(emit_theory(t)) == t`` whatever the order of the declarations.
 
 Unknown keys are rejected; errors carry line numbers.  Reports serialize
 deterministically: UTF-8, sorted keys, floats at 17 significant digits.
@@ -31,9 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import expr as ex
 from . import theories as TH
@@ -92,8 +96,41 @@ def canonical_json(obj, indent: int = 0) -> str:
 # theory files
 # ---------------------------------------------------------------------------
 
-_FLAG_WORDS_FIELD = {"antisym", "positive"}
-_FLAG_WORDS_BG = {"constant", "time-independent", "positive"}
+_DECLS = {"field": FieldDecl, "background": BackgroundDecl}
+# what a ``metric split h time-independent`` line declares
+_SPLIT_PAIR = (BackgroundDecl("hinv", base=2, time_independent=True),
+               BackgroundDecl("rh", time_independent=True, positive=True))
+
+
+def _attributes(cls) -> dict:
+    """``word -> (attribute, is_flag)`` for each attribute of a declaration
+    class after its name: an int is a ``KEY=N`` attribute, a bool a flag."""
+    return {f.name.replace("_", "-"): (f.name, type(f.default) is bool) for f in fields(cls)[1:]}
+
+
+def _parse_decl(words, lineno):
+    key = words[0]
+    attrs = _attributes(_DECLS[key])
+    if len(words) < 2:
+        usage = [f"[{word}]" if flag else f"[{word}=N]" for word, (_, flag) in attrs.items()]
+        raise ParseError(" ".join([f"usage: {key} NAME", *usage]), lineno)
+    kw = {}
+    for w in words[2:]:
+        word, eq, value = w.partition("=")
+        attr, flag = attrs.get(word, (None, None))
+        if attr is None or flag == bool(eq):  # a flag takes no value, an int one
+            raise ParseError(f"unknown {key} {'attribute' if eq else 'flag'} {word!r}", lineno)
+        kw[attr] = True if flag else _int(value, word, lineno)
+    return _DECLS[key](words[1], **kw)
+
+
+def _emit_decl(key: str, decl) -> str:
+    words = [key, decl.name]
+    for word, (attr, flag) in _attributes(type(decl)).items():
+        value = getattr(decl, attr)
+        if value:
+            words.append(word if flag else f"{word}={value}")
+    return " ".join(words)
 
 
 def parse_theory(text: str) -> TheorySpec:
@@ -102,8 +139,7 @@ def parse_theory(text: str) -> TheorySpec:
     ints = {"vdim": 0, "jetorder": ex.DEFAULT_MAX_JET_ORDER}  # and "dim", required
     coords = None
     transversal = None
-    fields = []
-    backgrounds = []
+    decls = {key: [] for key in _DECLS}
     functions = []
     boundary_names = []
     lines = {}  # declared name or ("boundary", i) -> its line
@@ -153,10 +189,8 @@ def parse_theory(text: str) -> TheorySpec:
                 names.append(rest[i])
                 i += 1
             coords = tuple(names)
-        elif key == "field":
-            fields.append(_parse_field_line(words, lineno))
-        elif key == "background":
-            backgrounds.append(_parse_background_line(words, lineno))
+        elif key in _DECLS:
+            decls[key].append(_parse_decl(words, lineno))
         elif key == "function":
             if len(words) != 2:
                 raise ParseError("usage: function NAME", lineno)
@@ -164,8 +198,7 @@ def parse_theory(text: str) -> TheorySpec:
         elif key == "metric":
             if words[1:] != ["split", "h", "time-independent"]:
                 raise ParseError("usage: metric split h time-independent", lineno)
-            backgrounds.append(BackgroundDecl("hinv", base=2, time_independent=True))
-            backgrounds.append(BackgroundDecl("rh", time_independent=True, positive=True))
+            decls["background"].extend(_SPLIT_PAIR)
             lines["hinv"] = lines["rh"] = lineno
         elif key == "boundary":
             if len(words) != 4:
@@ -192,8 +225,6 @@ def parse_theory(text: str) -> TheorySpec:
     dim, vdim, jet_order = ints.get("dim"), ints["vdim"], ints["jetorder"]
     if name is None or dim is None or coords is None:
         raise ParseError("theory, dim, and coords are required")
-    if len(coords) != dim:
-        raise ParseError(f"dim {dim} but {len(coords)} coordinates")
     if transversal is None:
         transversal = 0
     if lagrangian_src is None:
@@ -201,7 +232,7 @@ def parse_theory(text: str) -> TheorySpec:
 
     try:
         base = TheorySpec(name=name, dim=dim, coords=coords, transversal=transversal,
-                          fields=tuple(fields), backgrounds=tuple(backgrounds),
+                          fields=tuple(decls["field"]), backgrounds=tuple(decls["background"]),
                           functions=tuple(functions), vdim=vdim, jet_order=jet_order,
                           boundary_side=side, boundary_names=tuple(boundary_names))
     except ParseError as exc:  # attach the line of what it is about
@@ -214,7 +245,10 @@ def parse_theory(text: str) -> TheorySpec:
         raise ParseError(f"in lagrangian: {exc}", lagrangian_line) from exc
     except RecursionError:  # nesting deeper than the interpreter's stack
         raise ParseError("in lagrangian: expression nested too deeply", lagrangian_line) from None
-    return replace(base, lagrangian=L)
+    try:
+        return replace(base, lagrangian=L)
+    except ParseError as exc:  # what the spec checks of the Lagrangian
+        raise ParseError(str(exc), lagrangian_line) from None
 
 
 def _int(word: str, what: str, lineno: int) -> int:
@@ -222,45 +256,6 @@ def _int(word: str, what: str, lineno: int) -> int:
         return int(word)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {word!r}", lineno) from None
-
-
-def _parse_field_line(words, lineno) -> FieldDecl:
-    if len(words) < 2:
-        raise ParseError("usage: field NAME [base=B] [internal=I] [antisym] [positive]", lineno)
-    name = words[1]
-    kw = {"base": 0, "internal": 0, "antisym": False, "positive": False}
-    for w in words[2:]:
-        if "=" in w:
-            k, v = w.split("=", 1)
-            if k not in ("base", "internal"):
-                raise ParseError(f"unknown field attribute {k!r}", lineno)
-            kw[k] = _int(v, k, lineno)
-        elif w in _FLAG_WORDS_FIELD:
-            kw[w] = True
-        else:
-            raise ParseError(f"unknown field flag {w!r}", lineno)
-    return FieldDecl(name, base=kw["base"], internal=kw["internal"],
-                     antisym=kw["antisym"], positive=kw["positive"])
-
-
-def _parse_background_line(words, lineno) -> BackgroundDecl:
-    if len(words) < 2:
-        raise ParseError("usage: background NAME [base=B] [constant] [time-independent] [positive]",
-                         lineno)
-    name = words[1]
-    kw = {"base": 0, "constant": False, "time_independent": False, "positive": False}
-    for w in words[2:]:
-        if "=" in w:
-            k, v = w.split("=", 1)
-            if k != "base":
-                raise ParseError(f"unknown background attribute {k!r}", lineno)
-            kw["base"] = _int(v, k, lineno)
-        elif w in _FLAG_WORDS_BG:
-            kw[w.replace("-", "_")] = True
-        else:
-            raise ParseError(f"unknown background flag {w!r}", lineno)
-    return BackgroundDecl(name, base=kw["base"], constant=kw["constant"],
-                          time_independent=kw["time_independent"], positive=kw["positive"])
 
 
 def emit_theory(t: TheorySpec) -> str:
@@ -274,33 +269,13 @@ def emit_theory(t: TheorySpec) -> str:
         coords += f" @transversal {t.coords[t.transversal]}"
     lines.append(f"coords {coords}")
     bgs = list(t.backgrounds)
-    split_pair = (BackgroundDecl("hinv", base=2, time_independent=True),
-                  BackgroundDecl("rh", time_independent=True, positive=True))
-    if tuple(bgs[-2:]) == split_pair or tuple(bgs[:2]) == split_pair:
-        lines.append("metric split h time-independent")
-        bgs = [b for b in bgs if b not in split_pair]
-    for b in bgs:
-        parts = [f"background {b.name}"]
-        if b.base:
-            parts.append(f"base={b.base}")
-        if b.constant:
-            parts.append("constant")
-        if b.time_independent:
-            parts.append("time-independent")
-        if b.positive:
-            parts.append("positive")
-        lines.append(" ".join(parts))
-    for f in t.fields:
-        parts = [f"field {f.name}"]
-        if f.base:
-            parts.append(f"base={f.base}")
-        if f.internal:
-            parts.append(f"internal={f.internal}")
-        if f.antisym:
-            parts.append("antisym")
-        if f.positive:
-            parts.append("positive")
-        lines.append(" ".join(parts))
+    while bgs:
+        if tuple(bgs[:2]) == _SPLIT_PAIR:
+            lines.append("metric split h time-independent")
+            del bgs[:2]
+        else:
+            lines.append(_emit_decl("background", bgs.pop(0)))
+    lines.extend(_emit_decl("field", f) for f in t.fields)
     for fn in t.functions:
         lines.append(f"function {fn}")
     for field, order, sym in t.boundary_names:
@@ -318,7 +293,6 @@ def emit_theory(t: TheorySpec) -> str:
 @dataclass
 class RunOptions:
     symbolic_only: bool = False
-    check_golden: bool = False
     point_checks: int | None = None
     grid_shape: tuple | None = None
     seed: int = 0
@@ -333,7 +307,8 @@ def _derivation_block(t: TheorySpec) -> dict:
 
 
 def run_pipeline(t: TheorySpec, options: RunOptions | None = None) -> dict:
-    """Run the derivation (and requested checks) and return the report.
+    """Run the derivation and, unless ``symbolic_only``, the checks against
+    the golden record; return the report.
 
     Stage errors propagate as exceptions tagged with the stage name in their
     message; check failures are recorded in the report, not raised.
@@ -352,8 +327,7 @@ def run_pipeline(t: TheorySpec, options: RunOptions | None = None) -> dict:
 
     is_builtin = t.name in TH.THEORY_NAMES and t == TH.builtin(t.name)
     report["builtin"] = is_builtin
-    if options.symbolic_only or not (options.check_golden or options.point_checks
-                                     or options.grid_shape):
+    if options.symbolic_only:
         report["passed"] = True
         return report
 
@@ -498,16 +472,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        seed = args.seed
-        if os.environ.get("KT_SEED"):
-            seed = _int(os.environ["KT_SEED"], "KT_SEED", None)
         t = _load_theory(args.theory)
         if args.command == "derive":
-            options = RunOptions(symbolic_only=True, seed=seed)
+            options = RunOptions(symbolic_only=True, seed=args.seed)
         else:
             grid = None if args.lattice is None else _parse_grid(args.lattice, t)
-            options = RunOptions(check_golden=True, seed=seed, point_checks=args.point_checks,
-                                 grid_shape=grid)
+            options = RunOptions(seed=args.seed, point_checks=args.point_checks, grid_shape=grid)
         report = run_pipeline(t, options)
         payload = emit_report(report, args.format, t)
         if args.out:

@@ -316,9 +316,6 @@ class Expr:
             self._vars = tuple(sorted(seen.values()))
         return list(self._vars)
 
-    def max_order(self) -> int:
-        return max((v.order() for v in self.jet_vars()), default=0)
-
 
 ZERO = Expr()
 ONE = Expr(((_EMPTY_MONO, Fraction(1)),))

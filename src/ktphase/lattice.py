@@ -455,7 +455,8 @@ class TwoFormMatrix:
     diagonal over sites and stored as ``blocks`` with shape
     (nsites, nslots, nslots).  Antisymmetric entry-wise by construction.
     ``blocks`` is read-only, so the block pseudo-inverse ``pinv`` is
-    computed once per matrix and cached.
+    computed once per matrix and cached.  It drops the singular values below
+    ``DEFAULT_RANK_TOL`` relative to its block, as ``two_form_rank`` does.
     """
     model: LatticeModel
     blocks: np.ndarray
@@ -474,7 +475,7 @@ class TwoFormMatrix:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.blocks, rcond=1e-12)
+        return np.linalg.pinv(self.blocks, rcond=DEFAULT_RANK_TOL)
 
     def singular_values(self) -> np.ndarray:
         sv = np.linalg.svd(self.blocks, compute_uv=False)
@@ -625,7 +626,6 @@ class CoisotropyResult:
     passed: bool
     max_bracket: float
     violation: float
-    pairs: list
 
     def __repr__(self):
         return (f"CoisotropyResult(passed={self.passed}, max_bracket={self.max_bracket:.3e}, "
@@ -645,19 +645,19 @@ def constraint_violation(cs: ConstraintSet, model: LatticeModel, state: dict,
     return worst
 
 
-def coisotropy_check(cs: ConstraintSet, model: LatticeModel, state: dict,
+def coisotropy_check(cs: ConstraintSet, omega: TwoFormMatrix, state: dict,
                      rng: np.random.Generator, samples: int = 10,
                      bracket_tol: float = 1e-6, surface_tol: float = 1e-8) -> CoisotropyResult:
-    """Sample smeared constraint pairs and bound their brackets at a state.
+    """Sample smeared constraint pairs and bound their brackets at a state,
+    with ``omega`` the 2-form assembled there.
 
     Passes when the state is on the constraint surface (violation below
     ``surface_tol``) and every sampled bracket is below ``bracket_tol`` scaled
     by the state's off-surface violation.  An off-surface state reports
     failure with the violation magnitude rather than raising.
     """
+    model = omega.model
     violation = constraint_violation(cs, model, state, rng)
-    omega = assemble_two_form(model, state)
-    pairs = []
     max_bracket = 0.0
     cons = list(cs)
     for _ in range(samples):
@@ -670,15 +670,12 @@ def coisotropy_check(cs: ConstraintSet, model: LatticeModel, state: dict,
         try:
             val = poisson_bracket(gi, gj, omega)
         except CheckFailure:
-            pairs.append((ci.name, cj.name, float("nan")))
             max_bracket = float("inf")
             continue
-        pairs.append((ci.name, cj.name, val))
         max_bracket = max(max_bracket, abs(val))
     threshold = bracket_tol * (1.0 + violation / max(surface_tol, 1e-300))
     passed = violation <= surface_tol and max_bracket <= threshold
-    return CoisotropyResult(passed=passed, max_bracket=max_bracket,
-                            violation=violation, pairs=pairs)
+    return CoisotropyResult(passed=passed, max_bracket=max_bracket, violation=violation)
 
 
 # ---------------------------------------------------------------------------

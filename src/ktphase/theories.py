@@ -346,6 +346,21 @@ def pc_random_coframe(rng: np.random.Generator) -> np.ndarray:
             return E
 
 
+# the rows of the on-surface residual: torsion, then curvature constraints
+_PC_SURFACE_NAMES = [f"omega[{a},{b},0]" for a, b in _PC_IPAIRS] + [f"e[{a},0]" for a in range(4)]
+
+
+def _pc_surface_residual(model, state: dict, SR):
+    """The ten constraint densities of a single-site state, then the six
+    structural conditions ``SR @ omega``."""
+    import numpy as np
+    cons = dict(model.chart.constraints)
+    return np.concatenate([
+        np.array([float(np.asarray(model.evaluate(cons[n], state)).reshape(()))
+                  for n in _PC_SURFACE_NAMES]),
+        SR @ state["omega"].reshape(18)])
+
+
 def pc_on_surface_state(model, rng: np.random.Generator) -> dict:
     """A random single-site state of coframe gravity on the Cauchy surface.
 
@@ -359,9 +374,7 @@ def pc_on_surface_state(model, rng: np.random.Generator) -> dict:
     means for bracket checks.
     """
     import numpy as np
-    ch = model.chart
-    cons = dict(ch.constraints)
-    names = [f"omega[{a},{b},0]" for a, b in _PC_IPAIRS] + [f"e[{a},0]" for a in range(4)]
+    cons = dict(model.chart.constraints)
     if model.grid.nsites != 1:
         raise ValueError("on-surface sampling is implemented for single-site grids")
     om_slots = [i for i, (f, _) in enumerate(model.slots) if f == "omega"]
@@ -373,15 +386,13 @@ def pc_on_surface_state(model, rng: np.random.Generator) -> dict:
     w = model.grid.cell_volume()
     residual = np.inf
     for _ in range(80):
-        r = np.concatenate([
-            np.array([float(np.asarray(model.evaluate(cons[n], state)).reshape(())) for n in names]),
-            SR @ state["omega"].reshape(18)])
+        r = _pc_surface_residual(model, state, SR)
         residual = float(np.max(np.abs(r)))
         if residual < 1e-12:
             return state
         J = np.concatenate([
             np.array([model.density_gradient(cons[n], state).reshape(-1)[om_slots] / w
-                      for n in names]),
+                      for n in _PC_SURFACE_NAMES]),
             SR], axis=0)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         vec = model.state_to_vector(state)
@@ -394,8 +405,5 @@ def pc_surface_violation(model, state: dict) -> float:
     """Max violation of a single-site state: the constraint densities and
     the structural conditions."""
     import numpy as np
-    cons = dict(model.chart.constraints)
-    vals = [abs(float(np.asarray(model.evaluate(d, state)).reshape(()))) for d in cons.values()]
-    E = state["e"].reshape(4, 3)
-    vals.extend(np.abs(pc_structural_rows(E) @ state["omega"].reshape(18)))
-    return max(vals)
+    r = _pc_surface_residual(model, state, pc_structural_rows(state["e"].reshape(4, 3)))
+    return float(np.max(np.abs(r)))

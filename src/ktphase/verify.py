@@ -297,7 +297,7 @@ def _pc4_lattice(golden, seed):
         ce = TH.pc_internal_rotation(smear, state["e"]).reshape(-1)
         worst_xc = max(worst_xc, float(np.abs(X[0, :12] - ce).max()))
         worst_res = max(worst_res, res)
-        result = coisotropy_check(cs, model, state, rng, samples=spec["bracket_samples"],
+        result = coisotropy_check(cs, omega, state, rng, samples=spec["bracket_samples"],
                                   bracket_tol=spec["bracket_tol"],
                                   surface_tol=spec["surface_tol"])
         bracket_results.append(result)

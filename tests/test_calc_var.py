@@ -98,7 +98,7 @@ def test_split_length_is_normalized_velocity_pairing():
         assert c * speed == E.parse(f"q0[{i}]", _length_boundary_ctx())
     # field equation is the total derivative of the normalized velocity
     el = dict(split.el)
-    v1 = t.var("q", (1,), ())
+    v1 = ctx.jetvar("q", (1,), 0, ())
     s = E.parse("sqrt(q[0]'^2 + q[1]'^2 + q[2]'^2)", ctx)
     direct = E.total_derivative(E.parse("q[1]'", ctx) / s, 0)
     assert el[v1] == direct
@@ -309,10 +309,10 @@ def test_constraints_pc4_families():
 def test_form_total_derivative_leibniz(mech):
     ctx = mech.context()
     c = E.parse("m*q'", ctx)
-    form = LocalVarForm(1, [((mech.var("q"),), c)])
+    q, q1 = ctx.jetvar("q", (), 0, ()), ctx.jetvar("q", (), 1, ())
+    form = LocalVarForm(1, [((q,), c)])
     d = form_total_derivative(form, 0, mech.jet_order)
-    want = LocalVarForm(1, [((mech.var("q"),), E.parse("m*q''", ctx)),
-                            ((mech.var("q", deriv=(0,)),), c)])
+    want = LocalVarForm(1, [((q,), E.parse("m*q''", ctx)), ((q1,), c)])
     assert d == want
 
 

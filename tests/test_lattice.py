@@ -181,6 +181,22 @@ def test_hamiltonian_vector_field_residual_reports_failure(rng):
     assert res > 0.9  # the kernel component is entirely unreachable
 
 
+def test_pinv_and_rank_share_the_cutoff():
+    # singular values 1 and 1e-10 in pairs: the rank counts the 1e-10 pair as
+    # kernel, so a gradient along it has no hamiltonian vector field either
+    model, _ = em_model((1, 1, 1))
+    block = np.zeros((6, 6))
+    block[0, 1], block[2, 3] = 1.0, 1e-10
+    omega = TwoFormMatrix(model=model, blocks=(block - block.T)[None])
+    assert two_form_rank(omega) == 2
+    df = np.zeros((1, 6))
+    df[0, 2] = 1.0
+    X, res = hamiltonian_vector_field(omega, df)
+    assert np.abs(X).max() <= 1e-12 and abs(res - 1.0) <= 1e-12
+    with pytest.raises(CheckFailure):
+        poisson_bracket(df, df, omega)
+
+
 def test_poisson_bracket_antisymmetry_and_self(rng):
     model = mech_model()
     state = model.random_state(rng)
@@ -386,7 +402,8 @@ def test_surface_tangent_basis_length(rng):
 def test_coisotropy_off_surface_negative_control(rng):
     model = LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.0})
     cs = TH.constraint_set("pc4")
-    result = coisotropy_check(cs, model, model.random_state(rng), rng, samples=4)
+    state = model.random_state(rng)
+    result = coisotropy_check(cs, assemble_two_form(model, state), state, rng, samples=4)
     assert not result.passed
     assert result.violation > 1e-3
 
@@ -395,7 +412,7 @@ def test_coisotropy_em_single_family(rng):
     # the single abelian family passes trivially at a Gauss-satisfying state
     model, grid = em_model((6, 6, 6))
     state = divergence_free_em_data(grid, rng)
-    result = coisotropy_check(TH.constraint_set("em"), model, state, rng,
+    result = coisotropy_check(TH.constraint_set("em"), assemble_two_form(model, state), state, rng,
                               samples=6, bracket_tol=1e-10, surface_tol=1e-10)
     assert result.passed
     assert result.max_bracket <= 1e-10
