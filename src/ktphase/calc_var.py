@@ -115,6 +115,11 @@ class TheorySpec:
         for name in names:
             if names.count(name) > 1:
                 raise ParseError(f"duplicate symbol declaration {name!r}", subject=name)
+        for d in self.fields + self.backgrounds:
+            for attr in ("base", "internal"):
+                if getattr(d, attr, 0) < 0:
+                    raise ParseError(f"negative index count {attr}={getattr(d, attr)} of {d.name!r}",
+                                     subject=d.name)
         for f in self.fields:
             if f.antisym and f.internal < 2:
                 raise ParseError(f"antisym field {f.name!r} needs two internal indices", subject=f.name)

@@ -20,7 +20,8 @@ The attributes of ``field`` and ``background`` lines are the fields of
 (``_`` written ``-``).  ``emit_theory`` writes the canonical text, and
 ``parse_theory(emit_theory(t)) == t`` whatever the order of the declarations.
 
-Unknown keys are rejected; errors carry line numbers.  Reports serialize
+Unknown keys are rejected, as are ``dim``, ``vdim`` or ``jetorder`` below 1
+and negative index counts; errors carry line numbers.  Reports serialize
 deterministically: UTF-8, sorted keys, floats at 17 significant digits.
 
 Exit codes: 0 all requested checks pass (and ``--help``); 1 user error: a
@@ -169,6 +170,8 @@ def parse_theory(text: str) -> TheorySpec:
             if len(words) != 2:
                 raise ParseError(f"usage: {key} N", lineno)
             ints[key] = _int(words[1], key, lineno)
+            if ints[key] < 1:
+                raise ParseError(f"{key} must be at least 1, got {ints[key]}", lineno)
         elif key == "coords":
             dup("coords", lineno)
             rest = words[1:]

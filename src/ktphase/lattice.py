@@ -11,9 +11,14 @@ Discrete calculus: first derivatives are centered second-order differences.
 On a periodic grid the centered difference operator is exactly
 skew-symmetric, so the discrete divergence and gradient are negative
 transposes of each other and the Gauss-law conservation below telescopes to
-machine precision.  Axes of length 1 are permitted as degenerate (ultralocal)
+machine precision.  The difference is a sliced stencil: the interior and the
+two wrapped end sites are subtracted into one output array, with no rolled
+copies.  Axes of length 1 are permitted as degenerate (ultralocal)
 directions: the centered difference along them is identically zero, which
-realizes single-point and single-site toy models.
+realizes single-point and single-site toy models.  The em leapfrog steps
+component-major arrays (one contiguous block per component), forms each
+antisymmetric flux F_jl once for j < l and skips the flux terms that vanish
+identically; it reproduces the site-major stencil bit for bit.
 
 Metrics: a :class:`LatticeModel` evaluates a chart under any background
 binding, so a curved metric is a binding of ``hinv`` and ``rh``.  The
@@ -102,10 +107,21 @@ class LatticeGrid:
         return self.spacing ** self.ndim
 
     def diff(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        """Centered difference along a grid axis (exactly skew on the torus)."""
+        """Centered difference ``(a[x+1] - a[x-1]) / (2h)`` along a grid axis
+        (exactly skew on the torus).
+
+        ``axis`` indexes ``self.shape``: counted from the front when the grid
+        axes lead ``arr``, from the end (negative) when components lead.  The
+        stencil is sliced, not rolled: the interior and the two wrapped end
+        sites are subtracted into one output, which is then divided once.
+        """
         if self.shape[axis] == 1:
             return np.zeros_like(arr)
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * self.spacing)
+        out = np.empty(arr.shape, np.result_type(arr, 1.0))
+        for at, plus, minus in _diff_slices(axis % arr.ndim):
+            np.subtract(arr[plus], arr[minus], out=out[at])
+        out /= 2.0 * self.spacing
+        return out
 
     def diff_transpose(self, arr: np.ndarray, axis: int) -> np.ndarray:
         return -self.diff(arr, axis)
@@ -125,6 +141,17 @@ class LatticeGrid:
             if n > 1:
                 arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
         return arr
+
+
+@lru_cache(maxsize=None)
+def _diff_slices(axis: int) -> tuple:
+    """``(site, x + 1, x - 1)`` index triples of the centered difference along
+    ``axis``: the interior, then the two end sites, which wrap."""
+    def at(s):
+        return (slice(None),) * axis + (s,)
+    return ((at(slice(1, -1)), at(slice(2, None)), at(slice(None, -2))),
+            (at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
+            (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +710,24 @@ def coisotropy_check(cs: ConstraintSet, omega: TwoFormMatrix, state: dict,
 # ---------------------------------------------------------------------------
 
 def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
-    """Discrete Gauss density d_i F_0i of the flat metric."""
+    """Discrete Gauss density d_i F_0i of the flat metric; ``F0`` is shaped
+    grid.shape + (ndim,), as in the state of :func:`evolve_em`."""
     return grid.divergence(np.moveaxis(F0, -1, 0))
 
 
-def _em_rhs(grid: LatticeGrid, A: np.ndarray) -> np.ndarray:
-    """dF_0l/dt = d_j F_jl of the flat metric."""
-    dA = np.stack([grid.diff(A, j) for j in range(grid.ndim)])  # dA[j, ..., l] = d_j A_l
-    return grid.divergence(dA - np.swapaxes(dA, 0, -1))  # F_jl = d_j A_l - d_l A_j
+def _em_rhs(grid: LatticeGrid, A: np.ndarray, out: np.ndarray) -> None:
+    """dF_0l/dt = d_i F_il of the flat metric into ``out``; ``A`` and ``out``
+    are component-major, shaped (ndim,) + grid.shape.
+
+    Only F_jl with j < l is formed, and d_l F_lj enters as -d_l F_jl (exact).
+    The zero terms d_l A_l and d_l F_ll are skipped.  Taking the pairs in
+    order sums each component's flux terms in increasing i, from zero."""
+    out[...] = 0.0
+    for j in range(grid.ndim):
+        for l in range(j + 1, grid.ndim):
+            F = grid.diff(A[l], j) - grid.diff(A[j], l)
+            out[l] += grid.diff(F, j)
+            out[j] -= grid.diff(F, l)
 
 
 def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
@@ -701,23 +738,32 @@ def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
     covector F_{0j}); both shaped grid.shape + (ndim,).  A advances on
     integer steps, F0 on half steps; each F0 increment is a discrete
     divergence of an antisymmetric flux, so the Gauss density is conserved
-    to roundoff.  A curved metric is a binding of :class:`LatticeModel` on
-    the em chart, not a parameter here.  Returns the final state, with F0
-    synchronized to the last step, and the max Gauss residual at each step
-    0..steps.
+    to roundoff.  The leapfrog runs on component-major copies, shaped
+    (ndim,) + grid.shape, updated in place through preallocated buffers, so
+    each component is a contiguous block for the stencil.  A curved metric
+    is a binding of :class:`LatticeModel` on the em chart, not a parameter
+    here.  Returns the final state (site-major views of the component-major
+    arrays), with F0 synchronized to the last step, and the max Gauss
+    residual at each step 0..steps.
     """
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
-    A, F0 = np.array(state["A"], float), np.array(state["F0"], float)
-    gauss = [float(np.max(np.abs(em_gauss(grid, F0))))]
-    half = F0 + 0.5 * dt * _em_rhs(grid, A)
+    A, F0 = (np.array(np.moveaxis(np.asarray(state[k]), -1, 0), float, order="C") for k in ("A", "F0"))
+
+    def max_gauss():
+        return float(np.max(np.abs(em_gauss(grid, np.moveaxis(F0, 0, -1)))))
+
+    force, tmp = np.empty_like(A), np.empty_like(A)
+    gauss = [max_gauss()]
+    _em_rhs(grid, A, force)
+    half = F0 + np.multiply(force, 0.5 * dt, out=tmp)
     for _ in range(steps):
-        A = A + dt * half
-        force = _em_rhs(grid, A)
-        F0 = half + 0.5 * dt * force
-        gauss.append(float(np.max(np.abs(em_gauss(grid, F0)))))
-        half = half + dt * force
-    return {"A": A, "F0": F0}, np.array(gauss)
+        np.add(A, np.multiply(half, dt, out=tmp), out=A)
+        _em_rhs(grid, A, force)
+        np.add(half, np.multiply(force, 0.5 * dt, out=tmp), out=F0)
+        gauss.append(max_gauss())
+        np.add(half, np.multiply(force, dt, out=tmp), out=half)
+    return {"A": np.moveaxis(A, 0, -1), "F0": np.moveaxis(F0, 0, -1)}, np.array(gauss)
 
 
 def divergence_free_em_data(grid: LatticeGrid, rng: np.random.Generator):

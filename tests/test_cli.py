@@ -517,43 +517,54 @@ def test_cli_scalar_lattice_flag(tmp_path):
     assert report["checks"]["lattice"]["entries"]["rank"]["rank"] == 32
 
 
-@pytest.mark.parametrize("edit, argv", [
-    (("dim 1", "dim abc"), ["derive"]),
-    (("dim 1", "dim 1\nvdim x"), ["derive"]),
-    (("boundary q 1 v", "boundary q x v"), ["derive"]),
-    (("jetorder 3", "jetorder x"), ["derive"]),
-    (("jetorder 3", "jetorder 1"), ["derive"]),
+@pytest.mark.parametrize("edit, argv, line", [
+    (("dim 1", "dim abc"), ["derive"], None),
+    (("dim 1", "dim 1\nvdim x"), ["derive"], None),
+    (("boundary q 1 v", "boundary q x v"), ["derive"], None),
+    (("jetorder 3", "jetorder x"), ["derive"], None),
+    (("jetorder 3", "jetorder 1"), ["derive"], None),
     (("jetorder 3\nlagrangian \"-V(q) + 1/2*m*q'^2\"", "jetorder 1\nlagrangian \"q''^2\""),
-     ["derive"]),
-    (("field q", "field q\nfield w internal=1 antisym"), ["derive"]),
+     ["derive"], None),
+    (("field q", "field q\nfield w internal=1 antisym"), ["derive"], None),
     (("lagrangian \"-V(q) + 1/2*m*q'^2\"",
       "vdim 2\nfield w internal=2 antisym\nlagrangian \"-V(q) + 1/2*m*q'^2 + w[1,0]^2\""),
-     ["derive"]),
-    (("side upper", "side"), ["derive"]),
-    (("field q", "field q base=x"), ["derive"]),
-    (("field q", "field q internal=1.5"), ["derive"]),
-    (("background m", "background m base=x"), ["derive"]),
-    (("-V(q) + 1/2*m*q'^2", "q^2/(q+1)"), ["derive"]),
-    (("-V(q) + 1/2*m*q'^2", "(" * 250 + "q'^2" + ")" * 250), ["derive"]),
-    (None, ["check", "em", "--lattice", "16x"]),
-    (None, ["check", "em", "--lattice", "2x2x2"]),
-    (None, ["check", "em", "--lattice", "8x8"]),
-    (None, ["check", "em", "--lattice", "100000x100000x100000"]),
-    (None, ["check", "em", "--lattice", "128x128x65"]),
-    (None, ["check", "em", "--lattice", ""]),
+     ["derive"], None),
+    (("side upper", "side"), ["derive"], None),
+    (("field q", "field q base=x"), ["derive"], None),
+    (("field q", "field q internal=1.5"), ["derive"], None),
+    (("background m", "background m base=x"), ["derive"], None),
+    # counts out of range: each names its own line
+    (("field q", "field q base=-1"), ["derive"], 5),
+    (("field q", "field q internal=-1"), ["derive"], 5),
+    (("background m", "background m base=-1"), ["derive"], 4),
+    (("dim 1", "dim 0"), ["derive"], 2),
+    (("dim 1", "dim 1\nvdim -1"), ["derive"], 3),
+    (("dim 1", "dim 1\nvdim 0"), ["derive"], 3),
+    (("jetorder 3", "jetorder -2"), ["derive"], 9),
+    (("jetorder 3", "jetorder 0"), ["derive"], 9),
+    (("-V(q) + 1/2*m*q'^2", "q^2/(q+1)"), ["derive"], None),
+    (("-V(q) + 1/2*m*q'^2", "(" * 250 + "q'^2" + ")" * 250), ["derive"], None),
+    (None, ["check", "em", "--lattice", "16x"], None),
+    (None, ["check", "em", "--lattice", "2x2x2"], None),
+    (None, ["check", "em", "--lattice", "8x8"], None),
+    (None, ["check", "em", "--lattice", "100000x100000x100000"], None),
+    (None, ["check", "em", "--lattice", "128x128x65"], None),
+    (None, ["check", "em", "--lattice", ""], None),
     # options that the golden record cannot honour
-    (None, ["check", "pc4", "--lattice", "4x4x4"]),
-    (None, ["check", "pc4", "--point-checks", "-3"]),
-    (None, ["check", "pc4", "--point-checks", "0"]),
-    (None, ["check", "mechanics", "--point-checks", "2"]),
+    (None, ["check", "pc4", "--lattice", "4x4x4"], None),
+    (None, ["check", "pc4", "--point-checks", "-3"], None),
+    (None, ["check", "pc4", "--point-checks", "0"], None),
+    (None, ["check", "mechanics", "--point-checks", "2"], None),
 ], ids=["dim", "vdim", "boundary-order", "jetorder", "jetorder-too-small",
         "lagrangian-above-jetorder", "antisym-one-index", "antisym-decreasing-pair", "side",
         "field-base",
-        "field-internal", "background-base", "rational-lagrangian", "deep-nesting", "lattice-16x",
+        "field-internal", "background-base", "field-negative-base", "field-negative-internal",
+        "background-negative-base", "dim-zero", "vdim-negative", "vdim-zero", "jetorder-negative",
+        "jetorder-zero", "rational-lagrangian", "deep-nesting", "lattice-16x",
         "lattice-2x2x2", "lattice-rank", "lattice-huge", "lattice-over-max-sites", "lattice-empty",
         "lattice-without-golden-grid", "point-checks-negative", "point-checks-zero",
         "point-checks-without-golden-point"])
-def test_cli_user_errors_exit_one(tmp_path, capsys, edit, argv):
+def test_cli_user_errors_exit_one(tmp_path, capsys, edit, argv, line):
     if edit is not None:
         assert edit[0] in MECHANICS
         bad = tmp_path / "bad.theory"
@@ -564,6 +575,8 @@ def test_cli_user_errors_exit_one(tmp_path, capsys, edit, argv):
     assert err.startswith(("parse error:", "error:"))
     if edit is not None and err.startswith("parse error:"):
         assert " at line " in err
+    if line is not None:
+        assert err.rstrip().endswith(f" at line {line}"), err
 
 
 _WORDS = st.text(alphabet=string.ascii_letters + string.digits + string.punctuation,

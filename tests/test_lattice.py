@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ktphase import expr as E
 from ktphase import lattice
@@ -72,6 +73,47 @@ def test_centered_difference_skew(rng):
     lhs = float(np.dot(grid.diff(a, 0), b))
     rhs = -float(np.dot(a, grid.diff(b, 0)))
     assert abs(lhs - rhs) < 1e-14
+
+
+def _diff_reference(grid, arr, axis):
+    """The rolled centered difference, the oracle of ``LatticeGrid.diff``;
+    ``axis`` is a grid axis, counted as in ``diff``."""
+    if grid.shape[axis] == 1:
+        return np.zeros_like(arr)
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * grid.spacing)
+
+
+@st.composite
+def _diff_cases(draw):
+    """A grid, an array over it with component axes before or after the grid
+    axes (or none), and a grid axis counted as its callers count it: from the
+    front when the grid axes lead, from the end when components lead."""
+    shape = tuple(draw(st.lists(st.sampled_from([1, 4, 5, 7]), min_size=1, max_size=3)))
+    grid = LatticeGrid(shape=shape, spacing=draw(st.sampled_from([1.0, 0.5, 0.3, 0.7])))
+    comps = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    axis = draw(st.integers(0, len(shape) - 1))
+    if draw(st.booleans()):
+        arr_shape, axis = comps + shape, axis - len(shape)
+    else:
+        arr_shape = shape + comps
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        arr = rng.integers(-1000, 1000, size=arr_shape)
+    else:
+        arr = rng.standard_normal(arr_shape)
+    return grid, arr, axis
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diff_cases())
+def test_diff_equals_the_rolled_stencil(case):
+    grid, arr, axis = case
+    before = arr.copy()
+    got = grid.diff(arr, axis)
+    want = _diff_reference(grid, arr, axis)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(arr, before)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +317,49 @@ def test_gauss_conservation_telescopes(rng):
     state = divergence_free_em_data(grid, rng)
     _, gauss = evolve_em(state, grid, dt=0.2, steps=200)
     assert gauss.max() - gauss[0] < 1e-13
+
+
+def _evolve_em_reference(state, grid, dt, steps):
+    """The site-major leapfrog on rolled differences that ``evolve_em``
+    reproduces bit for bit: every flux F_jl, zero terms included."""
+    def divergence(flux):
+        out = np.zeros(np.shape(flux[0]))
+        for i in range(grid.ndim):
+            out += _diff_reference(grid, flux[i], i)
+        return out
+
+    def rhs(A):
+        dA = np.stack([_diff_reference(grid, A, j) for j in range(grid.ndim)])  # d_j A_l
+        return divergence(dA - np.swapaxes(dA, 0, -1))
+
+    def max_gauss(F0):
+        return float(np.max(np.abs(divergence(np.moveaxis(F0, -1, 0)))))
+
+    A, F0 = np.array(state["A"], float), np.array(state["F0"], float)
+    gauss = [max_gauss(F0)]
+    half = F0 + 0.5 * dt * rhs(A)
+    for _ in range(steps):
+        A = A + dt * half
+        force = rhs(A)
+        F0 = half + 0.5 * dt * force
+        gauss.append(max_gauss(F0))
+        half = half + dt * force
+    return {"A": A, "F0": F0}, np.array(gauss)
+
+
+@pytest.mark.parametrize("shape, spacing, dt", [
+    ((6, 6, 6), 1.0, 0.2), ((4, 6, 8), 1.0, 0.3), ((8, 1, 5), 1.0, 0.25), ((6, 5), 1.0, 0.2),
+    ((6, 6, 6), 0.3, 0.25),
+])
+def test_evolve_em_is_bit_identical_to_the_site_major_stencil(rng, shape, spacing, dt):
+    grid = LatticeGrid(shape=shape, spacing=spacing)
+    state = {k: rng.standard_normal(shape + (len(shape),)) for k in ("A", "F0")}
+    before = {k: v.copy() for k, v in state.items()}
+    final, gauss = evolve_em(state, grid, dt=dt, steps=40)
+    want, want_gauss = _evolve_em_reference(state, grid, dt, 40)
+    assert np.array_equal(final["A"], want["A"]) and np.array_equal(final["F0"], want["F0"])
+    assert np.array_equal(gauss, want_gauss)
+    assert all(np.array_equal(state[k], before[k]) for k in state)
 
 
 def test_gauss_law_commutes_with_the_curved_hamiltonian(rng):
