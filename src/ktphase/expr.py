@@ -437,13 +437,25 @@ def gradient(e: Expr) -> dict:
     its argument (Leibniz and chain rules).  Variables whose partial
     vanishes are left out.
     """
+    return _partials(e, None, 0)
+
+
+def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
+    """The walk of :func:`gradient`.  With a ``coord``, it takes only the
+    variables that depend on ``coord``, function arguments included, and
+    raises OrderLimitError for one already at ``max_order``."""
     acc = {}
     for (vars_, fns), coeff in e.terms:
         for i, (w, ex) in enumerate(vars_):
+            if coord is not None:
+                if not w.meta.depends_on(coord):
+                    continue
+                if len(w.deriv) >= max_order:
+                    w.with_deriv(coord, max_order)  # raises OrderLimitError
             rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
             _accumulate(acc.setdefault(w, {}), (((rest, fns), coeff if ex == 1 else coeff * ex),))
         for i, ((name, order, arg), ex) in enumerate(fns):
-            dargs = gradient(arg)
+            dargs = _partials(arg, coord, max_order)
             if not dargs:
                 continue
             rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
@@ -470,15 +482,15 @@ def diff_jet(e: Expr, v: JetVar) -> Expr:
 def total_derivative(e: Expr, coord: int, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
     """Total derivative along base coordinate ``coord``.
 
-    The chain rule over :func:`gradient`: ``sum_w de/dw * w_{,coord}``, with
-    the bumped variable multiplied into each monomial of the partial.
-    Symbols whose metadata excludes ``coord`` contribute nothing.  Raises
-    OrderLimitError past ``max_order``.
+    The chain rule over the first partials: ``sum_w de/dw * w_{,coord}``,
+    with the bumped variable multiplied into each monomial of the partial.
+    The walk takes only the variables that depend on ``coord``; symbols whose
+    metadata excludes ``coord`` contribute nothing.  Raises OrderLimitError
+    when a variable of ``e`` that depends on ``coord`` (function arguments
+    included) is already at ``max_order``, even where its partial cancels.
     """
     acc = {}
-    for w, partial in gradient(e).items():
-        if not w.meta.depends_on(coord):
-            continue
+    for w, partial in _partials(e, coord, max_order).items():
         bumped = (((w.with_deriv(coord, max_order), 1),), ())
         _accumulate(acc, ((_mono_mul(m, bumped), c) for m, c in partial.terms))
     return _resimplify(acc)

@@ -11,14 +11,16 @@ Discrete calculus: first derivatives are centered second-order differences.
 On a periodic grid the centered difference operator is exactly
 skew-symmetric, so the discrete divergence and gradient are negative
 transposes of each other and the Gauss-law conservation below telescopes to
-machine precision.  The difference is a sliced stencil: the interior and the
-two wrapped end sites are subtracted into one output array, with no rolled
-copies.  Axes of length 1 are permitted as degenerate (ultralocal)
-directions: the centered difference along them is identically zero, which
-realizes single-point and single-site toy models.  The em leapfrog steps
-component-major arrays (one contiguous block per component), forms each
-antisymmetric flux F_jl once for j < l and skips the flux terms that vanish
-identically; it reproduces the site-major stencil bit for bit.
+machine precision.  The difference is one subtraction over the whole
+contiguous buffer, at the offset of one step along the axis, after which the
+two wrapped end layers are overwritten; there are no rolled copies.  Axes of
+length 1 are permitted as degenerate (ultralocal) directions: the centered
+difference along them is identically zero, which realizes single-point and
+single-site toy models.  The em leapfrog steps component-major arrays (one
+contiguous block per component), differences each grid axis once over the
+components that need it, forms each antisymmetric flux F_jl once for j < l
+and skips the flux terms that vanish identically; it reproduces the
+site-major stencil bit for bit.
 
 Metrics: a :class:`LatticeModel` evaluates a chart under any background
 binding, so a curved metric is a binding of ``hinv`` and ``rh``.  The
@@ -112,13 +114,22 @@ class LatticeGrid:
 
         ``axis`` indexes ``self.shape``: counted from the front when the grid
         axes lead ``arr``, from the end (negative) when components lead.  The
-        stencil is sliced, not rolled: the interior and the two wrapped end
-        sites are subtracted into one output, which is then divided once.
+        interior is one subtraction over the whole C-contiguous buffer, each
+        element minus the one ``inner = prod(shape[axis+1:])`` places before
+        it, ``2 * inner`` apart; that is right at every site but the two end
+        layers, which are then overwritten with their wrapped neighbours.  A
+        non-contiguous ``arr`` is copied to a contiguous one first.  Each
+        output is one subtraction, divided once.
         """
         if self.shape[axis] == 1:
             return np.zeros_like(arr)
+        arr = np.ascontiguousarray(arr)
+        axis %= arr.ndim
         out = np.empty(arr.shape, np.result_type(arr, 1.0))
-        for at, plus, minus in _diff_slices(axis % arr.ndim):
+        inner = math.prod(arr.shape[axis + 1:])
+        flat, flat_out = arr.reshape(-1), out.reshape(-1)
+        np.subtract(flat[2 * inner:], flat[:-2 * inner], out=flat_out[inner:-inner])
+        for at, plus, minus in _end_slices(axis):
             np.subtract(arr[plus], arr[minus], out=out[at])
         out /= 2.0 * self.spacing
         return out
@@ -144,13 +155,12 @@ class LatticeGrid:
 
 
 @lru_cache(maxsize=None)
-def _diff_slices(axis: int) -> tuple:
-    """``(site, x + 1, x - 1)`` index triples of the centered difference along
-    ``axis``: the interior, then the two end sites, which wrap."""
+def _end_slices(axis: int) -> tuple:
+    """``(site, x + 1, x - 1)`` index triples of the two end sites along
+    ``axis``, whose neighbours wrap."""
     def at(s):
         return (slice(None),) * axis + (s,)
-    return ((at(slice(1, -1)), at(slice(2, None)), at(slice(None, -2))),
-            (at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
+    return ((at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
             (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))))
 
 
@@ -484,6 +494,9 @@ class TwoFormMatrix:
     ``blocks`` is read-only, so the block pseudo-inverse ``pinv`` is
     computed once per matrix and cached.  It drops the singular values below
     ``DEFAULT_RANK_TOL`` relative to its block, as ``two_form_rank`` does.
+    When every block equals the first, as on every flat-metric chart, ``pinv``
+    inverts that one block and broadcasts it over the sites (a read-only
+    view); otherwise it inverts each site's block.
     """
     model: LatticeModel
     blocks: np.ndarray
@@ -502,6 +515,9 @@ class TwoFormMatrix:
 
     @cached_property
     def pinv(self) -> np.ndarray:
+        first = self.blocks[:1]
+        if np.all(self.blocks == first):
+            return np.broadcast_to(np.linalg.pinv(first, rcond=DEFAULT_RANK_TOL), self.blocks.shape)
         return np.linalg.pinv(self.blocks, rcond=DEFAULT_RANK_TOL)
 
     def singular_values(self) -> np.ndarray:
@@ -715,19 +731,46 @@ def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
     return grid.divergence(np.moveaxis(F0, -1, 0))
 
 
-def _em_rhs(grid: LatticeGrid, A: np.ndarray, out: np.ndarray) -> None:
-    """dF_0l/dt = d_i F_il of the flat metric into ``out``; ``A`` and ``out``
-    are component-major, shaped (ndim,) + grid.shape.
+@lru_cache(maxsize=None)
+def _em_layout(ndim: int) -> tuple:
+    """The flux pairs j < l of :func:`_em_rhs`, in order, and per grid axis i
+    the slices of the stacks differenced along i: the components A_l with
+    l != i, and the fluxes whose pair holds i.  With at most three axes both
+    are evenly spaced.  In both stacks, pair (j, l) sits at position l - 1
+    along j and at position j along l."""
+    pairs = tuple((j, l) for j in range(ndim) for l in range(j + 1, ndim))
 
-    Only F_jl with j < l is formed, and d_l F_lj enters as -d_l F_jl (exact).
-    The zero terms d_l A_l and d_l F_ll are skipped.  Taking the pairs in
-    order sums each component's flux terms in increasing i, from zero."""
+    def evenly(idx):
+        if not idx:
+            return slice(0, 0)
+        return slice(idx[0], idx[-1] + 1, idx[1] - idx[0] if len(idx) > 1 else 1)
+
+    return (pairs,
+            tuple(evenly([c for c in range(ndim) if c != i]) for i in range(ndim)),
+            tuple(evenly([p for p, pair in enumerate(pairs) if i in pair]) for i in range(ndim)))
+
+
+def _em_rhs(grid: LatticeGrid, A: np.ndarray, out: np.ndarray, flux: np.ndarray) -> None:
+    """dF_0l/dt = d_i F_il of the flat metric into ``out``; ``A`` and ``out``
+    are component-major, shaped (ndim,) + grid.shape, and ``flux`` is a
+    buffer for the F_jl with j < l, in order, shaped (npairs,) + grid.shape.
+
+    Each grid axis i is differenced once over the components that need it:
+    first the A_l with l != i (for 3 axes the slices ``1:``, ``::2`` and
+    ``:-1``), which give every F_jl = d_j A_l - d_l A_j, then the F_jl whose
+    pair holds i.  The zero terms d_l A_l and d_l F_ll are never formed, and
+    d_l F_lj enters as -d_l F_jl (exact).  Taking the pairs in order sums
+    each component's flux terms in increasing i, from zero."""
+    pairs, a_parts, f_parts = _em_layout(grid.ndim)
+    lead = grid.ndim
+    dA = [grid.diff(A[part], i - lead) for i, part in enumerate(a_parts)]
+    for p, (j, l) in enumerate(pairs):
+        np.subtract(dA[j][l - 1], dA[l][j], out=flux[p])
+    dF = [grid.diff(flux[part], i - lead) for i, part in enumerate(f_parts)]
     out[...] = 0.0
-    for j in range(grid.ndim):
-        for l in range(j + 1, grid.ndim):
-            F = grid.diff(A[l], j) - grid.diff(A[j], l)
-            out[l] += grid.diff(F, j)
-            out[j] -= grid.diff(F, l)
+    for j, l in pairs:
+        out[l] += dF[j][l - 1]
+        out[j] -= dF[l][j]
 
 
 def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
@@ -754,12 +797,13 @@ def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
         return float(np.max(np.abs(em_gauss(grid, np.moveaxis(F0, 0, -1)))))
 
     force, tmp = np.empty_like(A), np.empty_like(A)
+    flux = np.empty((math.comb(grid.ndim, 2),) + grid.shape)
     gauss = [max_gauss()]
-    _em_rhs(grid, A, force)
+    _em_rhs(grid, A, force, flux)
     half = F0 + np.multiply(force, 0.5 * dt, out=tmp)
     for _ in range(steps):
         np.add(A, np.multiply(half, dt, out=tmp), out=A)
-        _em_rhs(grid, A, force)
+        _em_rhs(grid, A, force, flux)
         np.add(half, np.multiply(force, 0.5 * dt, out=tmp), out=F0)
         gauss.append(max_gauss())
         np.add(half, np.multiply(force, dt, out=tmp), out=half)
@@ -820,7 +864,10 @@ def symplectic_current_check(model: LatticeModel, X0: dict, Y0: dict,
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
 
     def rhs(z):  # z stacks (phi, phi0); phi0 moves by the flat wave operator
-        return np.stack([z[1], grid.divergence([grid.diff(z[0], j) for j in range(grid.ndim)])])
+        out = np.empty_like(z)
+        out[0] = z[1]
+        out[1] = grid.divergence([grid.diff(z[0], j) for j in range(grid.ndim)])
+        return out
 
     x, y = (np.stack([np.asarray(Z[k], float).reshape(grid.shape) for k in ("phi", "phi0")])
             for Z in (X0, Y0))

@@ -87,7 +87,9 @@ def _diff_reference(grid, arr, axis):
 def _diff_cases(draw):
     """A grid, an array over it with component axes before or after the grid
     axes (or none), and a grid axis counted as its callers count it: from the
-    front when the grid axes lead, from the end when components lead."""
+    front when the grid axes lead, from the end when components lead.  The
+    array is contiguous or a transposed, reversed or strided view; the
+    minimum 4-site axis is drawn as often as the longer ones."""
     shape = tuple(draw(st.lists(st.sampled_from([1, 4, 5, 7]), min_size=1, max_size=3)))
     grid = LatticeGrid(shape=shape, spacing=draw(st.sampled_from([1.0, 0.5, 0.3, 0.7])))
     comps = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
@@ -96,11 +98,21 @@ def _diff_cases(draw):
         arr_shape, axis = comps + shape, axis - len(shape)
     else:
         arr_shape = shape + comps
+    layout = draw(st.sampled_from(["contiguous", "transposed", "reversed", "strided"]))
+    base_shape = {"transposed": arr_shape[::-1],
+                  "strided": arr_shape[:-1] + (2 * arr_shape[-1],)}.get(layout, arr_shape)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
-        arr = rng.integers(-1000, 1000, size=arr_shape)
+        arr = rng.integers(-1000, 1000, size=base_shape)
     else:
-        arr = rng.standard_normal(arr_shape)
+        arr = rng.standard_normal(base_shape)
+    if layout == "transposed":
+        arr = arr.T
+    elif layout == "reversed":
+        arr = arr[(slice(None, None, -1),) * arr.ndim]
+    elif layout == "strided":
+        arr = arr[..., ::2]
+    assert arr.shape == arr_shape
     return grid, arr, axis
 
 
@@ -272,6 +284,42 @@ def test_residual_is_the_two_norm_of_the_defect(rng):
     X, res = hamiltonian_vector_field(omega, df)
     want = np.linalg.norm(omega.apply(X) - df)
     assert want > 1.0 and abs(res - want) <= 1e-14 * want
+
+
+def _recorded_pinv_shapes(monkeypatch):
+    shapes = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a, *r, **k: shapes.append(np.shape(a)) or pinv(a, *r, **k))
+    return shapes
+
+
+def test_flat_em_pinv_inverts_one_block(rng, monkeypatch):
+    # every block of em's flat 2-form is the same: one block is inverted and
+    # broadcast, and it equals the per-site pseudo-inverse bit for bit
+    model, grid = em_model((6, 5, 4))
+    omega = assemble_two_form(model, model.zero_state())
+    want = np.linalg.pinv(omega.blocks, rcond=lattice.DEFAULT_RANK_TOL)
+    shapes = _recorded_pinv_shapes(monkeypatch)
+    got = omega.pinv
+    assert shapes == [(1, 6, 6)]
+    assert got.shape == want.shape and np.array_equal(got, want) and not got.flags.writeable
+    J = TH.constraint_set("em").by_name("J")
+    df = J.gradient(model, model.random_state(rng), J.random_smear(model, rng))
+    X, res = hamiltonian_vector_field(omega, df)
+    dfv = df.reshape(grid.nsites, model.nslots)
+    want_X = np.einsum("sij,sj->si", want, dfv)
+    assert np.array_equal(X, want_X)
+    assert res == lattice._norm(omega.apply(want_X) - dfv)
+
+
+def test_curved_em_pinv_inverts_every_site(monkeypatch):
+    # a curved metric varies the blocks over the sites: each one is inverted
+    model, grid = curved_em_model()
+    omega = assemble_two_form(model, model.zero_state())
+    shapes = _recorded_pinv_shapes(monkeypatch)
+    assert omega.pinv.shape == omega.blocks.shape
+    assert shapes == [(grid.nsites, 6, 6)]
+    assert not np.all(omega.blocks == omega.blocks[:1])
 
 
 def test_two_form_pinv_is_factored_once(rng, monkeypatch):
