@@ -114,12 +114,11 @@ class LatticeGrid:
 
         ``axis`` indexes ``self.shape``: counted from the front when the grid
         axes lead ``arr``, from the end (negative) when components lead.  The
-        interior is one subtraction over the whole C-contiguous buffer, each
-        element minus the one ``inner = prod(shape[axis+1:])`` places before
-        it, ``2 * inner`` apart; that is right at every site but the two end
-        layers, which are then overwritten with their wrapped neighbours.  A
-        non-contiguous ``arr`` is copied to a contiguous one first.  Each
-        output is one subtraction, divided once.
+        interior is one subtraction over the whole C-contiguous buffer, of
+        elements ``2 * inner`` apart with ``inner = prod(shape[axis+1:])``;
+        it is right everywhere but at the two end layers, which are then
+        overwritten with their wrapped neighbours (a non-contiguous ``arr``
+        is copied first).  Each output is one subtraction, divided once.
         """
         if self.shape[axis] == 1:
             return np.zeros_like(arr)
