@@ -34,19 +34,19 @@ _, gauss = evolve_em(state, grid, dt=0.2, steps=1000)
 print(f"Gauss residual after 1000 leapfrog steps: {gauss[-1]:.2e} "
       f"(drift {gauss.max() - gauss[0]:.2e})")
 
-# the gauge generator
+# the gauge generator and its expected direction, A[j] -> d[j]lam
 Omega = kt.assemble_two_form(model, model.zero_state())
-J = theories.constraint_set("em").by_name("J")
-smear = J.random_smear(model, rng)
-X, res = kt.hamiltonian_vector_field(Omega, J.gradient(model, state, smear))
+J = theories.constraint_set("em")["J"]
+smear = kt.random_smear(model, J, rng)
+X, res = kt.hamiltonian_vector_field(Omega, model.density_gradient(J, state, smear))
 Xs = model.vector_to_state(X)
-lam = smear[("lam", ())]
-glam = np.stack([grid.diff(lam, i) for i in range(3)], axis=-1)
-print(f"\ngauge generator: |X_A - grad(lam)| = {np.abs(Xs['A'] - glam).max():.2e}, "
+dlam = np.stack([model.evaluate(d, state, smear) for d in theories.gauge_direction("em").values()],
+                axis=-1)
+print(f"\ngauge generator: |X_A - grad(lam)| = {np.abs(Xs['A'] - dlam).max():.2e}, "
       f"|X_F0| = {np.abs(Xs['F0']).max():.2e}, residual {res:.2e}")
 
-vals = [abs(kt.poisson_bracket(J.gradient(model, state, J.random_smear(model, rng)),
-                               J.gradient(model, state, J.random_smear(model, rng)),
+vals = [abs(kt.poisson_bracket(model.density_gradient(J, state, kt.random_smear(model, J, rng)),
+                               model.density_gradient(J, state, kt.random_smear(model, J, rng)),
                                Omega))
         for _ in range(10)]
 print(f"abelian constraint algebra: max |{{J, J}}| over 10 pairs = {max(vals):.2e}")

@@ -57,11 +57,12 @@ print(f"2-form: rank {kt.two_form_rank(Omega)} of {model.nslots} "
       f"(kernel {model.nslots - kt.two_form_rank(Omega)}, all in the connection block)")
 
 cs = theories.constraint_set("pc4")
-P = cs.by_name("P")
-smear = P.random_smear(model, nrng)
-X, res = kt.hamiltonian_vector_field(Omega, P.gradient(model, state, smear))
-ce = theories.pc_internal_rotation(smear, state["e"]).reshape(-1)
-print(f"internal rotation generator: |X_c(e) - c.e| = {np.abs(X[0, :12] - ce).max():.2e}, "
+smear = kt.random_smear(model, cs["P"], nrng)
+X, res = kt.hamiltonian_vector_field(Omega, model.density_gradient(cs["P"], state, smear))
+rotation = theories.gauge_direction("pc4")  # e[a,i] -> (c.e)[a,i]
+ce = np.array([model.evaluate(d, state, smear).reshape(()) for d in rotation.values()])
+e_slots = [model.slot_index[slot] for slot in rotation]
+print(f"internal rotation generator: |X_c(e) - c.e| = {np.abs(X[0, e_slots] - ce).max():.2e}, "
       f"residual {res:.2e}")
 
 result = coisotropy_check(cs, Omega, state, nrng, samples=10)

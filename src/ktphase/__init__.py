@@ -44,15 +44,15 @@ from .pointlin import (
     structural_fix,
     wedge,
 )
-from .theories import builtin, chart, constraint_set, golden
+from .theories import builtin, chart, constraint_set, gauge_direction, golden
 
 __version__ = "0.1.0"
 
 # the lattice imports numpy, so its names load on first use (PEP 562) and
 # deriving a theory does not pay for numpy
 _LATTICE_NAMES = (
-    "LatticeGrid", "LatticeModel", "TwoFormMatrix", "ConstraintSet", "SmearedConstraint",
-    "assemble_two_form", "two_form_rank",
+    "LatticeGrid", "LatticeModel", "TwoFormMatrix",
+    "assemble_two_form", "two_form_rank", "random_smear",
     "hamiltonian_vector_field", "poisson_bracket", "evolve_em",
     "symplectic_current_check", "coisotropy_check",
 )
@@ -73,7 +73,7 @@ __all__ = [
     # lattice
     *_LATTICE_NAMES,
     # corpus and front end
-    "builtin", "golden", "chart", "constraint_set",
+    "builtin", "golden", "chart", "constraint_set", "gauge_direction",
     "parse_theory", "emit_theory", "run_pipeline", "emit_report",
 ]
 

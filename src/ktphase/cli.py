@@ -475,6 +475,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        for name in (k for k, v in vars(args).items() if v == []):  # argparse reads --opt=-- as []
+            raise ParseError(f"--{name.replace('_', '-')}: expected one argument")
         t = _load_theory(args.theory)
         if args.command == "derive":
             options = RunOptions(symbolic_only=True, seed=args.seed)

@@ -18,22 +18,23 @@ fields, the restricted boundary 1-form, the extracted constraints), unless
 the theory declares a change of coordinates: ``length`` (a unit vector on a
 surface) and ``em`` (the electric-field momentum) do, and
 ``calc_var.verify_chart`` checks those declarations exactly against the
-derivation.  This module also adds the smeared constraint families for the
-lattice backend; they and the ``pc_*`` float helpers import numpy and
-``lattice`` when called, so deriving a theory loads neither.  The
-coframe-gravity chart keeps the six-per-point kernel of its 2-form
-(connection shifts annihilated by the coframe); the lattice reports it as
-kernel data rather than quotienting.
+derivation.  The gauge data of em and pc4 are plain expressions, which the
+lattice evaluates like any density: ``gauge_direction`` (chart slot ->
+motion) and ``constraint_set`` (family -> smeared density).  Only the
+``pc_*`` float helpers import numpy, when called, and nothing here imports
+``lattice``, so deriving a theory loads neither.  The coframe-gravity chart
+keeps the six-per-point kernel of its 2-form (connection shifts annihilated
+by the coframe); the lattice reports it as kernel data, not quotienting.
 
 Sign conventions per theory, recorded because each is a genuine choice:
 the equation-of-motion densities follow the classical form (kinetic term
 positive); the boundary 1-form of the mechanical examples lives on the upper
 (outgoing) end of the transversal coordinate, the field theories quote the
 incoming copy for the scalar field and electromagnetism and the outgoing one
-for coframe gravity; smeared constraints are normalized so that the standard
-hamiltonian vector fields come out with their textbook components
-(gauge transformations move only the potential, internal rotations act as
-``c . e`` on the coframe).
+for coframe gravity; smeared constraints are normalized so that their
+hamiltonian vector fields are the textbook gauge directions of
+``gauge_direction`` (gauge transformations move only the potential,
+internal rotations act as ``c . e`` on the coframe).
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ __all__ = [
     "builtin",
     "derived_split",
     "chart",
+    "gauge_direction",
     "constraint_set",
     "flat_metric_bindings",
     "eps4",
     "pc_on_surface_state",
-    "pc_internal_rotation",
 ]
 
 THEORY_NAMES = ("mechanics", "length", "scalar", "em", "pc4")
+_SLICE_META = SymbolMeta(excluded=frozenset({0}))  # a chart symbol, restricted to the slice
 
 
 @lru_cache(maxsize=None)
@@ -83,13 +85,11 @@ def eps4():
 # ---------------------------------------------------------------------------
 
 def _length_chart() -> BoundaryChart:
-    umeta = SymbolMeta(excluded=frozenset({0}))
-    qmeta = SymbolMeta(excluded=frozenset({0}))
-    u = [JetVar("u", (i,), (), umeta) for i in range(3)]
-    q0 = [JetVar("q0", (i,), (), umeta) for i in range(3)]
+    u = [JetVar("u", (i,), (), _SLICE_META) for i in range(3)]
+    q0 = [JetVar("q0", (i,), (), _SLICE_META) for i in range(3)]
     speed = ex.sqrt(ex.esum(Expr.var(w) ** 2 for w in q0))
     momenta = tuple((("u", (i,)), Expr.var(q0[i]) * speed ** (-1)) for i in range(3))
-    alpha = LocalVarForm(1, (((JetVar("q", (i,), (), qmeta),), Expr.var(u[i])) for i in range(3)))
+    alpha = LocalVarForm(1, (((JetVar("q", (i,), (), _SLICE_META),), Expr.var(u[i])) for i in range(3)))
     surface = (ex.esum(Expr.var(w) ** 2 for w in u) - 1,)
     return BoundaryChart(theory="length", tangential=(),
                          fields=(ChartField("q", tuple((i,) for i in range(3))),
@@ -201,7 +201,7 @@ def flat_metric_bindings(t: TheorySpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Smeared constraint families for the lattice backend
+# Gauge directions and smeared constraint families
 # ---------------------------------------------------------------------------
 
 # Overall signs of the smeared constraint functionals relative to the
@@ -212,84 +212,71 @@ def flat_metric_bindings(t: TheorySpec) -> dict:
 PC_P_SIGN = -1
 PC_T_SIGN = 1
 
+_PC_IPAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
+_SMEAR_META = SymbolMeta(background=True)
+
+
+def _sym(name: str, comp: tuple, meta: SymbolMeta = _SMEAR_META) -> Expr:
+    return Expr.var(JetVar(name, comp, (), meta))
+
 
 @lru_cache(maxsize=None)
-def constraint_set(name: str) -> ConstraintSet:
-    """Smeared constraint functionals of a builtin theory, built once per
-    process, so the lattice kernels lowered from their densities are found
-    by identity.
-
-    For electromagnetism the generator is smeared in the integrated-by-parts
-    form (gradient of the smearing against the electric flux), which equals
-    minus the site sum of the smeared Gauss density exactly, by the discrete
-    summation-by-parts identity of the centered stencils.
-    """
-    from .lattice import ConstraintSet, SmearedConstraint
+def gauge_direction(name: str) -> dict:
+    """Chart slot ``(field, comp)`` -> its motion along the gauge direction of
+    a builtin, over chart and smearing symbols (none without gauge): em's
+    ``A[j] -> d[j]lam``, pc4's ``e[a,i] -> sum_{r != a} eta_r c^{ar} e[r,i]``
+    with ``c`` antisymmetric and stored for ``a < r``."""
     if name in ("mechanics", "length", "scalar"):
-        return ConstraintSet(())
+        return {}
     if name == "em":
-        t = builtin("em")
-        tang = t.tangential()
-        restr = frozenset({0})
-        meta = SymbolMeta(excluded=restr)
-        bmeta = SymbolMeta(background=True, excluded=restr)
-        lam = lambda deriv: Expr.var(JetVar("lam", (), deriv, bmeta))
-        hv = lambda i, j: Expr.var(JetVar("hinv", (min(i, j), max(i, j)), (), bmeta))
-        rh = Expr.var(JetVar("rh", (), (), SymbolMeta(background=True, excluded=restr, positive=True)))
-        F0 = lambda j: Expr.var(JetVar("F0", (j,), (), meta))
-        density = ex.esum(lam((i,)) * hv(i, j) * F0(j) for i in tang for j in tang) * rh
-        return ConstraintSet((SmearedConstraint("J", density, (("lam", ((),)),)),))
+        meta = SymbolMeta(background=True, excluded=frozenset({0}))
+        return {("A", (j,)): Expr.var(JetVar("lam", (), (j,), meta)) for j in builtin("em").tangential()}
     if name == "pc4":
-        # the torsion densities are the field equations of omega[a,b,0], the
-        # curvature-plus-cosmological ones those of e[a,0]
-        ch = chart("pc4")
-        cons = dict(ch.constraints)
-        smeta = SymbolMeta(background=True)
-        pair_comps = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
-        p_density = ex.esum(Expr.var(JetVar("c", (a, b), (), smeta)) * cons[f"omega[{a},{b},0]"]
-                            for a, b in pair_comps) * PC_P_SIGN
-        t_density = ex.esum(Expr.var(JetVar("mu", (a,), (), smeta)) * cons[f"e[{a},0]"]
-                            for a in range(4)) * PC_T_SIGN
-        h_density = Expr.var(JetVar("lam", (), (), smeta)) * cons["e[0,0]"] * PC_T_SIGN
-        emeta = SymbolMeta(excluded=frozenset({0}))
-        pxi_density = ex.esum(Expr.var(JetVar("xi", (i,), (), smeta))
-                              * Expr.var(JetVar("e", (a, i), (), emeta)) * cons[f"e[{a},0]"]
-                              for a in range(4) for i in (1, 2, 3)) * PC_T_SIGN
-        mu_comps = tuple((a,) for a in range(4))
-        xi_comps = tuple((i,) for i in (1, 2, 3))
-        return ConstraintSet((
-            SmearedConstraint("P", p_density, (("c", pair_comps),)),
-            SmearedConstraint("T", t_density, (("mu", mu_comps),)),
-            SmearedConstraint("H", h_density, (("lam", ((),)),)),
-            SmearedConstraint("Pxi", pxi_density, (("xi", xi_comps),)),
-        ))
+        c = lambda a, r: _sym("c", (a, r)) if a < r else -_sym("c", (r, a))
+        e = lambda r, i: _sym("e", (r, i), _SLICE_META)
+        return {("e", (a, i)): ex.esum(c(a, r) * e(r, i) * ETA[r] for r in range(4) if r != a)
+                for a in range(4) for i in builtin("pc4").tangential()}
     raise KeyError(name)
 
 
-def pc_internal_rotation(c_arrays: dict, e_state: np.ndarray) -> np.ndarray:
-    """(c . e)^a_i = eta_{rs} c^{ar} e^s_i for an antisymmetric smearing c.
+def _alpha_along(ch: BoundaryChart, direction: dict) -> Expr:
+    """``alpha(X)``: the sum of ``X[g] c`` over the terms ``c delta(g)`` of alpha."""
+    return ex.esum(direction[(g.field, g.comp)] * c for (g,), c in ch.alpha.terms
+                   if (g.field, g.comp) in direction)
 
-    ``c_arrays`` maps ("c", (a,b)) with a<b to site arrays; ``e_state`` has
-    shape (*grid, 12) with component order (a, i) lexicographic.  Returns the
-    same layout as the coframe block.
-    """
-    import numpy as np
-    shape = e_state.shape[:-1]
-    e = e_state.reshape(shape + (4, 3))
-    cmat = np.zeros(shape + (4, 4))
-    for (sym, comp), arr in c_arrays.items():
-        if sym != "c":
-            continue
-        a, b = comp
-        cmat[..., a, b] = arr
-        cmat[..., b, a] = -arr
-    eta = np.array(ETA, dtype=float)
-    out = np.einsum("...ar,r,...ri->...ai", cmat, eta, e)
-    return out.reshape(shape + (12,))
+
+def _smeared(symbol: str, pairs, sign: int) -> Expr:
+    """``sign * sum symbol[comp] * density`` over ``(comp, density)`` pairs."""
+    return ex.esum(_sym(symbol, comp) * d for comp, d in pairs) * sign
+
+
+@lru_cache(maxsize=None)
+def constraint_set(name: str) -> dict:
+    """The smeared constraint families of a builtin, name -> density over
+    chart and smearing symbols, built once per process so the lattice kernels
+    lowered from them are found by identity.  em's ``J`` is ``alpha(X_lam)``
+    along the gauge direction; its site sum is minus that of ``lam`` times
+    the Gauss density, by summation by parts of the centered stencils.  pc4
+    smears its torsion densities (``P``) and its curvature ones (``T``, the
+    ``e[0,0]`` entry ``H``, and ``Pxi``, contracted with the coframe)."""
+    if name in ("mechanics", "length", "scalar"):
+        return {}
+    if name == "em":
+        return {"J": _alpha_along(chart("em"), gauge_direction("em"))}
+    if name == "pc4":
+        cons = dict(chart("pc4").constraints)
+        curv = [cons[f"e[{a},0]"] for a in range(4)]
+        e = lambda a, i: _sym("e", (a, i), _SLICE_META)
+        return {
+            "P": _smeared("c", [(ab, cons["omega[{},{},0]".format(*ab)]) for ab in _PC_IPAIRS], PC_P_SIGN),
+            "T": _smeared("mu", [((a,), curv[a]) for a in range(4)], PC_T_SIGN),
+            "H": _smeared("lam", [((), curv[0])], PC_T_SIGN),
+            "Pxi": _smeared("xi", [((i,), e(a, i) * curv[a]) for a in range(4) for i in (1, 2, 3)], PC_T_SIGN),
+        }
+    raise KeyError(name)
 
 
 _PC_OM_COMPS = tuple((a, b, i) for a in range(4) for b in range(a + 1, 4) for i in (1, 2, 3))
-_PC_IPAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
 # chart connection component (a, b, i) -> index in pointlin's I-major (1,2)-form basis
 _PC_V_COLUMNS = [(i - 1) * len(_PC_IPAIRS) + _PC_IPAIRS.index((a, b)) for a, b, i in _PC_OM_COMPS]
 

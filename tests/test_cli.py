@@ -408,8 +408,10 @@ def _exit_code(argv) -> int:
     (["derive", "{tmp}/latin1.theory"], "cannot read theory file '{tmp}/latin1.theory'"),
     (["derive", "mechanics", "--out", "{tmp}/missing/x.json"],
      "cannot write --out file '{tmp}/missing/x.json'"),
+    (["check", "em", "--lattice=--"], "parse error: --lattice: expected one argument"),
+    (["derive", "mechanics", "--format=--"], "parse error: --format: expected one argument"),
 ], ids=["unknown-option", "bad-seed", "unknown-command", "tol", "missing-file", "directory",
-        "not-utf8", "out-dir-missing"])
+        "not-utf8", "out-dir-missing", "lattice-dashes", "format-dashes"])
 def test_cli_usage_and_file_errors_exit_one(tmp_path, capsys, argv, message):
     # argparse's own code is 2, which the contract keeps for check failures;
     # a file that cannot be read or written is the user's error, not a bug
@@ -483,8 +485,10 @@ def test_export_lists_resolve():
                if not hasattr(m, name)]
     assert missing == []
     assert "evolve_em" in ktphase.__all__ and callable(ktphase.evolve_em)
-    for gone in ("InternalSpace", "LinMap", "linmap_kernel"):
+    for gone in ("InternalSpace", "LinMap", "linmap_kernel",
+                 "ConstraintSet", "SmearedConstraint", "pc_internal_rotation"):
         assert gone not in ktphase.__all__ and not hasattr(ktphase, gone)
+        assert all(not hasattr(m, gone) for m in modules)
 
 
 def test_cli_check_mechanics_passes(tmp_path, capsys):

@@ -18,6 +18,7 @@ from ktphase.lattice import (
     evolve_em,
     hamiltonian_vector_field,
     poisson_bracket,
+    random_smear,
     surface_tangent_basis,
     symplectic_current_check,
     two_form_rank,
@@ -206,10 +207,10 @@ def test_em_smearing_gradient_formula(rng):
     # gradient of the gauge generator w.r.t. the electric covector is the
     # discrete gradient of the smearing (flat metric)
     model, grid = em_model((4, 4, 4))
-    J = TH.constraint_set("em").by_name("J")
+    J = TH.constraint_set("em")["J"]
     state = model.random_state(rng)
-    smear = J.random_smear(model, rng)
-    grad = J.gradient(model, state, smear)
+    smear = random_smear(model, J, rng)
+    grad = model.density_gradient(J, state, smear)
     lam = smear[("lam", ())]
     for j in range(3):
         slot = model.slot_index[("F0", (j + 1,))]
@@ -303,8 +304,8 @@ def test_flat_em_pinv_inverts_one_block(rng, monkeypatch):
     got = omega.pinv
     assert shapes == [(1, 6, 6)]
     assert got.shape == want.shape and np.array_equal(got, want) and not got.flags.writeable
-    J = TH.constraint_set("em").by_name("J")
-    df = J.gradient(model, model.random_state(rng), J.random_smear(model, rng))
+    J = TH.constraint_set("em")["J"]
+    df = model.density_gradient(J, model.random_state(rng), random_smear(model, J, rng))
     X, res = hamiltonian_vector_field(omega, df)
     dfv = df.reshape(grid.nsites, model.nslots)
     want_X = np.einsum("sij,sj->si", want, dfv)
@@ -325,9 +326,9 @@ def test_curved_em_pinv_inverts_every_site(monkeypatch):
 def test_two_form_pinv_is_factored_once(rng, monkeypatch):
     model, grid = em_model((4, 4, 4))
     omega = assemble_two_form(model, model.zero_state())
-    J = TH.constraint_set("em").by_name("J")
+    J = TH.constraint_set("em")["J"]
     state = model.random_state(rng)
-    g1, g2 = (J.gradient(model, state, J.random_smear(model, rng)) for _ in range(2))
+    g1, g2 = (model.density_gradient(J, state, random_smear(model, J, rng)) for _ in range(2))
     shapes = _recorded_pinv_shapes(monkeypatch)
     hamiltonian_vector_field(omega, g1)
     hamiltonian_vector_field(omega, g2)
@@ -415,12 +416,12 @@ def test_gauss_law_commutes_with_the_curved_hamiltonian(rng):
     model, _ = curved_em_model()
     state = model.random_state(rng)
     omega = assemble_two_form(model, state)
-    J = TH.constraint_set("em").by_name("J")
+    J = TH.constraint_set("em")["J"]
     dH = model.density_gradient(model.chart.hamiltonian, state)
     a1 = next(g for (g,), _ in model.chart.alpha.terms if g.comp == (1,))
     d_a1_sq = model.density_gradient(E.Expr.var(a1) ** 2, state)
     for _ in range(5):
-        dJ = J.gradient(model, state, J.random_smear(model, rng))
+        dJ = model.density_gradient(J, state, random_smear(model, J, rng))
         assert abs(poisson_bracket(dJ, dH, omega)) <= 1e-12
         # negative control: A[1]^2 is not gauge invariant
         assert abs(poisson_bracket(dJ, d_a1_sq, omega)) >= 0.1
@@ -449,13 +450,6 @@ def test_em_dispersion_matches_discrete_oracle():
 # ---------------------------------------------------------------------------
 # symplectic current
 # ---------------------------------------------------------------------------
-
-def test_symplectic_current_self_is_zero(rng):
-    model, _ = scalar_model((8,))
-    x0 = {"phi": rng.standard_normal(8), "phi0": rng.standard_normal(8)}
-    assert symplectic_current_check(model, x0, {k: v.copy() for k, v in x0.items()},
-                                    5, 20, 0.1) == 0.0
-
 
 def test_symplectic_current_second_order(rng):
     model, grid = scalar_model((16,))
@@ -539,6 +533,29 @@ def test_coisotropy_off_surface_negative_control(rng):
     assert result.violation > 1e-3
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 8), (6, 5, 4)])
+def test_gauss_generator_sums_to_minus_lam_times_gauss(shape):
+    # the physics J rests on: summed over sites, alpha(X_lam) equals
+    # -sum lam * gauss for the chart's Gauss density, on any state, by
+    # summation by parts of the centred stencils.  Negative control: moving
+    # every A[j] by d[1]lam passes gauge_vector_field and abelian_brackets,
+    # since any field-independent direction does, but fails here
+    model, _ = em_model(shape)
+    rng = np.random.default_rng(17)
+    state = model.random_state(rng)
+    gauss = dict(model.chart.constraints)["gauss"]
+
+    def defect(J):
+        smear = random_smear(model, J, rng)
+        want = -float(np.sum(smear[("lam", ())] * model.evaluate(gauss, state)))
+        return abs(float(model.evaluate(J, state, smear).sum()) - want) / abs(want)
+
+    assert defect(TH.constraint_set("em")["J"]) <= 1e-13
+    right = TH.gauge_direction("em")
+    wrong = TH._alpha_along(model.chart, {slot: right[("A", (1,))] for slot in right})
+    assert defect(wrong) > 1e-3
+
+
 def test_coisotropy_em_single_family(rng):
     # the single abelian family passes trivially at a Gauss-satisfying state
     model, grid = em_model((6, 6, 6))
@@ -553,15 +570,15 @@ def test_gauge_residual_under_grid_refinement(rng):
     # the gauge generator's vector-field residual stays at machine zero (hence
     # trivially converges at order >= 1) across three grid refinements
     t = TH.builtin("em")
-    J = TH.constraint_set("em").by_name("J")
+    J = TH.constraint_set("em")["J"]
     residuals = []
     for n, h in ((4, 1.0), (8, 0.5), (16, 0.25)):
         grid = LatticeGrid(shape=(n, n, n), spacing=h)
         model = LatticeModel(TH.chart("em"), grid, bindings=TH.flat_metric_bindings(t))
         state = divergence_free_em_data(grid, rng)
         omega = assemble_two_form(model, state)
-        smear = J.random_smear(model, rng)
-        _, res = hamiltonian_vector_field(omega, J.gradient(model, state, smear))
+        smear = random_smear(model, J, rng)
+        _, res = hamiltonian_vector_field(omega, model.density_gradient(J, state, smear))
         residuals.append(res)
     scale = max(1e-300, max(residuals))
     assert all(r <= 1e-12 for r in residuals) or \
@@ -571,9 +588,9 @@ def test_gauge_residual_under_grid_refinement(rng):
     state = TH.pc_on_surface_state(model, np.random.default_rng(77))
     omega = assemble_two_form(model, state)
     for name in ("P", "T"):
-        con = TH.constraint_set("pc4").by_name(name)
-        smear = con.random_smear(model, rng)
-        _, res = hamiltonian_vector_field(omega, con.gradient(model, state, smear))
+        con = TH.constraint_set("pc4")[name]
+        smear = random_smear(model, con, rng)
+        _, res = hamiltonian_vector_field(omega, model.density_gradient(con, state, smear))
         assert res <= 1e-8
 
 
@@ -596,12 +613,12 @@ def pc4_site_model():
 
 def _fd_cases():
     model, _ = curved_em_model()
-    J = TH.constraint_set("em").by_name("J")
+    J = TH.constraint_set("em")["J"]
     yield "em H", model, model.chart.hamiltonian, None
-    yield "em J", model, J.density, J.random_smear(model, np.random.default_rng(2))
+    yield "em J", model, J, random_smear(model, J, np.random.default_rng(2))
     model = pc4_site_model()
-    for c in TH.constraint_set("pc4"):
-        yield f"pc4 {c.name}", model, c.density, c.random_smear(model, np.random.default_rng(3))
+    for name, density in TH.constraint_set("pc4").items():
+        yield f"pc4 {name}", model, density, random_smear(model, density, np.random.default_rng(3))
     yield "pc4 torsion", model, dict(model.chart.constraints)["omega[0,1,0]"], None
 
 

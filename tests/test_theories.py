@@ -10,6 +10,7 @@ import pytest
 
 from ktphase import expr as E
 from ktphase import theories as TH
+from ktphase import verify as VF
 from ktphase.calc_var import ChartField, LocalVarForm, verify_chart
 from ktphase.errors import CheckFailure
 from ktphase.lattice import (
@@ -17,6 +18,7 @@ from ktphase.lattice import (
     LatticeModel,
     assemble_two_form,
     hamiltonian_vector_field,
+    random_smear,
 )
 from ktphase.pointlin import (
     ETA,
@@ -329,11 +331,57 @@ def test_pc_boundary_form_is_coframe_quadratic():
 
 
 def test_constraint_set_shapes():
-    cs = TH.constraint_set("pc4")
-    assert {c.name for c in cs} == {"P", "T", "H", "Pxi"}
-    assert TH.constraint_set("mechanics").constraints == ()
-    J = TH.constraint_set("em").by_name("J")
-    assert J.smear_shapes == (("lam", ((),)),)
+    assert list(TH.constraint_set("pc4")) == ["P", "T", "H", "Pxi"]
+    assert list(TH.constraint_set("em")) == ["J"]
+    for name in ("mechanics", "length", "scalar"):
+        assert TH.constraint_set(name) == {} and TH.gauge_direction(name) == {}
+    for fn in (TH.constraint_set, TH.gauge_direction):
+        with pytest.raises(KeyError):
+            fn("yang-mills")
+
+
+def _site_or_grid_model(name):
+    if name == "em":
+        return LatticeModel(TH.chart("em"), LatticeGrid(shape=(4, 4, 4)),
+                            bindings=TH.flat_metric_bindings(TH.builtin("em")))
+    return LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.5})
+
+
+@pytest.mark.parametrize("name,family,want", [
+    ("em", "J", [("lam", ())]),
+    ("pc4", "P", [("c", (a, b)) for a in range(4) for b in range(a + 1, 4)]),
+    ("pc4", "T", [("mu", (a,)) for a in range(4)]),
+    ("pc4", "H", [("lam", ())]),
+    ("pc4", "Pxi", [("xi", (i,)) for i in (1, 2, 3)]),
+])
+def test_random_smear_draws_what_the_chart_does_not_hold(name, family, want):
+    # the smearing components are read off the density: exactly the
+    # components above, one smoothed normal draw each, in this order
+    model = _site_or_grid_model(name)
+    smear = random_smear(model, TH.constraint_set(name)[family], np.random.default_rng(4))
+    assert list(smear) == want
+    rng = np.random.default_rng(4)
+    for key in want:
+        assert np.array_equal(smear[key], model.grid.smooth(rng.standard_normal(model.grid.shape)))
+    ch = model.chart
+    exprs = [e for _, e in ch.alpha.terms + ch.constraints] + list(ch.surface) + [ch.hamiltonian or E.Expr.const(0)]
+    held = {f.name for f in ch.fields} | {v.field for e in exprs for v in e.jet_vars()}
+    assert not {symbol for symbol, _ in smear} & held
+
+
+def test_em_J_is_the_hand_built_gauss_generator():
+    # oracle: em's smeared Gauss generator as it was written out by hand, the
+    # gradient of the smearing against the electric flux; alpha(X_lam) has
+    # the same normal form, so the same lowered kernel
+    tang = TH.builtin("em").tangential()
+    bmeta = E.SymbolMeta(background=True, excluded=frozenset({0}))
+    lam = lambda i: E.Expr.var(E.JetVar("lam", (), (i,), bmeta))
+    hv = lambda i, j: E.Expr.var(E.JetVar("hinv", (min(i, j), max(i, j)), (), bmeta))
+    rh = E.Expr.var(E.JetVar("rh", (), (), E.SymbolMeta(background=True, excluded=frozenset({0}),
+                                                        positive=True)))
+    F0 = lambda j: E.Expr.var(E.JetVar("F0", (j,), (), E.SymbolMeta(excluded=frozenset({0}))))
+    want = E.esum(lam(i) * hv(i, j) * F0(j) for i in tang for j in tang) * rh
+    assert TH.constraint_set("em")["J"] == want
 
 
 def test_pc_on_surface_state_and_violation():
@@ -410,19 +458,39 @@ def test_check_point_fails_on_a_corrupted_structural_map(monkeypatch):
         verify.check_point("pc4", TH.golden("pc4"), samples=3, seed=0)
 
 
-def test_pc_internal_rotation_formula():
+def test_pc4_gauge_direction_is_the_internal_rotation():
+    # (c . e)^a_i = eta_rs c^ar e^s_i for an antisymmetric c, evaluated from
+    # the direction's expressions on the coframe slots in chart order
+    model = _site_or_grid_model("pc4")
+    direction = TH.gauge_direction("pc4")
+    assert list(direction) == [("e", comp) for comp in model.field_comps["e"]]
     rng = np.random.default_rng(9)
-    e = rng.standard_normal((1, 1, 1, 12))
-    c = {("c", (a, b)): rng.standard_normal((1, 1, 1)) for a in range(4) for b in range(a + 1, 4)}
-    out = TH.pc_internal_rotation(c, e).reshape(4, 3)
-    E4 = e.reshape(4, 3)
     eta = np.array(ETA, float)
-    cm = np.zeros((4, 4))
-    for (_, (a, b)), arr in c.items():
-        cm[a, b] = float(arr.reshape(()))
-        cm[b, a] = -cm[a, b]
-    want = np.einsum("ar,r,ri->ai", cm, eta, E4)
-    assert np.allclose(out, want)
+    for _ in range(20):
+        state = model.random_state(rng)
+        c = {("c", (a, b)): rng.standard_normal((1, 1, 1)) for a in range(4) for b in range(a + 1, 4)}
+        got = np.array([model.evaluate(d, state, c).reshape(()) for d in direction.values()])
+        cm = np.zeros((4, 4))
+        for (_, (a, b)), arr in c.items():
+            cm[a, b] = float(arr.reshape(()))
+            cm[b, a] = -cm[a, b]
+        want = np.einsum("ar,r,ri->ai", cm, eta, state["e"].reshape(4, 3))
+        assert np.array_equal(got.reshape(4, 3), want)
+
+
+def test_internal_rotation_fails_for_a_direction_with_one_flipped_sign(monkeypatch):
+    # negative control: in e[1,1] -> c[0,1] e[0,1] + c[1,2] e[2,1] + c[1,3] e[3,1]
+    # flip the sign of the eta_0 term, as a euclidean internal metric would
+    golden = TH.golden("pc4")
+    golden = {**golden, "lattice": {**golden["lattice"], "states": 2}}
+    assert VF.check_lattice("pc4", golden, seed=0)["entries"]["internal_rotation"]["pass"]
+    right = TH.gauge_direction("pc4")
+    slot = ("e", (1, 1))
+    term = E.Expr.var(E.JetVar("c", (0, 1))) * E.Expr.var(E.JetVar("e", (0, 1)))
+    assert term.terms[0] in right[slot].terms
+    monkeypatch.setattr(TH, "gauge_direction", lambda name: {**right, slot: right[slot] - 2 * term})
+    entry = VF.check_lattice("pc4", golden, seed=0)["entries"]["internal_rotation"]
+    assert not entry["pass"] and entry["max_err"] > 1e-2
 
 
 def test_hamiltonian_vector_field_of_T_moves_coframe_by_connection():
@@ -431,11 +499,10 @@ def test_hamiltonian_vector_field_of_T_moves_coframe_by_connection():
     model = LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.0})
     rng = np.random.default_rng(10)
     state = TH.pc_on_surface_state(model, rng)
-    cs = TH.constraint_set("pc4")
-    T = cs.by_name("T")
-    smear = T.random_smear(model, rng)
+    T = TH.constraint_set("pc4")["T"]
+    smear = random_smear(model, T, rng)
     omega = assemble_two_form(model, state)
-    Y, res = hamiltonian_vector_field(omega, T.gradient(model, state, smear))
+    Y, res = hamiltonian_vector_field(omega, model.density_gradient(T, state, smear))
     assert res < 1e-10
     W = np.zeros((4, 4, 3))
     for idx, (a, b, i) in enumerate(TH._PC_OM_COMPS):
@@ -455,17 +522,18 @@ def test_momentum_constraint_equals_contracted_T():
     rng = np.random.default_rng(12)
     state = model.random_state(rng)
     cs = TH.constraint_set("pc4")
-    Pxi = cs.by_name("Pxi")
-    T = cs.by_name("T")
-    xi = Pxi.random_smear(model, rng)
+    xi = random_smear(model, cs["Pxi"], rng)
     E4 = state["e"].reshape(4, 3)
     mu = {("mu", (a,)): sum(float(xi[("xi", (i,))].reshape(())) * E4[a, i - 1]
                             for i in (1, 2, 3)) * np.ones((1, 1, 1))
           for a in range(4)}
-    assert abs(Pxi.value(model, state, xi) - T.value(model, state, mu)) < 1e-10
+    def value(m, family, smear):  # a single site of unit volume
+        return float(m.evaluate(cs[family], state, smear).sum())
+
+    assert abs(value(model, "Pxi", xi) - value(model, "T", mu)) < 1e-10
     # Lam-independence
     model0 = LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.0})
-    assert abs(Pxi.value(model, state, xi) - Pxi.value(model0, state, xi)) < 1e-10
+    assert abs(value(model, "Pxi", xi) - value(model0, "Pxi", xi)) < 1e-10
 
 
 def test_flat_metric_bindings_cover_tangential_indices():
