@@ -475,8 +475,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        for name in (k for k, v in vars(args).items() if v == []):  # argparse reads --opt=-- as []
-            raise ParseError(f"--{name.replace('_', '-')}: expected one argument")
+        empty = [k for k, v in vars(args).items() if v == []]  # argparse reads --opt=-- as []
+        if empty:
+            raise ParseError(f"--{empty[0].replace('_', '-')}: expected one argument")
         t = _load_theory(args.theory)
         if args.command == "derive":
             options = RunOptions(symbolic_only=True, seed=args.seed)

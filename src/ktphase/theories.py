@@ -268,7 +268,7 @@ def constraint_set(name: str) -> dict:
         curv = [cons[f"e[{a},0]"] for a in range(4)]
         e = lambda a, i: _sym("e", (a, i), _SLICE_META)
         return {
-            "P": _smeared("c", [(ab, cons["omega[{},{},0]".format(*ab)]) for ab in _PC_IPAIRS], PC_P_SIGN),
+            "P": _smeared("c", [((a, b), cons[f"omega[{a},{b},0]"]) for a, b in _PC_IPAIRS], PC_P_SIGN),
             "T": _smeared("mu", [((a,), curv[a]) for a in range(4)], PC_T_SIGN),
             "H": _smeared("lam", [((), curv[0])], PC_T_SIGN),
             "Pxi": _smeared("xi", [((i,), e(a, i) * curv[a]) for a in range(4) for i in (1, 2, 3)], PC_T_SIGN),
