@@ -43,7 +43,7 @@ y0 = {"phi": smooth(rng.standard_normal(32)), "phi0": smooth(rng.standard_normal
 print("\nsigned symplectic-current defect omega_a - omega_b under dt refinement:")
 prev = None
 for dt in (0.2, 0.1, 0.05, 0.025):
-    d = kt.symplectic_current_check(model, x0, y0, int(2 / dt), int(8 / dt), dt)
+    d = kt.symplectic_current_check(Omega, x0, y0, int(2 / dt), int(8 / dt), dt)
     note = f"   (order {np.log2(prev / d):.3f})" if prev is not None and prev * d > 0 else ""
     print(f"  dt = {dt:<6} signed defect = {d:.3e}{note}")
     prev = d

@@ -490,8 +490,9 @@ class TwoFormMatrix:
     diagonal over sites and stored as ``blocks`` with shape
     (nsites, nslots, nslots).  Antisymmetric entry-wise by construction.
     ``blocks`` is read-only, so the block pseudo-inverse ``pinv`` is
-    computed once per matrix and cached.  It drops the singular values below
-    ``DEFAULT_RANK_TOL`` relative to its block, as ``two_form_rank`` does.
+    computed once per matrix and cached.  Both it and ``two_form_rank`` keep
+    a block's singular values above ``DEFAULT_RANK_TOL`` times that block's
+    largest one, so the rank counts exactly the directions ``pinv`` inverts.
     When every block equals the first, as on every flat-metric chart, ``pinv``
     inverts that one block and broadcasts it over the sites (a read-only
     view); otherwise it inverts each site's block.
@@ -517,10 +518,6 @@ class TwoFormMatrix:
         if np.all(self.blocks == first):
             return np.broadcast_to(np.linalg.pinv(first, rcond=DEFAULT_RANK_TOL), self.blocks.shape)
         return np.linalg.pinv(self.blocks, rcond=DEFAULT_RANK_TOL)
-
-    def singular_values(self) -> np.ndarray:
-        sv = np.linalg.svd(self.blocks, compute_uv=False)
-        return np.sort(sv.reshape(-1))[::-1]
 
 
 def assemble_two_form(model: LatticeModel, state: dict) -> TwoFormMatrix:
@@ -554,12 +551,12 @@ def _alpha_is_ultralocal(chart: BoundaryChart) -> bool:
 
 
 def two_form_rank(m: TwoFormMatrix) -> int:
-    """Number of singular values above ``DEFAULT_RANK_TOL`` times the largest
-    one."""
-    sv = m.singular_values()
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[0]))
+    """Number of singular values, summed over the site blocks, above
+    ``DEFAULT_RANK_TOL`` times the largest one of their block: the cut of
+    ``TwoFormMatrix.pinv``, so a block small against the others still counts
+    with its full rank."""
+    sv = np.linalg.svd(m.blocks, compute_uv=False)
+    return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[:, :1]))
 
 
 def _norm(x: np.ndarray) -> float:
@@ -818,10 +815,11 @@ def _rk_evolve(z: np.ndarray, rhs, dt: float, steps: int, record: set, order: in
     return out
 
 
-def symplectic_current_check(model: LatticeModel, X0: dict, Y0: dict,
+def symplectic_current_check(omega: TwoFormMatrix, X0: dict, Y0: dict,
                              step_a: int, step_b: int, dt: float) -> float:
     """omega_a(X, Y) - omega_b(X, Y), signed, for two linearized solutions of
-    the scalar field on ``model.grid`` (flat metric).
+    the scalar field on ``omega.model.grid`` (flat metric), paired by the
+    2-form ``omega`` that the caller assembled (constant for this theory).
 
     In the continuum the pairing of two solutions of the linearized equations
     is time-independent.  The scalar theory is linear, so the
@@ -835,6 +833,7 @@ def symplectic_current_check(model: LatticeModel, X0: dict, Y0: dict,
     conservation law.  The sign is kept: the leading dt^2 term and the next
     one can cancel at coarse steps, so the defect may change sign there.
     """
+    model = omega.model
     grid = model.grid
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
@@ -850,7 +849,6 @@ def symplectic_current_check(model: LatticeModel, X0: dict, Y0: dict,
     record = {step_a, step_b}
     tx = _rk_evolve(x, rhs, dt, max(step_a, step_b), record, order=2)
     ty = _rk_evolve(y, rhs, dt, max(step_a, step_b), record, order=3)
-    omega = assemble_two_form(model, model.zero_state())
 
     def pairing(step):
         xv, yv = (model.state_to_vector({"phi": z[0][..., None], "phi0": z[1][..., None]})

@@ -39,7 +39,6 @@ internal rotations act as ``c . e`` on the coframe).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,7 +55,7 @@ from .calc_var import (
 )
 from .errors import CheckFailure
 from .expr import Expr, JetVar, SymbolMeta
-from .pointlin import ETA, PForm, canonical_eps, perm_sign, structural_maps
+from .pointlin import ETA, PForm, canonical_eps, structural_maps
 
 __all__ = [
     "THEORY_NAMES",
@@ -66,18 +65,11 @@ __all__ = [
     "gauge_direction",
     "constraint_set",
     "flat_metric_bindings",
-    "eps4",
     "pc_on_surface_state",
 ]
 
 THEORY_NAMES = ("mechanics", "length", "scalar", "em", "pc4")
 _SLICE_META = SymbolMeta(excluded=frozenset({0}))  # a chart symbol, restricted to the slice
-
-
-@lru_cache(maxsize=None)
-def eps4():
-    """Orientation tensor entries: (permutation of 0..3, sign), eps_0123 = +1."""
-    return tuple((p, perm_sign(p)) for p in itertools.permutations(range(4)))
 
 
 # ---------------------------------------------------------------------------

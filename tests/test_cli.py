@@ -486,7 +486,7 @@ def test_export_lists_resolve():
     assert missing == []
     assert "evolve_em" in ktphase.__all__ and callable(ktphase.evolve_em)
     for gone in ("InternalSpace", "LinMap", "linmap_kernel",
-                 "ConstraintSet", "SmearedConstraint", "pc_internal_rotation"):
+                 "ConstraintSet", "SmearedConstraint", "pc_internal_rotation", "eps4"):
         assert gone not in ktphase.__all__ and not hasattr(ktphase, gone)
         assert all(not hasattr(m, gone) for m in modules)
 

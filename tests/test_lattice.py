@@ -160,6 +160,19 @@ def test_rank_invariant_under_unit_rescaling(rng):
     assert r0 == r1 == 24
 
 
+def test_rank_cuts_each_block_as_pinv_does(rng):
+    # a site block 1e-9 times the others keeps its full rank: the rank cuts
+    # each block against its own largest singular value, as the
+    # pseudo-inverse does, so the field solves on the small block too
+    model, _ = em_model((4, 1, 1))
+    blocks = assemble_two_form(model, model.zero_state()).blocks
+    omega = TwoFormMatrix(model=model, blocks=blocks * np.array([1.0, 1e-9, 1.0, 1.0])[:, None, None])
+    assert two_form_rank(omega) == 24
+    df = omega.apply(rng.standard_normal((4, model.nslots)))
+    X, res = hamiltonian_vector_field(omega, df)
+    assert np.abs(X[1]).max() > 0.1 and res <= 1e-12 * np.abs(df[1]).max()
+
+
 def test_shape_mismatch_rejected(rng):
     model, grid = scalar_model()
     state = model.random_state(rng)
@@ -461,8 +474,9 @@ def test_symplectic_current_second_order(rng):
 
     x0 = {"phi": smooth(rng.standard_normal(16)), "phi0": smooth(rng.standard_normal(16))}
     y0 = {"phi": smooth(rng.standard_normal(16)), "phi0": smooth(rng.standard_normal(16))}
+    omega = assemble_two_form(model, model.zero_state())
     dts = (0.2, 0.1, 0.05)
-    defects = [symplectic_current_check(model, x0, y0, int(2 / dt), int(6 / dt), dt) for dt in dts]
+    defects = [symplectic_current_check(omega, x0, y0, int(2 / dt), int(6 / dt), dt) for dt in dts]
     order, *_ = VF._convergence_order(dts, defects)
     assert 1.8 <= order <= 2.2
 
@@ -538,8 +552,9 @@ def test_gauss_generator_sums_to_minus_lam_times_gauss(shape):
     # the physics J rests on: summed over sites, alpha(X_lam) equals
     # -sum lam * gauss for the chart's Gauss density, on any state, by
     # summation by parts of the centred stencils.  Negative control: moving
-    # every A[j] by d[1]lam passes gauge_vector_field and abelian_brackets,
-    # since any field-independent direction does, but fails here
+    # every A[j] by d[1]lam matches its own vector field and has zero
+    # brackets, as any field-independent direction does, but fails here (and
+    # the em check's max_gauss_defect, which reads this sum)
     model, _ = em_model(shape)
     rng = np.random.default_rng(17)
     state = model.random_state(rng)
@@ -554,6 +569,24 @@ def test_gauss_generator_sums_to_minus_lam_times_gauss(shape):
     right = TH.gauge_direction("em")
     wrong = TH._alpha_along(model.chart, {slot: right[("A", (1,))] for slot in right})
     assert defect(wrong) > 1e-3
+
+
+def test_em_check_fails_for_a_gauge_direction_off_the_gauss_law(monkeypatch):
+    # the same negative control through ``check_lattice``: the wrong J's
+    # vector field is its direction and its brackets vanish, but its site sum
+    # is not minus lam times the Gauss density
+    right = TH.gauge_direction("em")
+    wrong = {slot: right[("A", (1,))] for slot in right}
+    monkeypatch.setattr(TH, "gauge_direction", lambda name: wrong)
+    TH.constraint_set.cache_clear()
+    try:
+        for seed in (0, 3, 11):
+            report = VF.check_lattice("em", TH.golden("em"), seed=seed)
+            entry = report["entries"]["gauge_vector_field"]
+            assert not report["passed"] and not entry["pass"], (seed, entry)
+            assert entry["max_A_err"] == 0.0 and entry["max_gauss_defect"] > 1e-3, (seed, entry)
+    finally:
+        TH.constraint_set.cache_clear()
 
 
 def test_coisotropy_em_single_family(rng):

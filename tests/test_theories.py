@@ -1,6 +1,7 @@
 """Builtin theory corpus: Lagrangian content, charts, goldens, constraint sets."""
 
 import dataclasses
+import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from ktphase.pointlin import (
     ETA,
     canonical_eps,
     internal_act,
+    perm_sign,
     random_coframe,
     random_pform,
     structural_fix,
@@ -95,7 +97,8 @@ def test_pc4_lagrangian_against_orientation_oracle():
     # eps_{abcd} eps^{mnrs} (1/2 e e F + Lam/24 e e e e) built independently
     t = TH.builtin("pc4")
     rng = random.Random(23)
-    eps4 = TH.eps4()
+    # orientation tensor entries: (permutation of 0..3, sign), eps_0123 = +1
+    eps4 = [(p, perm_sign(p)) for p in itertools.permutations(range(4))]
     eta = ETA
     for _ in range(3):
         ev = {(a, mu): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
