@@ -25,7 +25,7 @@ and negative index counts; errors carry line numbers.  Reports serialize
 deterministically: UTF-8, sorted keys, floats at 17 significant digits.
 
 Exit codes: 0 all requested checks pass (and ``--help``); 1 user error: a
-usage error, a theory file that cannot be read or parsed, an ``--out`` path
+usage error (a negative ``--seed`` among them), a theory file that cannot be read or parsed, an ``--out`` path
 that cannot be written, or a check option that the theory's golden record
 cannot honour (``--lattice`` without a golden ``grid``, ``--point-checks``
 below 1 or without a golden ``point`` block); 2 check failure; 3 internal
@@ -478,6 +478,8 @@ def main(argv=None) -> int:
         empty = [k for k, v in vars(args).items() if v == []]  # argparse reads --opt=-- as []
         if empty:
             raise ParseError(f"--{empty[0].replace('_', '-')}: expected one argument")
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ParseError(f"--seed {args.seed}: need a non-negative integer")
         t = _load_theory(args.theory)
         if args.command == "derive":
             options = RunOptions(symbolic_only=True, seed=args.seed)

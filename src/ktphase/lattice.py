@@ -60,6 +60,7 @@ __all__ = [
     "TwoFormMatrix",
     "CoisotropyResult",
     "assemble_two_form",
+    "numerical_rank",
     "two_form_rank",
     "hamiltonian_vector_field",
     "poisson_bracket",
@@ -490,9 +491,9 @@ class TwoFormMatrix:
     diagonal over sites and stored as ``blocks`` with shape
     (nsites, nslots, nslots).  Antisymmetric entry-wise by construction.
     ``blocks`` is read-only, so the block pseudo-inverse ``pinv`` is
-    computed once per matrix and cached.  Both it and ``two_form_rank`` keep
-    a block's singular values above ``DEFAULT_RANK_TOL`` times that block's
-    largest one, so the rank counts exactly the directions ``pinv`` inverts.
+    computed once per matrix and cached.  It keeps the directions that
+    ``numerical_rank`` counts, so ``two_form_rank`` is the number of
+    directions ``pinv`` inverts.
     When every block equals the first, as on every flat-metric chart, ``pinv``
     inverts that one block and broadcasts it over the sites (a read-only
     view); otherwise it inverts each site's block.
@@ -550,13 +551,16 @@ def _alpha_is_ultralocal(chart: BoundaryChart) -> bool:
     return True
 
 
+def numerical_rank(sv: np.ndarray):
+    """The lattice's one rank cut: per block of singular values ``sv`` (last
+    axis, descending), the number above ``DEFAULT_RANK_TOL`` times the
+    block's largest, which is the ``rcond`` cut of ``TwoFormMatrix.pinv``."""
+    return np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[..., :1], axis=-1)
+
+
 def two_form_rank(m: TwoFormMatrix) -> int:
-    """Number of singular values, summed over the site blocks, above
-    ``DEFAULT_RANK_TOL`` times the largest one of their block: the cut of
-    ``TwoFormMatrix.pinv``, so a block small against the others still counts
-    with its full rank."""
-    sv = np.linalg.svd(m.blocks, compute_uv=False)
-    return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[:, :1]))
+    """Rank of the 2-form: ``numerical_rank`` summed over the site blocks."""
+    return int(numerical_rank(np.linalg.svd(m.blocks, compute_uv=False)).sum())
 
 
 def _norm(x: np.ndarray) -> float:
@@ -591,8 +595,9 @@ def poisson_bracket(f_grad: np.ndarray, g_grad: np.ndarray, m: TwoFormMatrix) ->
 
 
 def surface_tangent_basis(model: LatticeModel, state: dict) -> np.ndarray:
-    """Orthonormal basis of the tangent space of the chart's algebraic surface
-    at ``state``; identity-like basis when the chart has no surface."""
+    """Orthonormal columns spanning the tangent space of the chart's algebraic
+    surface at ``state``, the rows of ``Vt`` past the ``numerical_rank`` of
+    the surface gradients; the identity when the chart has no surface."""
     n = model.grid.nsites * model.nslots
     if not model.chart.surface:
         return np.eye(n)
@@ -606,13 +611,8 @@ def surface_tangent_basis(model: LatticeModel, state: dict) -> np.ndarray:
             g[s, s * model.nslots:(s + 1) * model.nslots] = flat[s]
         rows.append(g)
     J = np.concatenate(rows, axis=0)
-    # null space of J
     _, sv, vt = np.linalg.svd(J)
-    tol = max(J.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
-    null_mask = np.zeros(vt.shape[0], dtype=bool)
-    null_mask[:sv.size] = sv <= tol
-    null_mask[sv.size:] = True
-    return vt[null_mask].T
+    return vt[numerical_rank(sv):].T
 
 
 # ---------------------------------------------------------------------------
@@ -649,15 +649,15 @@ class CoisotropyResult:
 def constraint_violation(cs: dict, model: LatticeModel, state: dict,
                          rng: np.random.Generator) -> float:
     """Max absolute smeared constraint value over four random unit-normalized
-    smearings per family of ``cs`` (family name -> density)."""
-    worst = 0.0
+    smearings per family of ``cs`` (family name -> density); NaN if any is."""
+    values = []
     for density in cs.values():
         for _ in range(4):
             smear = random_smear(model, density, rng)
             norm = max(1.0, max(_norm(a) for a in smear.values()))
             value = float(model.evaluate(density, state, smear).sum() * model.grid.cell_volume())
-            worst = max(worst, abs(value) / norm)
-    return worst
+            values.append(abs(value) / norm)
+    return float(np.max(values, initial=0.0))
 
 
 def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
@@ -667,14 +667,14 @@ def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
     density, as ``theories.constraint_set`` gives them) and bound their
     brackets at a state, with ``omega`` the 2-form assembled there.
 
-    Passes when the state is on the constraint surface (violation below
-    ``surface_tol``) and every sampled bracket is below ``bracket_tol`` scaled
-    by the state's off-surface violation.  An off-surface state reports
-    failure with the violation magnitude rather than raising.
+    Passes when ``violation <= surface_tol`` (the state is on the constraint
+    surface) and ``max_bracket <= bracket_tol``; a bracket whose vector field
+    is undefined counts as infinite, and a NaN fails.  An off-surface state
+    reports failure with the violation magnitude rather than raising.
     """
     model = omega.model
     violation = constraint_violation(cs, model, state, rng)
-    max_bracket = 0.0
+    brackets = []
     cons = list(cs.values())
     for _ in range(samples):
         ci = cons[rng.integers(len(cons))]
@@ -684,13 +684,11 @@ def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
         gi = model.density_gradient(ci, state, si)
         gj = model.density_gradient(cj, state, sj)
         try:
-            val = poisson_bracket(gi, gj, omega)
+            brackets.append(abs(poisson_bracket(gi, gj, omega)))
         except CheckFailure:
-            max_bracket = float("inf")
-            continue
-        max_bracket = max(max_bracket, abs(val))
-    threshold = bracket_tol * (1.0 + violation / max(surface_tol, 1e-300))
-    passed = violation <= surface_tol and max_bracket <= threshold
+            brackets.append(float("inf"))
+    max_bracket = float(np.max(brackets, initial=0.0))
+    passed = violation <= surface_tol and max_bracket <= bracket_tol
     return CoisotropyResult(passed=passed, max_bracket=max_bracket, violation=violation)
 
 

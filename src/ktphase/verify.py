@@ -8,10 +8,11 @@ its reports, and the acceptance suite asserts them one by one.  The lattice
 drivers sample states and write the reports; ``lattice`` makes the decisions
 on the 2-form (``two_form_rank``, ``coisotropy_check``,
 ``symplectic_current_check``), and ``_generator`` compares a density's vector
-field with its expected motion.  All randomness is seeded; tolerances come
-from the golden record (the 2-form rank cutoff is
-``lattice.DEFAULT_RANK_TOL``), and so do grid sizes unless the caller gives a
-grid shape.
+field with its expected motion.  An entry passes when each worst value it
+reports is within the threshold it reports (``_worst``; a NaN fails).  All
+randomness is seeded; tolerances come from the golden record (every rank is
+the cut ``lattice.numerical_rank``), and so do grid sizes unless the caller
+gives a grid shape.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .calc_var import (
 )
 from .errors import CheckFailure
 from .lattice import (
-    DEFAULT_RANK_TOL,
     LatticeGrid,
     LatticeModel,
     assemble_two_form,
@@ -37,6 +37,7 @@ from .lattice import (
     divergence_free_em_data,
     evolve_em,
     hamiltonian_vector_field,
+    numerical_rank,
     random_smear,
     surface_tangent_basis,
     symplectic_current_check,
@@ -56,21 +57,50 @@ def _alltrue(entries):
     return all(v["pass"] for v in entries.values())
 
 
+# rule -> (the worst of the draws d given the threshold t, the test it must pass)
+_RULES = {
+    "at most": (lambda d, t: np.max(d), lambda worst, t: worst <= t),
+    "above": (lambda d, t: np.min(d), lambda worst, t: worst > t),
+    "near 1": (lambda d, t: np.min(d), lambda worst, t: worst >= 1.0 - t),
+    "equal": (lambda d, t: d[np.argmax(np.abs(d - t))], lambda worst, t: worst == t),
+}
+
+
+def _worst(rule: str, **limits) -> dict:
+    """One lattice entry: ``limits`` maps each threshold it reports to
+    ``(value, {field: measurements, one per draw})``.  Each field reports its
+    worst draw, and the entry passes when each meets its threshold by
+    ``rule``; a NaN draw is the worst (``np.max``, ``np.min``) and fails."""
+    pick, meets = _RULES[rule]
+    entry = {"pass": True}
+    for name, (limit, fields) in limits.items():
+        entry[name] = limit
+        for field, draws in fields.items():
+            entry[field] = worst = pick(np.asarray(draws), limit).item()
+            entry["pass"] &= bool(meets(worst, limit))
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # symbolic stage
 # ---------------------------------------------------------------------------
 
 def check_symbolic(name: str, golden: dict) -> dict:
     """Compare the canonical renderings of the derived split with the golden
-    record, verify the declared chart, and assert the structural identities
-    (reconstruction, nilpotency of the vertical differential)."""
+    record, verify the declared chart and its field order (``chart_fields``,
+    the slot order of the lattice draws), and assert the structural
+    identities (reconstruction, nilpotency of the vertical differential)."""
     split = TH.derived_split(name)
     entries = {key: _entry(got == golden[key], got=got, expected=golden[key])
                for key, got in split.renderings.items()}
     entries["reconstruction"] = _entry(reconstruction_defect(split).is_zero())
     entries["delta_squared"] = _entry(vertical_delta(split.variation).is_zero())
     try:
-        verify_chart(TH.chart(name), split)
+        chart = TH.chart(name)
+        verify_chart(chart, split)
+        fields = [f.name for f in chart.fields]
+        if fields != golden["chart_fields"]:
+            raise CheckFailure(f"chart fields {fields}, golden {golden['chart_fields']}")
         entries["chart"] = _entry(True)
     except CheckFailure as exc:
         entries["chart"] = _entry(False, error=str(exc))
@@ -154,18 +184,17 @@ def _mechanics_lattice(golden, seed):
     entries["omega_matrix"] = _entry(np.allclose(omega.blocks[0], expected, atol=0),
                                      block=omega.blocks[0].tolist())
     rank = two_form_rank(omega)
-    entries["rank"] = _entry(rank == 2, rank=rank)
+    entries["rank"] = _entry(rank == 2, rank=rank, expected=2)
     H = model.chart.hamiltonian
     # Hamilton's equations over the chart's symbols: q' = v, v' = -V'(q) / m
     sym = {w.field: ex.Expr.var(w) for w in H.jet_vars()}
     hamilton = {("q", ()): sym["v"], ("v", ()): -ex.apply_fn("V", 1, sym["q"]) / sym["m"]}
-    worst = 0.0
+    errors = []
     for _ in range(spec["ham_points"]):
         s = model.random_state(rng)
         _, res, dev = _generator(assemble_two_form(model, s), H, s, None, hamilton)
-        worst = max(worst, dev, res)
-    entries["hamiltonian_flow"] = _entry(worst <= spec["ham_tol"], max_err=worst,
-                                         tol=spec["ham_tol"])
+        errors += [dev, res]
+    entries["hamiltonian_flow"] = _worst("at most", tol=(spec["ham_tol"], {"max_err": errors}))
     return entries
 
 
@@ -173,10 +202,7 @@ def _length_lattice(golden, seed):
     spec = golden["lattice"]
     model = LatticeModel(TH.chart("length"), LatticeGrid(shape=()))
     rng = np.random.default_rng(seed)
-    entries = {}
-    worst_gap = np.inf
-    worst_cos = 1.0
-    ranks_ok = True
+    ranks, gaps, cosines = [], [], []
     for _ in range(spec["points"]):
         state = model.random_state(rng)
         u = rng.standard_normal(3)
@@ -184,21 +210,14 @@ def _length_lattice(golden, seed):
         state["u"] = u.reshape(state["u"].shape)
         omega = assemble_two_form(model, state)
         P = surface_tangent_basis(model, state)
-        B = P.T @ omega.full() @ P
-        sv = np.linalg.svd(B, compute_uv=False)
-        rank = int((sv > DEFAULT_RANK_TOL * sv[0]).sum())
-        ranks_ok = ranks_ok and rank == spec["rank"]
-        gap = sv[spec["rank"] - 1] / max(sv[spec["rank"]], 1e-300)
-        worst_gap = min(worst_gap, gap)
-        _, _, Vt = np.linalg.svd(B)
+        _, sv, Vt = np.linalg.svd(P.T @ omega.full() @ P)
+        ranks.append(numerical_rank(sv))
+        gaps.append(sv[spec["rank"] - 1] / max(sv[spec["rank"]], 1e-300))
         kvec = P @ Vt[-1]
-        cos = abs(float(np.dot(kvec[:3], u))) / np.linalg.norm(kvec)
-        worst_cos = min(worst_cos, cos)
-    entries["rank"] = _entry(ranks_ok, expected=spec["rank"])
-    entries["spectral_gap"] = _entry(worst_gap > spec["gap_min"], min_gap=worst_gap)
-    entries["kernel_direction"] = _entry(worst_cos >= 1.0 - spec["cos_tol"],
-                                         min_cosine=worst_cos, tol=spec["cos_tol"])
-    return entries
+        cosines.append(abs(float(np.dot(kvec[:3], u))) / np.linalg.norm(kvec))
+    return {"rank": _worst("equal", expected=(spec["rank"], {"rank": ranks})),
+            "spectral_gap": _worst("above", gap_min=(spec["gap_min"], {"min_gap": gaps})),
+            "kernel_direction": _worst("near 1", tol=(spec["cos_tol"], {"min_cosine": cosines}))}
 
 
 def _convergence_order(dts, defects) -> tuple:
@@ -243,8 +262,8 @@ def _scalar_lattice(golden, seed, grid_shape=None):
     defects = [symplectic_current_check(omega, x0, y0, *step) for step in steps]
     order, C, D, residual = _convergence_order(spec["dts"], defects)
     entries["current_order"] = _entry(abs(order - spec["order"]) <= spec["order_tol"],
-                                      order=order, C=C, D=D, residual=residual,
-                                      defects=defects)
+                                      order=order, C=C, D=D, residual=residual, defects=defects,
+                                      expected=spec["order"], tol=spec["order_tol"])
     return entries
 
 
@@ -270,21 +289,18 @@ def _em_lattice(golden, seed, grid_shape=None):
     # J generates the Gauss law: its site sum is minus that of lam times the
     # Gauss density, which a wrong gauge direction breaks
     gauss_density = model.evaluate(dict(model.chart.constraints)["gauss"], state)
-    worst_a = worst_f = worst_res = worst_gauss = 0.0
+    draws = []
     for _ in range(5):
         smear = random_smear(model, J, rng)
         X, res, dev = _generator(omega, J, state, smear, direction)
-        worst_a = max(worst_a, dev)
-        worst_f = max(worst_f, float(np.abs(model.vector_to_state(X)["F0"]).max()))
-        worst_res = max(worst_res, res)
         j = model.evaluate(J, state, smear)
-        defect = abs(j.sum() + np.sum(smear[("lam", ())] * gauss_density)) / np.abs(j).sum()
-        worst_gauss = max(worst_gauss, float(defect))
-    tol = spec["xlam_tol"]
-    entries["gauge_vector_field"] = _entry(
-        worst_a <= tol and worst_f <= tol and worst_gauss <= tol,
-        max_A_err=worst_a, max_F0=worst_f, max_gauss_defect=worst_gauss,
-        residual=worst_res, tol=tol)
+        # 0 / 1e-300 reads 0 where J vanishes, on a grid too thin to difference
+        defect = abs(j.sum() + np.sum(smear[("lam", ())] * gauss_density))
+        draws.append((dev, np.abs(model.vector_to_state(X)["F0"]).max(),
+                      defect / max(np.abs(j).sum(), 1e-300), res))
+    a, f, g, r = zip(*draws)
+    entries["gauge_vector_field"] = _worst("at most", tol=(spec["xlam_tol"], {
+        "max_A_err": a, "max_F0": f, "max_gauss_defect": g, "residual": r}))
 
     result = coisotropy_check(cs, omega, state, rng, samples=spec["jj_pairs"],
                               bracket_tol=spec["jj_tol"], surface_tol=spec["jj_tol"])
@@ -301,32 +317,22 @@ def _pc4_lattice(golden, seed):
     cs = TH.constraint_set("pc4")
     direction = TH.gauge_direction("pc4")
     rng = np.random.default_rng(seed)
-    entries = {}
     P = cs["P"]
-    worst_xc = worst_res = worst_kernel = 0.0
-    bracket_results = []
+    draws = []
     for _ in range(spec["states"]):
         state = TH.pc_on_surface_state(model, rng)
         omega = assemble_two_form(model, state)
-        kdim = model.nslots - two_form_rank(omega)
-        worst_kernel = max(worst_kernel, abs(kdim - spec["kernel_per_site"]))
         _, res, dev = _generator(omega, P, state, random_smear(model, P, rng), direction)
-        worst_xc = max(worst_xc, dev)
-        worst_res = max(worst_res, res)
-        result = coisotropy_check(cs, omega, state, rng, samples=spec["bracket_samples"],
-                                  bracket_tol=spec["bracket_tol"],
-                                  surface_tol=spec["surface_tol"])
-        bracket_results.append(result)
-    entries["kernel_per_site"] = _entry(worst_kernel == 0, expected=spec["kernel_per_site"])
-    entries["internal_rotation"] = _entry(worst_xc <= spec["xc_tol"] and worst_res <= spec["xc_tol"],
-                                          max_err=worst_xc, max_residual=worst_res,
-                                          tol=spec["xc_tol"])
-    max_bracket = max(r.max_bracket for r in bracket_results)
-    max_viol = max(r.violation for r in bracket_results)
-    entries["coisotropy"] = _entry(all(r.passed for r in bracket_results),
-                                   max_bracket=max_bracket, max_violation=max_viol,
-                                   tol=spec["bracket_tol"])
-    return entries
+        result = coisotropy_check(cs, omega, state, rng, samples=spec["bracket_samples"])
+        draws.append((model.nslots - two_form_rank(omega), dev, res, result.max_bracket,
+                      result.violation))
+    kernel, err, res, bracket, violation = zip(*draws)
+    return {"kernel_per_site": _worst("equal", expected=(spec["kernel_per_site"],
+                                                         {"kernel": kernel})),
+            "internal_rotation": _worst("at most", tol=(spec["xc_tol"], {"max_err": err,
+                                                                           "max_residual": res})),
+            "coisotropy": _worst("at most", tol=(spec["bracket_tol"], {"max_bracket": bracket}),
+                                 surface_tol=(spec["surface_tol"], {"max_violation": violation}))}
 
 
 def check_lattice(name: str, golden: dict, seed: int = 0, grid_shape=None) -> dict:

@@ -33,12 +33,12 @@ def _report(n, label, ok, detail, budget, elapsed):
     assert elapsed < budget, f"criterion {n} exceeded its runtime budget: {elapsed:.1f}s"
 
 
-def _golden(name, **stated):
-    """The golden record of ``name``, asserting that its lattice block holds
-    the values the criterion states, so that loosening the record fails the
-    gate too."""
+def _golden(name, block="lattice", **stated):
+    """The golden record of ``name``, asserting that its ``block`` holds the
+    values the criterion states, so that loosening the record fails the gate
+    too.  The criterion's runtime budget is the block's ``runtime_budget_s``."""
     golden = TH.golden(name)
-    got = {key: golden["lattice"][key] for key in stated}
+    got = {key: golden[block][key] for key in stated}
     assert got == stated, f"golden record of {name}: {got}, the gate states {stated}"
     return golden
 
@@ -63,25 +63,26 @@ def test_criterion_1_mechanics():
     alpha_ok = split.alpha == LocalVarForm(1, [((bctx.jetvar("q", (), 0, ()),),
                                                 E.parse("m*v", bctx))])
 
-    golden = _golden("mechanics", m=2, ham_points=20, ham_tol=1e-12)
+    golden = _golden("mechanics", m=2, ham_points=20, ham_tol=1e-12, runtime_budget_s=1)
     entries, failed = _lattice_entries("mechanics", golden)
     worst = entries["hamiltonian_flow"]["max_err"]
     _report(1, "mechanics", el_ok and alpha_ok and not failed,
             f"el exact: {el_ok}, alpha exact: {alpha_ok}, max flow error {worst:.2e} <= 1e-12 "
             f"at 20 points, failed entries: {failed}",
-            1.0, time.time() - t0)
+            golden["lattice"]["runtime_budget_s"], time.time() - t0)
 
 
 def test_criterion_2_length_functional():
     t0 = time.time()
-    golden = _golden("length", points=50, rank=4, gap_min=1e6, cos_tol=1e-10)
+    golden = _golden("length", points=50, rank=4, gap_min=1e6, cos_tol=1e-10,
+                     runtime_budget_s=5)
     entries, failed = _lattice_entries("length", golden)
     _report(2, "length functional", not failed,
             f"rank 4 at 50 points: {entries['rank']['pass']}, "
             f"min gap {entries['spectral_gap']['min_gap']:.1e} > 1e6, kernel cosine "
             f"{entries['kernel_direction']['min_cosine']:.15f} >= 1 - 1e-10, "
             f"failed entries: {failed}",
-            5.0, time.time() - t0)
+            golden["lattice"]["runtime_budget_s"], time.time() - t0)
 
 
 def test_criterion_3_scalar_field():
@@ -95,7 +96,8 @@ def test_criterion_3_scalar_field():
     alpha_ok = split.alpha == LocalVarForm(1, [((bctx.jetvar("phi", (), 0, ()),),
                                                 E.parse("phi0*rh", bctx))])
 
-    entries, _ = _lattice_entries("scalar", _golden("scalar", grid=[32], order=2, order_tol=0.2))
+    golden = _golden("scalar", grid=[32], order=2, order_tol=0.2, runtime_budget_s=30)
+    entries, _ = _lattice_entries("scalar", golden)
     rank_entry = entries["rank"]
     order_entry = entries["current_order"]
     rank_ok = rank_entry["pass"] and rank_entry["rank"] == 64
@@ -103,7 +105,7 @@ def test_criterion_3_scalar_field():
     _report(3, "scalar field", alpha_ok and rank_ok and order_ok,
             f"alpha exact: {alpha_ok}, rank {rank_entry['rank']} == 64, "
             f"current order {order_entry['order']:.3f} within 2.0 +/- 0.2",
-            30.0, time.time() - t0)
+            golden["lattice"]["runtime_budget_s"], time.time() - t0)
 
 
 def test_criterion_4_electromagnetism():
@@ -117,7 +119,7 @@ def test_criterion_4_electromagnetism():
     gauss_ok = len(cons) == 1 and cons[0][0] == "A[0]" and cons[0][1] == declared
 
     golden = _golden("em", grid=[16, 16, 16], xlam_tol=1e-10, jj_pairs=20, jj_tol=1e-10,
-                     dt=0.2, gauss_steps=1000, gauss_drift_tol=1e-12)
+                     dt=0.2, gauss_steps=1000, gauss_drift_tol=1e-12, runtime_budget_s=120)
     entries, failed = _lattice_entries("em", golden)
     x = entries["gauge_vector_field"]
     # the gate also bounds the residual of X_lam, which the record only reports
@@ -128,7 +130,7 @@ def test_criterion_4_electromagnetism():
             f"{entries['abelian_brackets']['max_bracket']:.1e} <= 1e-10 over 20 pairs, gauss drift "
             f"{entries['gauss_drift']['drift']:.1e} <= 1e-12 over 1000 steps, "
             f"failed entries: {failed}",
-            120.0, time.time() - t0)
+            golden["lattice"]["runtime_budget_s"], time.time() - t0)
 
 
 def test_criterion_5_pc_pointwise():
@@ -143,6 +145,7 @@ def test_criterion_5_pc_pointwise():
         structural_fix,
         wedge,
     )
+    golden = _golden("pc4", "point", samples=100, kernel_dim=6, runtime_budget_s=60)
     rng = random.Random(SEED)
     eps = canonical_eps()
     kernel_hits = injective_hits = fix_hits = 0
@@ -162,20 +165,20 @@ def test_criterion_5_pc_pointwise():
     _report(5, "coframe gravity pointwise", ok,
             f"kernel dim 6: {kernel_hits}/{n}, injective: {injective_hits}/{n}, "
             f"structural solve exact with unique shift: {fix_hits}/{n}",
-            60.0, time.time() - t0)
+            golden["point"]["runtime_budget_s"], time.time() - t0)
 
 
 def test_criterion_6_pc_lattice():
     t0 = time.time()
     golden = _golden("pc4", lam=0, states=20, kernel_per_site=6, xc_tol=1e-8,
-                     bracket_samples=8, bracket_tol=1e-6, surface_tol=1e-8)
+                     bracket_samples=8, bracket_tol=1e-6, surface_tol=1e-8, runtime_budget_s=300)
     entries, failed = _lattice_entries("pc4", golden)
     x, co = entries["internal_rotation"], entries["coisotropy"]
     _report(6, "coframe gravity lattice", not failed,
             f"X_c(e) = c.e to {x['max_err']:.1e} (residual {x['max_residual']:.1e}) <= 1e-8 "
             f"at 20 on-surface states, coisotropy max bracket {co['max_bracket']:.1e} <= 1e-6 "
-            f"(surface violation {co['max_violation']:.1e}), failed entries: {failed}",
-            300.0, time.time() - t0)
+            f"(surface violation {co['max_violation']:.1e} <= 1e-8), failed entries: {failed}",
+            golden["lattice"]["runtime_budget_s"], time.time() - t0)
 
 
 def test_criterion_7_property_suite():

@@ -410,8 +410,11 @@ def _exit_code(argv) -> int:
      "cannot write --out file '{tmp}/missing/x.json'"),
     (["check", "em", "--lattice=--"], "parse error: --lattice: expected one argument"),
     (["derive", "mechanics", "--format=--"], "parse error: --format: expected one argument"),
+    (["check", "mechanics", "--seed", "-1"], "parse error: --seed -1: need a non-negative integer"),
+    (["derive", "mechanics", "--seed", "-1"], "parse error: --seed -1: need a non-negative integer"),
 ], ids=["unknown-option", "bad-seed", "unknown-command", "tol", "missing-file", "directory",
-        "not-utf8", "out-dir-missing", "lattice-dashes", "format-dashes"])
+        "not-utf8", "out-dir-missing", "lattice-dashes", "format-dashes", "check-negative-seed",
+        "derive-negative-seed"])
 def test_cli_usage_and_file_errors_exit_one(tmp_path, capsys, argv, message):
     # argparse's own code is 2, which the contract keeps for check failures;
     # a file that cannot be read or written is the user's error, not a bug

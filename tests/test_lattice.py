@@ -589,6 +589,84 @@ def test_em_check_fails_for_a_gauge_direction_off_the_gauss_law(monkeypatch):
         TH.constraint_set.cache_clear()
 
 
+def _one_pc4_state(golden):
+    return {**golden, "lattice": {**golden["lattice"], "states": 1}}
+
+
+@pytest.mark.parametrize("name, entry", [("mechanics", "hamiltonian_flow"),
+                                         ("em", "gauge_vector_field"),
+                                         ("pc4", "internal_rotation")])
+def test_nan_deviation_fails_its_entry(monkeypatch, name, entry):
+    # a NaN draw is the worst one (np.max propagates it) and meets no
+    # tolerance; max(0.0, nan) would have dropped it
+    generator = VF._generator
+    monkeypatch.setattr(VF, "_generator",
+                        lambda *a: generator(*a)[:2] + (float("nan"),))
+    golden = TH.golden(name)
+    report = VF.check_lattice(name, _one_pc4_state(golden) if name == "pc4" else golden)
+    got = report["entries"][entry]
+    assert not got["pass"] and not report["passed"], got
+    assert np.isnan(got["max_A_err" if name == "em" else "max_err"])
+
+
+def test_em_gauge_vector_field_fails_on_its_solve_residual(monkeypatch):
+    # the residual the entry reports is held to the tolerance it reports
+    generator = VF._generator
+    monkeypatch.setattr(VF, "_generator", lambda *a: (generator(*a)[0], 1.0, 0.0))
+    got = VF.check_lattice("em", TH.golden("em"))["entries"]["gauge_vector_field"]
+    assert not got["pass"] and got["residual"] == 1.0 and got["max_A_err"] == 0.0, got
+
+
+def test_coisotropy_holds_each_value_to_its_own_tolerance():
+    # the bracket is held to bracket_tol alone: an on-surface violation no
+    # longer scales the bracket tolerance up (to twice it when the violation
+    # equals surface_tol)
+    model = LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.0})
+    state = TH.pc_on_surface_state(model, np.random.default_rng(5))
+    omega = assemble_two_form(model, state)
+    cs = TH.constraint_set("pc4")
+
+    def check(**tols):
+        return coisotropy_check(cs, omega, state, np.random.default_rng(7), samples=8, **tols)
+
+    measured = check()
+    assert measured.passed and 0.0 < measured.max_bracket and 0.0 < measured.violation
+    at = dict(bracket_tol=measured.max_bracket, surface_tol=measured.violation)
+    assert check(**at).passed
+    assert not check(**{**at, "bracket_tol": 0.75 * measured.max_bracket}).passed
+    assert not check(**{**at, "surface_tol": 0.75 * measured.violation}).passed
+
+
+def test_coisotropy_entry_reports_both_tolerances(rng):
+    golden = _one_pc4_state(TH.golden("pc4"))
+    got = VF.check_lattice("pc4", golden)["entries"]["coisotropy"]
+    assert got["pass"] and (got["tol"], got["surface_tol"]) == (1e-6, 1e-8), got
+    tight = {**golden, "lattice": {**golden["lattice"], "bracket_tol": 0.75 * got["max_bracket"]}}
+    assert not VF.check_lattice("pc4", tight)["entries"]["coisotropy"]["pass"]
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 1), (1, 1, 1)])
+def test_em_check_on_a_grid_too_thin_to_difference(shape):
+    # J vanishes at every draw there, so the Gauss tie compares 0 with 0:
+    # it reads 0, with no 0/0 warning
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = VF.check_lattice("em", TH.golden("em"), grid_shape=shape)
+    assert report["passed"], report
+    assert report["entries"]["gauge_vector_field"]["max_gauss_defect"] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (6, 5, 4), (8, 1, 5), (4, 1, 1)])
+def test_em_gauss_stencil_is_the_chart_gauss_density(shape):
+    # gauss_drift reads em_gauss, the Gauss tie of gauge_vector_field the
+    # chart's gauss density: under flat bindings they are one Gauss law
+    model, grid = em_model(shape)
+    state = model.random_state(np.random.default_rng(23))
+    chart_gauss = model.evaluate(dict(model.chart.constraints)["gauss"], state)
+    assert np.array_equal(lattice.em_gauss(grid, state["F0"]), chart_gauss)
+
+
 def test_coisotropy_em_single_family(rng):
     # the single abelian family passes trivially at a Gauss-satisfying state
     model, grid = em_model((6, 6, 6))

@@ -198,6 +198,20 @@ def test_check_symbolic_reports_a_wrong_chart(monkeypatch):
     assert not res["passed"]
 
 
+def test_check_symbolic_reports_swapped_chart_fields(monkeypatch):
+    # the chart still verifies with its fields swapped, but the golden
+    # chart_fields fix the slot order that every lattice entry draws in
+    from ktphase.verify import check_symbolic
+    good = TH.chart("em")
+    swapped = dataclasses.replace(good, fields=good.fields[::-1])
+    verify_chart(swapped, TH.derived_split("em"))
+    monkeypatch.setattr(TH, "chart", lambda name: swapped)
+    res = check_symbolic("em", TH.golden("em"))
+    chart = res["entries"]["chart"]
+    assert chart["pass"] is False and "chart fields ['F0', 'A']" in chart["error"]
+    assert not res["passed"]
+
+
 def test_derived_split_shares_one_entry_per_theory():
     t = TH.builtin("mechanics")
     assert TH.derived_split("mechanics") is TH.derived_split(t)
