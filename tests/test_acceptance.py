@@ -122,7 +122,7 @@ def test_criterion_4_electromagnetism():
                      dt=0.2, gauss_steps=1000, gauss_drift_tol=1e-12, runtime_budget_s=120)
     entries, failed = _lattice_entries("em", golden)
     x = entries["gauge_vector_field"]
-    # the gate also bounds the residual of X_lam, which the record only reports
+    # the residual of X_lam, which the entry also holds to xlam_tol
     residual_ok = x["residual"] <= 1e-10
     _report(4, "electromagnetism", gauss_ok and not failed and residual_ok,
             f"gauss density exact: {gauss_ok}, X_lam errors (A {x['max_A_err']:.1e}, "

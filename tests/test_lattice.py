@@ -637,7 +637,7 @@ def test_coisotropy_holds_each_value_to_its_own_tolerance():
     assert not check(**{**at, "surface_tol": 0.75 * measured.violation}).passed
 
 
-def test_coisotropy_entry_reports_both_tolerances(rng):
+def test_coisotropy_entry_reports_both_tolerances():
     golden = _one_pc4_state(TH.golden("pc4"))
     got = VF.check_lattice("pc4", golden)["entries"]["coisotropy"]
     assert got["pass"] and (got["tol"], got["surface_tol"]) == (1e-6, 1e-8), got
