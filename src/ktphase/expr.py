@@ -107,21 +107,19 @@ class JetVar:
 
     ``deriv`` is stored sorted, which encodes the commutativity of total
     derivatives.  Identity (equality, hashing, ordering) is the triple
-    ``(field, comp, deriv)``; ``meta`` rides along without affecting it.
+    ``key = (field, comp, deriv)``, stored once; ``meta`` rides along without
+    affecting it.
     """
 
-    __slots__ = ("field", "comp", "deriv", "meta", "_hash")
+    __slots__ = ("field", "comp", "deriv", "meta", "key", "_hash")
 
     def __init__(self, field: str, comp: tuple = (), deriv: tuple = (), meta: SymbolMeta = _DYNAMIC):
         self.field = field
         self.comp = tuple(comp)
         self.deriv = tuple(sorted(deriv))
         self.meta = meta
-        self._hash = hash((field, self.comp, self.deriv))
-
-    @property
-    def key(self):
-        return (self.field, self.comp, self.deriv)
+        self.key = (field, self.comp, self.deriv)
+        self._hash = hash(self.key)
 
     def with_deriv(self, coord: int, max_order: int) -> "JetVar":
         if len(self.deriv) + 1 > max_order:
@@ -133,7 +131,7 @@ class JetVar:
         return len(self.deriv)
 
     def __eq__(self, other):
-        return isinstance(other, JetVar) and self.key == other.key
+        return self is other or isinstance(other, JetVar) and self.key == other.key
 
     def __hash__(self):
         return self._hash
@@ -153,8 +151,12 @@ _EMPTY_MONO = ((), ())
 
 def _mono_key(mono):
     vars_, fns = mono
-    return (tuple((v.key, e) for v, e in vars_),
+    return (_vars_key(vars_),
             tuple(((name, order, arg.sort_key()), e) for (name, order, arg), e in fns))
+
+
+def _vars_key(vars_):
+    return tuple([(v.key, e) for v, e in vars_])
 
 
 class Expr:
@@ -187,13 +189,20 @@ class Expr:
 
     @staticmethod
     def _from_map(acc: dict) -> "Expr":
-        items = [(m, c) for m, c in acc.items() if c != 0]
+        """The Expr of a ``{monomial: coefficient}`` map: zero sums dropped,
+        monomials in ``_mono_key`` order.  When no monomial has a function
+        factor, they are sorted by their variable key alone; the keys of
+        distinct monomials differ, so that is the same order."""
+        items = [(m, c) for m, c in acc.items() if c]
         if len(items) > MAX_TERMS:
             raise ResourceLimitError(f"expression exceeds {MAX_TERMS} monomials")
         for _, c in items:
             if c.numerator.bit_length() > MAX_COEFF_BITS or c.denominator.bit_length() > MAX_COEFF_BITS:
                 raise ResourceLimitError("rational coefficient exceeds the configured bit-length limit")
-        items.sort(key=lambda t: _mono_key(t[0]))
+        if any(m[1] for m, _ in items):
+            items.sort(key=lambda t: _mono_key(t[0]))
+        else:
+            items.sort(key=lambda t: _vars_key(t[0][0]))
         return Expr(tuple(items))
 
     # -- basic protocol ------------------------------------------------------
@@ -340,13 +349,26 @@ def _mono_mul(m1, m2):
     return (vars_, fns)
 
 
+def _times_var(mono, w: JetVar):
+    """``mono`` times the jet variable ``w``: ``_mono_mul`` with one factor."""
+    vars_, fns = mono
+    key = w.key
+    for i, (v, e) in enumerate(vars_):
+        if v.key < key:
+            continue
+        if v.key != key:
+            return vars_[:i] + ((w, 1),) + vars_[i:], fns
+        if e == -1:
+            return vars_[:i] + vars_[i + 1:], fns
+        return vars_[:i] + ((v, e + 1),) + vars_[i + 1:], fns
+    return vars_ + ((w, 1),), fns
+
+
 def _accumulate(acc: dict, terms) -> None:
     """Add ``(monomial, coefficient)`` pairs into the sums of ``acc``."""
     for m, c in terms:
-        if m in acc:
-            acc[m] += c
-        else:
-            acc[m] = c
+        old = acc.get(m)
+        acc[m] = c if old is None else old + c
 
 
 def _certified_nonneg(e: Expr) -> bool:
@@ -371,9 +393,18 @@ def _certified_nonneg(e: Expr) -> bool:
 
 
 def _resimplify(acc: dict) -> Expr:
-    """Drop zeros, then rewrite reducible sqrt powers; returns a frozen Expr."""
+    """Drop zeros, then rewrite reducible sqrt powers; returns a frozen Expr.
+
+    Only monomials with a function factor go through the rewriting loop; a
+    function-free monomial has no sqrt to fold and is kept as it is."""
     out = {}
-    pending = [(m, c) for m, c in acc.items() if c != 0]
+    pending = []
+    for m, c in acc.items():
+        if c:
+            if m[1]:
+                pending.append((m, c))
+            else:
+                out[m] = c
     while pending:
         mono, coeff = pending.pop()
         vars_, fns = mono
@@ -444,6 +475,21 @@ def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
     """The walk of :func:`gradient`.  With a ``coord``, it takes only the
     variables that depend on ``coord``, function arguments included, and
     raises OrderLimitError for one already at ``max_order``."""
+    out = {}
+    for w, terms in _partial_terms(e, coord, max_order).items():
+        acc = {}
+        _accumulate(acc, terms)
+        d = _resimplify(acc)
+        if d.terms:
+            out[w] = d
+    return out
+
+
+def _partial_terms(e: Expr, coord: int | None, max_order: int) -> dict:
+    """The walk of :func:`_partials`: each variable's partial as a list of
+    ``(monomial, coefficient)`` pairs, not yet summed or normalized.  A
+    monomial repeats in a list only through a function factor: the
+    variable factors of distinct monomials give distinct partials."""
     acc = {}
     for (vars_, fns), coeff in e.terms:
         for i, (w, ex) in enumerate(vars_):
@@ -452,8 +498,15 @@ def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
                     continue
                 if len(w.deriv) >= max_order:
                     w.with_deriv(coord, max_order)  # raises OrderLimitError
-            rest = vars_[:i] + ((w, ex - 1),) + vars_[i + 1:] if ex != 1 else vars_[:i] + vars_[i + 1:]
-            _accumulate(acc.setdefault(w, {}), (((rest, fns), coeff if ex == 1 else coeff * ex),))
+            if ex == 1:
+                term = ((vars_[:i] + vars_[i + 1:], fns), coeff)
+            else:
+                term = ((vars_[:i] + ((w, ex - 1),) + vars_[i + 1:], fns), coeff * ex)
+            terms = acc.get(w)
+            if terms is None:
+                acc[w] = [term]
+            else:
+                terms.append(term)
         for i, ((name, order, arg), ex) in enumerate(fns):
             dargs = _partials(arg, coord, max_order)
             if not dargs:
@@ -461,13 +514,8 @@ def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
             rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
             outer = Expr((((vars_, rest), coeff * ex),)) * _fn_factor_derivative(name, order, arg)
             for w, darg in dargs.items():
-                _accumulate(acc.setdefault(w, {}), (outer * darg).terms)
-    out = {}
-    for w, partial in acc.items():
-        d = _resimplify(partial)
-        if d.terms:
-            out[w] = d
-    return out
+                acc.setdefault(w, []).extend((outer * darg).terms)
+    return acc
 
 
 def diff_jet(e: Expr, v: JetVar) -> Expr:
@@ -490,9 +538,9 @@ def total_derivative(e: Expr, coord: int, max_order: int = DEFAULT_MAX_JET_ORDER
     included) is already at ``max_order``, even where its partial cancels.
     """
     acc = {}
-    for w, partial in _partials(e, coord, max_order).items():
-        bumped = (((w.with_deriv(coord, max_order), 1),), ())
-        _accumulate(acc, ((_mono_mul(m, bumped), c) for m, c in partial.terms))
+    for w, terms in _partial_terms(e, coord, max_order).items():
+        bumped = w.with_deriv(coord, max_order)
+        _accumulate(acc, ((_times_var(m, bumped), c) for m, c in terms))
     return _resimplify(acc)
 
 
@@ -552,7 +600,8 @@ def _rewrite(e: Expr, image: Callable[[JetVar, int], JetVar | Expr]) -> Expr:
     ``image(v, ex)`` of a variable factor ``v^ex`` is either a jet variable,
     kept in the monomial with exponent ``ex`` (exponents of variables with
     one image add up), or an expression, multiplied in as the factor's
-    value.  Function factors are multiplied in with rewritten arguments.
+    value.  Function factors are multiplied in with rewritten arguments.  A
+    monomial with neither is renamed and summed as it is.
     """
     acc = {}
     for (vars_, fns), coeff in e.terms:
@@ -564,6 +613,10 @@ def _rewrite(e: Expr, image: Callable[[JetVar, int], JetVar | Expr]) -> Expr:
             else:
                 factors.append(w)
         mono = (tuple(sorted(((w, ex) for w, ex in kept.items() if ex), key=lambda t: t[0].key)), ())
+        if not factors and not fns:
+            old = acc.get(mono)
+            acc[mono] = coeff if old is None else old + coeff
+            continue
         term = Expr(((mono, coeff),))
         for factor in factors:
             term = term * factor
@@ -588,8 +641,12 @@ def substitute(e: Expr, images: Mapping[tuple, Expr], max_order: int = DEFAULT_M
     ``images`` maps ``(field, comp)`` of an underived symbol to its defining
     expression; a jet variable carrying derivative indices is replaced by the
     corresponding total derivatives of the image.  Exponents of substituted
-    variables must be nonnegative.  Variables without an image are kept.
+    variables must be nonnegative.  Variables without an image are kept, so
+    with no images ``e`` is returned as it is.
     """
+    if not images:
+        return e
+
     def image(v: JetVar, ex: int):
         img = images.get((v.field, v.comp))
         if img is None:
@@ -922,36 +979,39 @@ def _var_text(v: JetVar, ctx: Context | None) -> str:
     return prefix + base + "'" * primes
 
 
-def _fn_text(name, order, arg, ctx):
-    return name + "'" * order + "(" + to_text(arg, ctx) + ")"
-
-
 def to_text(e: Expr, ctx: Context | None = None) -> str:
     """Canonical text; re-parses to the same expression under the same context."""
+    return _text(e, ctx, {})
+
+
+def _text(e: Expr, ctx: Context | None, names: dict) -> str:
+    # ``names`` holds the text of each variable power met so far in this rendering
     if not e.terms:
         return "0"
     parts = []
     for (vars_, fns), coeff in e.terms:
         factors = []
-        for v, ex in vars_:
-            t = _var_text(v, ctx)
-            factors.append(t if ex == 1 else f"{t}^{ex}")
+        for power in vars_:
+            t = names.get(power)
+            if t is None:
+                v, ex = power
+                t = _var_text(v, ctx)
+                t = names[power] = t if ex == 1 else f"{t}^{ex}"
+            factors.append(t)
         for (name, order, arg), ex in fns:
-            t = _fn_text(name, order, arg, ctx)
+            t = name + "'" * order + "(" + _text(arg, ctx, names) + ")"
             factors.append(t if ex == 1 else f"{t}^{ex}")
-        mag = abs(coeff)
+        n, d = coeff.numerator, coeff.denominator
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "*".join(factors)
         else:
-            body = str(mag) + "*" + "*".join(factors)
-        parts.append(("-" if coeff < 0 else "+", body))
+            body = mag + "*" + "*".join(factors)
+        parts.append(("-" if n < 0 else "+", body))
     sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return ("-" if sign == "-" else "") + body + "".join(f" {sign} {body}" for sign, body in parts[1:])
 
 
 _LATEX_GREEK = {"phi": r"\phi", "omega": r"\omega", "lam": r"\lambda", "Lam": r"\Lambda",
