@@ -300,13 +300,16 @@ def pc_structural_rows(E: np.ndarray) -> np.ndarray:
     nondegenerate coframe).  Both maps are ``pointlin.structural_maps`` of
     the coframe; they are linear in it, so they are contracted from the maps
     of the unit coframes.  Returns a (6, 18) matrix R with R . omega = 0 as
-    the condition.
+    the condition.  A sigma map that ``lattice.numerical_rank`` cuts below
+    full rank is refused.
     """
     import numpy as np
+
+    from .lattice import numerical_rank
     tv, ts = _pc_structural_tables()
     e = np.asarray(E, dtype=float).reshape(12)
     U, sv, _ = np.linalg.svd(np.tensordot(e, ts, 1))
-    if sv[-1] <= 1e-10 * sv[0]:
+    if numerical_rank(sv) < sv.size:
         raise CheckFailure("sigma-map degenerate: coframe not metric nondegenerate")
     # at a single site d_omega e = 2 omega.e: internal_act antisymmetrizes with
     # weight one, hence the factor 2 in the table

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ktphase import expr as E
 from ktphase import lattice as L
-from ktphase.calc_var import LocalVarForm
+from ktphase.calc_var import LocalVarForm, vertical_delta
 from ktphase.errors import (
     DomainError,
     OrderLimitError,
@@ -601,6 +601,25 @@ def test_local_form_sums_repeated_generators_like_pairwise_addition(pairs):
     assert form.terms == tuple((g, c) for g, c in sorted(want.items()) if not c.is_zero())
 
 
+
+def _vertical_delta_reference(v):
+    # one gradient per coefficient, each partial paired with its generators
+    # and summed by LocalVarForm
+    pairs = []
+    for gens, coeff in v.terms:
+        grad = E.gradient(coeff)
+        pairs += (((w,) + gens, grad[w]) for w in coeff.jet_vars() if not w.meta.background and w in grad)
+    return LocalVarForm(v.degree + 1, pairs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sums(), st.lists(st.tuples(st.sampled_from(_GVARS[:4]), _sums(1)), max_size=5))
+def test_vertical_delta_matches_the_gradient_reference(c, pairs):
+    zero = LocalVarForm.scalar(c)
+    for v in (zero, vertical_delta(zero), LocalVarForm(1, (((g,), c) for g, c in pairs))):
+        assert vertical_delta(v) == _vertical_delta_reference(v)
+    assert vertical_delta(vertical_delta(zero)).is_zero()
+
 @st.composite
 def _renamings(draw):
     pool = _GVARS + [_GNEW]
@@ -640,3 +659,114 @@ def test_substitute_matches_the_product_reference(e, images):
             E.substitute(e, images)
         return
     assert E.substitute(e, images) == want
+
+
+# ---------------------------------------------------------------------------
+# the function-free path of the normal form against the general walks it
+# bypasses
+# ---------------------------------------------------------------------------
+
+def _resimplify_reference(acc):
+    # every monomial through the sqrt-folding loop, then every term sorted by
+    # _mono_key: the normal form before function-free monomials bypassed both
+    out = {}
+    pending = [(m, c) for m, c in acc.items() if c != 0]
+    while pending:
+        mono, coeff = pending.pop()
+        vars_, fns = mono
+        for i, ((name, order, arg), ex) in enumerate(fns):
+            k, r = divmod(ex, 2)
+            if name != "sqrt" or order != 0 or k == 0 or not E._certified_nonneg(arg):
+                continue
+            if k < 0 and len(arg.terms) != 1:
+                continue
+            rest = fns[:i] + ((((name, order, arg), r),) if r else ()) + fns[i + 1:]
+            pending.extend((E.Expr((((vars_, rest), coeff),)) * arg ** k).terms)
+            break
+        else:
+            out[mono] = out.get(mono, Fraction(0)) + coeff
+    items = [(m, c) for m, c in out.items() if c != 0]
+    return E.Expr(tuple(sorted(items, key=lambda t: E._mono_key(t[0]))))
+
+
+def _rewrite_reference(e, image):
+    # every monomial rebuilt as an Expr and multiplied out, also one with no
+    # expression image and no function factor
+    acc = {}
+    for (vars_, fns), coeff in e.terms:
+        kept, factors = {}, []
+        for v, ex in vars_:
+            w = image(v, ex)
+            if isinstance(w, E.JetVar):
+                kept[w] = kept.get(w, 0) + ex
+            else:
+                factors.append(w)
+        mono = (tuple(sorted(((w, ex) for w, ex in kept.items() if ex), key=lambda t: t[0].key)), ())
+        term = E.Expr(((mono, coeff),))
+        for factor in factors:
+            term = term * factor
+        for (name, order, arg), ex in fns:
+            term = term * E.apply_fn(name, order, _rewrite_reference(arg, image)) ** ex
+        for m, c in term.terms:
+            acc[m] = acc.get(m, Fraction(0)) + c
+    return _resimplify_reference(acc)
+
+
+def _raw_product(x, y):
+    # the unnormalized sums of x * y, as Expr.__mul__ hands them to _resimplify
+    acc = {}
+    for m1, c1 in x.terms:
+        for m2, c2 in y.terms:
+            m = E._mono_mul(m1, m2)
+            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+    return acc
+
+
+_SQRT_P = E.sqrt(E.Expr.var(_GVARS[4]))
+_FREE_OR_NOT = st.one_of(_sums(0), _sums())
+
+
+# sums drawn at depth 0 have no function factor; sqrt(p) * sqrt(p) folds to p
+@settings(max_examples=80, deadline=None)
+@given(_FREE_OR_NOT, _FREE_OR_NOT)
+@example(_SQRT_P + E.Expr.var(_GVARS[0]), _SQRT_P - E.Expr.var(_GVARS[1]))
+def test_normal_form_matches_the_general_walk(x, y):
+    acc = _raw_product(x, y)
+    got = E._resimplify(dict(acc))
+    assert got.terms == _resimplify_reference(acc).terms
+    for e in (got, E.Expr._from_map(dict(acc))):
+        keys = [E._mono_key(m) for m, _ in e.terms]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_from_map_orders_monomials_that_differ_only_in_function_factors():
+    a = E.Expr.var(_GVARS[0])
+    (small, _), = (a * E.apply_fn("f", 0, E.Expr.const(1))).terms
+    (large, _), = (a * E.apply_fn("f", 0, E.Expr.const(2))).terms
+    assert small[0] == large[0] and E._mono_key(small) < E._mono_key(large)
+    got = E.Expr._from_map({large: Fraction(1), small: Fraction(-1)})
+    assert got.terms == ((small, Fraction(-1)), (large, Fraction(1)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_FREE_OR_NOT, _renamings(), _substitutions())
+def test_rewrite_matches_the_general_walk(e, f, images):
+    assert E.map_vars(e, f).terms == _rewrite_reference(e, lambda v, ex: f(v)).terms
+
+    def image(v, ex):
+        img = images.get((v.field, v.comp))
+        if img is None:
+            return v
+        if ex < 0:
+            raise ValueError("negative power")
+        for i in v.deriv:
+            img = E.total_derivative(img, i)
+        return img ** ex
+
+    try:
+        want = _rewrite_reference(e, image)
+    except ValueError:
+        with pytest.raises(ValueError):
+            E.substitute(e, images)
+        return
+    assert E.substitute(e, images).terms == want.terms

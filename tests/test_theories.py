@@ -444,6 +444,25 @@ def test_pc_structural_rows_against_exact_structural_fix():
         assert np.isclose(np.linalg.norm(R @ flat(om0)), np.linalg.norm(coker), rtol=1e-10)
 
 
+def test_structural_rows_refuse_a_sigma_map_the_rank_cut_finds_degenerate():
+    # two legs of the unit coframe drawn together: the sigma map's smallest
+    # singular value falls with their distance t, here to about 1e-9 of the
+    # largest, inside lattice.numerical_rank's cut (DEFAULT_RANK_TOL = 1e-8)
+    # and above the 1e-10 the rows once cut at on their own
+    from ktphase.lattice import DEFAULT_RANK_TOL, numerical_rank
+    E4 = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+    E4[:, 2] = E4[:, 0] + 3e-9 * E4[:, 2]
+    _, ts = TH._pc_structural_tables()
+    sv = np.linalg.svd(np.tensordot(E4.reshape(12), ts, 1), compute_uv=False)
+    assert 1e-10 < sv[-1] / sv[0] < DEFAULT_RANK_TOL
+    assert numerical_rank(sv) < sv.size
+    with pytest.raises(CheckFailure, match="sigma-map degenerate"):
+        TH.pc_structural_rows(E4)
+    # a hundred times farther apart, the legs pass the cut
+    E4[:, 2] = E4[:, 0] + 3e-7 * np.array([0, 0, 0, 1.0])
+    assert TH.pc_structural_rows(E4).shape == (6, 18)
+
+
 def test_check_point_reads_the_residuals_of_the_structural_solve(monkeypatch):
     # each sample wedges four times, all inside structural_fix: eps ^ T for
     # the right-hand side, then e ^ v, eps ^ (T + v.e) and e ^ sigma for the
