@@ -272,11 +272,7 @@ class LocalVarForm:
         return " + ".join(parts)
 
     def to_text(self, ctx: Context | None = None) -> str:
-        return self._text(ctx, {})
-
-    def _text(self, ctx: Context | None, names: dict) -> str:
-        # ``names`` as in ``expr._text``: variable text met so far in one rendering
-        return self._render(lambda c: ex._text(c, ctx, names),
+        return self._render(lambda c: ex.to_text(c, ctx),
                             lambda gens: "^".join("δ(%s)" % ex._var_text(v, ctx) for v in gens),
                             " ")
 
@@ -290,34 +286,14 @@ class LocalVarForm:
 
 
 def vertical_delta(v: LocalVarForm) -> LocalVarForm:
-    """Vertical exterior derivative; nilpotent, skips background symbols.
-
-    The partials of every coefficient are summed monomial by monomial into
-    one map per sorted generator tuple, and each map is normalized once, so
-    the sums that cancel (all of them, for the delta of a delta) are never
-    sorted.  The terms are walked from the last generator down: the part of
-    a 2-form's pair ``(a, b)`` from the coefficient of ``b`` is stored
-    first, and the part from the coefficient of ``a`` is subtracted from it.
-    """
+    """Vertical exterior derivative; nilpotent, skips background symbols."""
     if v.degree >= 2:
         raise DegreeError("vertical differential of a degree-2 form would exceed degree 2")
-    sums = {}
-    for gens, coeff in reversed(v.terms):
-        for w, terms in ex._partial_terms(coeff, None, 0).items():
-            if w.meta.background or w in gens:
-                continue
-            # the generators sorted, as LocalVarForm keeps them: a swap flips the sign
-            if not gens or w < gens[0]:
-                acc = sums.setdefault((w,) + gens, {})
-                for m, c in terms:
-                    old = acc.get(m)
-                    acc[m] = c if old is None else old + c
-            else:
-                acc = sums.setdefault(gens + (w,), {})
-                for m, c in terms:
-                    old = acc.get(m)
-                    acc[m] = -c if old is None else old - c
-    return LocalVarForm(v.degree + 1, ((g, ex._resimplify(acc)) for g, acc in sums.items()))
+    pairs = []
+    for gens, coeff in v.terms:
+        grad = ex.gradient(coeff)
+        pairs += (((w,) + gens, grad[w]) for w in coeff.jet_vars() if not w.meta.background and w in grad)
+    return LocalVarForm(v.degree + 1, pairs)
 
 
 def form_total_derivative(v: LocalVarForm, coord: int, max_order: int = ex.DEFAULT_MAX_JET_ORDER) -> LocalVarForm:
@@ -376,12 +352,11 @@ class BoundarySplit:
         field equations per component, boundary 1-form ``alpha``, its 2-form
         ``omega = delta(alpha)``, and the constraint densities."""
         ctx = self.theory.context()
-        names = {}  # the text of each variable power, shared by the whole rendering
         return {
-            "el": {_component_name(w): ex._text(e, ctx, names) for w, e in self.el},
-            "alpha": self.alpha._text(ctx, names),
-            "omega": vertical_delta(self.alpha)._text(ctx, names),
-            "constraints": {n: ex._text(d, ctx, names) for n, d in self.constraints},
+            "el": {_component_name(w): ex.to_text(e, ctx) for w, e in self.el},
+            "alpha": self.alpha.to_text(ctx),
+            "omega": vertical_delta(self.alpha).to_text(ctx),
+            "constraints": {n: ex.to_text(d, ctx) for n, d in self.constraints},
         }
 
 
@@ -447,33 +422,23 @@ def boundary_restrict(x, t: TheorySpec):
     (phi' -> phi0); tangential jets survive unchanged, and every surviving
     symbol loses its transversal dependence.
     """
-    f = _restriction(t)
+    n = t.transversal
+    names = t.renames()
+
+    def f(v: JetVar) -> JetVar:
+        k = v.deriv.count(n)
+        tang = tuple(i for i in v.deriv if i != n)
+        name = _boundary_name(v.field, k, names)
+        meta = SymbolMeta(background=v.meta.background, constant=v.meta.constant,
+                          excluded=v.meta.excluded | {n}, positive=v.meta.positive and k == 0)
+        return JetVar(name, v.comp, tang, meta)
+
     if isinstance(x, Expr):
         return ex.map_vars(x, f)
     if isinstance(x, LocalVarForm):
         return LocalVarForm(x.degree, ((tuple(f(w) for w in gens), ex.map_vars(c, f))
                                        for gens, c in x.terms))
     raise TypeError(f"cannot restrict {type(x).__name__}")
-
-
-def _restriction(t: TheorySpec):
-    """The renaming of :func:`boundary_restrict`, one jet variable at a time.
-    It remembers the image of each variable (and meta) it has renamed."""
-    n = t.transversal
-    names = t.renames()
-    images = {}
-
-    def f(v: JetVar) -> JetVar:
-        w = images.get((v, v.meta))
-        if w is None:
-            k = v.deriv.count(n)
-            meta = SymbolMeta(background=v.meta.background, constant=v.meta.constant,
-                              excluded=v.meta.excluded | {n}, positive=v.meta.positive and k == 0)
-            w = images[v, v.meta] = JetVar(_boundary_name(v.field, k, names), v.comp,
-                                           tuple(i for i in v.deriv if i != n), meta)
-        return w
-
-    return f
 
 
 def _boundary_name(field: str, k: int, names: dict) -> str:
@@ -510,22 +475,13 @@ def constraint_extract(t: TheorySpec, split: BoundarySplit | None = None) -> lis
     boundary fields present in the restricted boundary density (plus their
     tangential jets and backgrounds) — i.e. no transversal jets beyond the
     declared boundary fields.  Returns ``(name, density on the slice)`` pairs.
-
-    An equation is restricted only when no renamed variable of it is ruled
-    out: restriction renames one to one unless two variables share an image,
-    so then each renamed variable survives in the restricted density.
     """
     if split is None:
         split = ibp_split(variation(t), t)
     allowed = _alpha_symbols(split)
-    f = _restriction(t)
     out = []
     for w, density in split.el:
-        renamed = [f(u) for u in density.jet_vars()]
-        if len(set(renamed)) == len(renamed) and any(
-                not u.meta.background and u.field not in allowed for u in renamed):
-            continue
-        restricted = ex.map_vars(density, f)
+        restricted = boundary_restrict(density, t)
         ok = True
         for u in restricted.jet_vars():
             if u.meta.background:

@@ -349,26 +349,13 @@ def _mono_mul(m1, m2):
     return (vars_, fns)
 
 
-def _times_var(mono, w: JetVar):
-    """``mono`` times the jet variable ``w``: ``_mono_mul`` with one factor."""
-    vars_, fns = mono
-    key = w.key
-    for i, (v, e) in enumerate(vars_):
-        if v.key < key:
-            continue
-        if v.key != key:
-            return vars_[:i] + ((w, 1),) + vars_[i:], fns
-        if e == -1:
-            return vars_[:i] + vars_[i + 1:], fns
-        return vars_[:i] + ((v, e + 1),) + vars_[i + 1:], fns
-    return vars_ + ((w, 1),), fns
-
-
 def _accumulate(acc: dict, terms) -> None:
     """Add ``(monomial, coefficient)`` pairs into the sums of ``acc``."""
     for m, c in terms:
-        old = acc.get(m)
-        acc[m] = c if old is None else old + c
+        if m in acc:
+            acc[m] += c
+        else:
+            acc[m] = c
 
 
 def _certified_nonneg(e: Expr) -> bool:
@@ -475,21 +462,6 @@ def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
     """The walk of :func:`gradient`.  With a ``coord``, it takes only the
     variables that depend on ``coord``, function arguments included, and
     raises OrderLimitError for one already at ``max_order``."""
-    out = {}
-    for w, terms in _partial_terms(e, coord, max_order).items():
-        acc = {}
-        _accumulate(acc, terms)
-        d = _resimplify(acc)
-        if d.terms:
-            out[w] = d
-    return out
-
-
-def _partial_terms(e: Expr, coord: int | None, max_order: int) -> dict:
-    """The walk of :func:`_partials`: each variable's partial as a list of
-    ``(monomial, coefficient)`` pairs, not yet summed or normalized.  A
-    monomial repeats in a list only through a function factor: the
-    variable factors of distinct monomials give distinct partials."""
     acc = {}
     for (vars_, fns), coeff in e.terms:
         for i, (w, ex) in enumerate(vars_):
@@ -499,14 +471,16 @@ def _partial_terms(e: Expr, coord: int | None, max_order: int) -> dict:
                 if len(w.deriv) >= max_order:
                     w.with_deriv(coord, max_order)  # raises OrderLimitError
             if ex == 1:
-                term = ((vars_[:i] + vars_[i + 1:], fns), coeff)
+                mono, c = (vars_[:i] + vars_[i + 1:], fns), coeff
             else:
-                term = ((vars_[:i] + ((w, ex - 1),) + vars_[i + 1:], fns), coeff * ex)
-            terms = acc.get(w)
-            if terms is None:
-                acc[w] = [term]
+                mono, c = (vars_[:i] + ((w, ex - 1),) + vars_[i + 1:], fns), coeff * ex
+            sums = acc.get(w)
+            if sums is None:
+                acc[w] = {mono: c}
+            elif mono in sums:
+                sums[mono] += c
             else:
-                terms.append(term)
+                sums[mono] = c
         for i, ((name, order, arg), ex) in enumerate(fns):
             dargs = _partials(arg, coord, max_order)
             if not dargs:
@@ -514,8 +488,13 @@ def _partial_terms(e: Expr, coord: int | None, max_order: int) -> dict:
             rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
             outer = Expr((((vars_, rest), coeff * ex),)) * _fn_factor_derivative(name, order, arg)
             for w, darg in dargs.items():
-                acc.setdefault(w, []).extend((outer * darg).terms)
-    return acc
+                _accumulate(acc.setdefault(w, {}), (outer * darg).terms)
+    out = {}
+    for w, partial in acc.items():
+        d = _resimplify(partial)
+        if d.terms:
+            out[w] = d
+    return out
 
 
 def diff_jet(e: Expr, v: JetVar) -> Expr:
@@ -538,9 +517,9 @@ def total_derivative(e: Expr, coord: int, max_order: int = DEFAULT_MAX_JET_ORDER
     included) is already at ``max_order``, even where its partial cancels.
     """
     acc = {}
-    for w, terms in _partial_terms(e, coord, max_order).items():
-        bumped = w.with_deriv(coord, max_order)
-        _accumulate(acc, ((_times_var(m, bumped), c) for m, c in terms))
+    for w, partial in _partials(e, coord, max_order).items():
+        bumped = (((w.with_deriv(coord, max_order), 1),), ())
+        _accumulate(acc, ((_mono_mul(m, bumped), c) for m, c in partial.terms))
     return _resimplify(acc)
 
 
@@ -614,8 +593,10 @@ def _rewrite(e: Expr, image: Callable[[JetVar, int], JetVar | Expr]) -> Expr:
                 factors.append(w)
         mono = (tuple(sorted(((w, ex) for w, ex in kept.items() if ex), key=lambda t: t[0].key)), ())
         if not factors and not fns:
-            old = acc.get(mono)
-            acc[mono] = coeff if old is None else old + coeff
+            if mono in acc:
+                acc[mono] += coeff
+            else:
+                acc[mono] = coeff
             continue
         term = Expr(((mono, coeff),))
         for factor in factors:
@@ -1001,17 +982,19 @@ def _text(e: Expr, ctx: Context | None, names: dict) -> str:
         for (name, order, arg), ex in fns:
             t = name + "'" * order + "(" + _text(arg, ctx, names) + ")"
             factors.append(t if ex == 1 else f"{t}^{ex}")
-        n, d = coeff.numerator, coeff.denominator
-        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        mag = abs(coeff)
         if not factors:
-            body = mag
-        elif mag == "1":
+            body = str(mag)
+        elif mag == 1:
             body = "*".join(factors)
         else:
-            body = mag + "*" + "*".join(factors)
-        parts.append(("-" if n < 0 else "+", body))
+            body = str(mag) + "*" + "*".join(factors)
+        parts.append(("-" if coeff < 0 else "+", body))
     sign, body = parts[0]
-    return ("-" if sign == "-" else "") + body + "".join(f" {sign} {body}" for sign, body in parts[1:])
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
 
 
 _LATEX_GREEK = {"phi": r"\phi", "omega": r"\omega", "lam": r"\lambda", "Lam": r"\Lambda",

@@ -306,33 +306,6 @@ def test_constraints_pc4_families():
                 assert v.comp[-1] in (1, 2, 3)
 
 
-
-@pytest.mark.parametrize("name", TH.THEORY_NAMES)
-def test_constraint_extract_matches_restricting_every_equation(name):
-    # the reference restricts every field equation and then reads its jets
-    split = TH.derived_split(name)
-    t = split.theory
-    allowed = {}
-    for gens, coeff in split.alpha.terms:
-        for w in (*gens, *coeff.jet_vars()):
-            if not w.meta.background:
-                allowed.setdefault(w.field, set()).add(w.comp)
-    want = []
-    for w, density in split.el:
-        restricted = boundary_restrict(density, t)
-        if all(u.meta.background or u.field in allowed for u in restricted.jet_vars()):
-            want.append((w.field + ("[" + ",".join(map(str, w.comp)) + "]" if w.comp else ""), restricted))
-    assert constraint_extract(t, split) == want
-
-
-def test_constraint_extract_keeps_an_equation_whose_ruled_out_jets_cancel(mech):
-    # q'' and a symbol q00 restrict to one boundary symbol, which the chart
-    # does not hold; their difference restricts to zero and constrains nothing
-    split = TH.derived_split("mechanics")
-    density = E.Expr.var(E.JetVar("q", (), (0, 0))) - E.Expr.var(E.JetVar("q00"))
-    odd = dataclasses.replace(split, el=split.el + ((E.JetVar("x"), density),))
-    assert constraint_extract(mech, odd) == [("x", E.ZERO)]
-
 def test_form_total_derivative_leibniz(mech):
     ctx = mech.context()
     c = E.parse("m*q'", ctx)

@@ -363,9 +363,9 @@ def test_unknown_format_rejected():
 # command line: exit codes
 # ---------------------------------------------------------------------------
 
-# sha256 of the stdout of ``ktphase derive NAME --format FORMAT``, recorded
-# before function-free monomials took their own path through the normal
-# form; a change to the exact core must leave every byte of them as it is
+# sha256 of the stdout of ``ktphase derive NAME --format FORMAT`` for each
+# builtin: the exact core's output, which a change to its speed must keep
+# byte for byte
 DERIVE_DIGESTS = [
     ("mechanics", "data", "d2267f032226101c843aaa91966a21c5707acce359c9b357982147777a005285"),
     ("mechanics", "plain", "a9f36d60117359f1291b90c238b267c7311a5073e7dc3101c63b2a904d65d6dd"),

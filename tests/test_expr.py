@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ktphase import expr as E
 from ktphase import lattice as L
-from ktphase.calc_var import LocalVarForm, vertical_delta
+from ktphase.calc_var import LocalVarForm
 from ktphase.errors import (
     DomainError,
     OrderLimitError,
@@ -601,24 +601,6 @@ def test_local_form_sums_repeated_generators_like_pairwise_addition(pairs):
     assert form.terms == tuple((g, c) for g, c in sorted(want.items()) if not c.is_zero())
 
 
-
-def _vertical_delta_reference(v):
-    # one gradient per coefficient, each partial paired with its generators
-    # and summed by LocalVarForm
-    pairs = []
-    for gens, coeff in v.terms:
-        grad = E.gradient(coeff)
-        pairs += (((w,) + gens, grad[w]) for w in coeff.jet_vars() if not w.meta.background and w in grad)
-    return LocalVarForm(v.degree + 1, pairs)
-
-
-@settings(max_examples=50, deadline=None)
-@given(_sums(), st.lists(st.tuples(st.sampled_from(_GVARS[:4]), _sums(1)), max_size=5))
-def test_vertical_delta_matches_the_gradient_reference(c, pairs):
-    zero = LocalVarForm.scalar(c)
-    for v in (zero, vertical_delta(zero), LocalVarForm(1, (((g,), c) for g, c in pairs))):
-        assert vertical_delta(v) == _vertical_delta_reference(v)
-    assert vertical_delta(vertical_delta(zero)).is_zero()
 
 @st.composite
 def _renamings(draw):
