@@ -272,7 +272,12 @@ class LocalVarForm:
         return " + ".join(parts)
 
     def to_text(self, ctx: Context | None = None) -> str:
-        return self._render(lambda c: ex.to_text(c, ctx),
+        return self._text(ctx, {})
+
+    def _text(self, ctx: Context | None, names: dict) -> str:
+        # ``names`` as in ``expr._text``: the text of each variable power met
+        # so far in one rendering
+        return self._render(lambda c: ex._text(c, ctx, names),
                             lambda gens: "^".join("δ(%s)" % ex._var_text(v, ctx) for v in gens),
                             " ")
 
@@ -352,11 +357,12 @@ class BoundarySplit:
         field equations per component, boundary 1-form ``alpha``, its 2-form
         ``omega = delta(alpha)``, and the constraint densities."""
         ctx = self.theory.context()
+        names = {}  # one variable-text memo for the whole rendering
         return {
-            "el": {_component_name(w): ex.to_text(e, ctx) for w, e in self.el},
-            "alpha": self.alpha.to_text(ctx),
-            "omega": vertical_delta(self.alpha).to_text(ctx),
-            "constraints": {n: ex.to_text(d, ctx) for n, d in self.constraints},
+            "el": {_component_name(w): ex._text(e, ctx, names) for w, e in self.el},
+            "alpha": self.alpha._text(ctx, names),
+            "omega": vertical_delta(self.alpha)._text(ctx, names),
+            "constraints": {n: ex._text(d, ctx, names) for n, d in self.constraints},
         }
 
 

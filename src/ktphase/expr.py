@@ -961,7 +961,11 @@ def _var_text(v: JetVar, ctx: Context | None) -> str:
 
 
 def to_text(e: Expr, ctx: Context | None = None) -> str:
-    """Canonical text; re-parses to the same expression under the same context."""
+    """Canonical text; re-parses to the same expression under the same context.
+
+    The text of each variable power is built once per call and looked up
+    after that (``BoundarySplit.renderings`` shares one such memo across
+    the expressions it renders)."""
     return _text(e, ctx, {})
 
 
