@@ -601,7 +601,6 @@ def test_local_form_sums_repeated_generators_like_pairwise_addition(pairs):
     assert form.terms == tuple((g, c) for g, c in sorted(want.items()) if not c.is_zero())
 
 
-
 @st.composite
 def _renamings(draw):
     pool = _GVARS + [_GNEW]

@@ -15,10 +15,12 @@ from ktphase import verify as VF
 from ktphase.calc_var import ChartField, LocalVarForm, verify_chart
 from ktphase.errors import CheckFailure
 from ktphase.lattice import (
+    DEFAULT_RANK_TOL,
     LatticeGrid,
     LatticeModel,
     assemble_two_form,
     hamiltonian_vector_field,
+    numerical_rank,
     random_smear,
 )
 from ktphase.pointlin import (
@@ -449,7 +451,6 @@ def test_structural_rows_refuse_a_sigma_map_the_rank_cut_finds_degenerate():
     # singular value falls with their distance t, here to about 1e-9 of the
     # largest, inside lattice.numerical_rank's cut (DEFAULT_RANK_TOL = 1e-8)
     # and above the 1e-10 the rows once cut at on their own
-    from ktphase.lattice import DEFAULT_RANK_TOL, numerical_rank
     E4 = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
     E4[:, 2] = E4[:, 0] + 3e-9 * E4[:, 2]
     _, ts = TH._pc_structural_tables()
