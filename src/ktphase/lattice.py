@@ -13,20 +13,26 @@ skew-symmetric, so the discrete divergence and gradient are negative
 transposes of each other and the Gauss-law conservation below telescopes to
 machine precision.  The difference is one subtraction over the whole
 contiguous buffer, at the offset of one step along the axis, after which the
-two wrapped end layers are overwritten; there are no rolled copies.  Axes of
-length 1 are permitted as degenerate (ultralocal) directions: the centered
-difference along them is identically zero, which realizes single-point and
-single-site toy models.  The em leapfrog steps component-major arrays (one
-contiguous block per component), differences each grid axis once over the
-components that need it, forms each antisymmetric flux F_jl once for j < l
-and skips the flux terms that vanish identically; it reproduces the
-site-major stencil bit for bit.
+two wrapped end layers are overwritten; there are no rolled copies.  These
+three subtractions are view triples (``_stencil``), the one definition of the
+stencil: ``LatticeGrid.diff`` runs them on a new buffer, and the steppers
+build them once over fixed buffers.  Axes of length 1 are permitted as
+degenerate (ultralocal) directions: the centered difference along them is
+identically zero, which realizes single-point and single-site toy models.
+The em leapfrog steps component-major arrays (one contiguous block per
+component), differences each grid axis once over the components that need
+it, forms each antisymmetric flux F_jl once for j < l and skips the flux
+terms that vanish identically; it reproduces the site-major stencil bit for
+bit.
 
 Metrics: a :class:`LatticeModel` evaluates a chart under any background
 binding, so a curved metric is a binding of ``hinv`` and ``rh``.  The
 hand-written stencils that evolve em (``evolve_em``, ``em_gauss``) and the
 linearized scalar field (``symplectic_current_check``) are for the flat
-metric only.
+metric only.  Their differences are fixed lists of in-place numpy calls,
+planned once per call, and their right-hand sides equal the vector field of
+the chart's hamiltonian under flat bindings bit for bit (tested on three
+grids).
 
 Determinism: assembly and sampling loops are plain vectorized numpy with a
 fixed reduction order, so results are bit-identical for a fixed seed.
@@ -114,24 +120,33 @@ class LatticeGrid:
 
         ``axis`` indexes ``self.shape``: counted from the front when the grid
         axes lead ``arr``, from the end (negative) when components lead.  The
-        interior is one subtraction over the whole C-contiguous buffer, of
-        elements ``2 * inner`` apart with ``inner = prod(shape[axis+1:])``;
-        it is right everywhere but at the two end layers, which are then
-        overwritten with their wrapped neighbours (a non-contiguous ``arr``
-        is copied first).  Each output is one subtraction, divided once.
+        subtractions are the view triples of :func:`_stencil` (a
+        non-contiguous ``arr`` is copied first) into a new buffer, which is
+        then divided once by ``2h`` (:attr:`_stencil_scale`); along a
+        length-1 axis the difference is zero.
         """
         if self.shape[axis] == 1:
             return np.zeros_like(arr)
         arr = np.ascontiguousarray(arr)
-        axis %= arr.ndim
         out = np.empty(arr.shape, np.result_type(arr, 1.0))
-        inner = math.prod(arr.shape[axis + 1:])
-        flat, flat_out = arr.reshape(-1), out.reshape(-1)
-        np.subtract(flat[2 * inner:], flat[:-2 * inner], out=flat_out[inner:-inner])
-        for at, plus, minus in _end_slices(axis):
-            np.subtract(arr[plus], arr[minus], out=out[at])
-        out /= 2.0 * self.spacing
+        for plus, minus, at in _stencil(arr, out, axis):
+            np.subtract(plus, minus, out=at)
+        scale, by = self._stencil_scale
+        scale(out, by, out=out)
         return out
+
+    @cached_property
+    def _stencil_scale(self) -> tuple:
+        """``(ufunc, operand)`` that divides a stencil sum by ``2h``
+        elementwise.  When ``2h`` is a power of two, its reciprocal is exact
+        and the quotient is a multiply by it: both are the correctly rounded
+        value of the same real number, so the bits agree, at about half the
+        cost.  Any other ``2h`` is divided by (a reciprocal multiply would
+        round twice)."""
+        two_h = 2.0 * self.spacing
+        if math.frexp(two_h)[0] == 0.5 == math.frexp(1.0 / two_h)[0]:
+            return np.multiply, 1.0 / two_h
+        return np.divide, two_h
 
     def diff_transpose(self, arr: np.ndarray, axis: int) -> np.ndarray:
         return -self.diff(arr, axis)
@@ -161,6 +176,51 @@ def _end_slices(axis: int) -> tuple:
         return (slice(None),) * axis + (s,)
     return ((at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None))),
             (at(slice(-1, None)), at(slice(0, 1)), at(slice(-2, -1))))
+
+
+def _stencil(src: np.ndarray, out: np.ndarray, axis: int) -> tuple:
+    """The ``(x + 1, x - 1, site)`` view triples of the centered difference
+    of ``src`` along ``axis`` into ``out``, both C-contiguous and of one
+    shape; subtracting each triple in order leaves ``2h`` times the
+    difference in ``out``.
+
+    The first triple is one subtraction over the whole flat buffer, of
+    elements ``2 * inner`` apart with ``inner = prod(shape[axis+1:])``; it
+    is right everywhere but at the two end layers along ``axis``, which the
+    other two overwrite with their wrapped neighbours.  The views stay valid
+    as long as the buffers do, so a stepper builds its triples once.
+    """
+    axis %= src.ndim
+    inner = math.prod(src.shape[axis + 1:])
+    flat, flat_out = src.reshape(-1), out.reshape(-1)
+    return ((flat[2 * inner:], flat[:-2 * inner], flat_out[inner:-inner]),) + tuple(
+        (src[plus], src[minus], out[at]) for at, plus, minus in _end_slices(axis))
+
+
+def _diff_plan(grid: LatticeGrid, src: np.ndarray, axis: int) -> tuple:
+    """A buffer for ``grid.diff(src, axis)`` and the calls that fill it from
+    the current values of ``src``, a view that lives as long as the plan:
+    ``(ufunc, args)`` pairs that copy a non-contiguous ``src`` into a
+    contiguous stage, subtract the :func:`_stencil` triples and divide once
+    by ``2h`` (:attr:`LatticeGrid._stencil_scale`).  Along a length-1 axis
+    the buffer holds zeros and there is nothing to run."""
+    out = np.zeros(src.shape)
+    if grid.shape[axis] == 1:
+        return out, []
+    calls = []
+    if not src.flags.c_contiguous:
+        stage = np.empty(src.shape)
+        calls.append((np.copyto, (stage, src)))
+        src = stage
+    scale, by = grid._stencil_scale
+    calls += [(np.subtract, views) for views in _stencil(src, out, axis)]
+    calls.append((scale, (out, by, out)))
+    return out, calls
+
+
+def _run(calls) -> None:
+    for fn, args in calls:
+        fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +734,7 @@ def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
     """
     model = omega.model
     violation = constraint_violation(cs, model, state, rng)
-    brackets = []
+    max_bracket = 0.0
     cons = list(cs.values())
     for _ in range(samples):
         ci = cons[rng.integers(len(cons))]
@@ -684,10 +744,10 @@ def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
         gi = model.density_gradient(ci, state, si)
         gj = model.density_gradient(cj, state, sj)
         try:
-            brackets.append(abs(poisson_bracket(gi, gj, omega)))
+            bracket = abs(poisson_bracket(gi, gj, omega))
         except CheckFailure:
-            brackets.append(float("inf"))
-    max_bracket = float(np.max(brackets, initial=0.0))
+            bracket = float("inf")
+        max_bracket = float(np.maximum(max_bracket, bracket))  # a NaN sticks
     passed = violation <= surface_tol and max_bracket <= bracket_tol
     return CoisotropyResult(passed=passed, max_bracket=max_bracket, violation=violation)
 
@@ -704,11 +764,11 @@ def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _em_layout(ndim: int) -> tuple:
-    """The flux pairs j < l of :func:`_em_rhs`, in order, and per grid axis i
-    the slices of the stacks differenced along i: the components A_l with
-    l != i, and the fluxes whose pair holds i.  With at most three axes both
-    are evenly spaced.  In both stacks, pair (j, l) sits at position l - 1
-    along j and at position j along l."""
+    """The flux pairs j < l of :class:`_EmLeapfrog`, in order, and per grid
+    axis i the slices of the stacks differenced along i: the components A_l
+    with l != i, and the fluxes whose pair holds i.  With at most three axes
+    both are evenly spaced.  In both stacks, pair (j, l) sits at position
+    l - 1 along j and at position j along l."""
     pairs = tuple((j, l) for j in range(ndim) for l in range(j + 1, ndim))
 
     def evenly(idx):
@@ -721,27 +781,61 @@ def _em_layout(ndim: int) -> tuple:
             tuple(evenly([p for p, pair in enumerate(pairs) if i in pair]) for i in range(ndim)))
 
 
-def _em_rhs(grid: LatticeGrid, A: np.ndarray, out: np.ndarray, flux: np.ndarray) -> None:
-    """dF_0l/dt = d_i F_il of the flat metric into ``out``; ``A`` and ``out``
-    are component-major, shaped (ndim,) + grid.shape, and ``flux`` is a
-    buffer for the F_jl with j < l, in order, shaped (npairs,) + grid.shape.
+class _EmLeapfrog:
+    """The buffers and planned calls of one :func:`evolve_em` run.
+
+    ``A`` and ``F0`` are the component-major arrays the plan reads, shaped
+    (ndim,) + grid.shape; every other buffer and every view triple is built
+    here, once.  :meth:`rhs` (the calls ``force_calls``) writes
+    dF_0l/dt = d_i F_il of the flat metric at ``A`` into ``force``, and
+    :meth:`max_gauss` (``gauss_calls``, which leave |d_i F_0i| in ``gauss``)
+    reads the Gauss residual at ``F0``.
 
     Each grid axis i is differenced once over the components that need it:
     first the A_l with l != i (for 3 axes the slices ``1:``, ``::2`` and
-    ``:-1``), which give every F_jl = d_j A_l - d_l A_j, then the F_jl whose
-    pair holds i.  The zero terms d_l A_l and d_l F_ll are never formed, and
-    d_l F_lj enters as -d_l F_jl (exact).  Taking the pairs in order sums
-    each component's flux terms in increasing i, from zero."""
-    pairs, a_parts, f_parts = _em_layout(grid.ndim)
-    lead = grid.ndim
-    dA = [grid.diff(A[part], i - lead) for i, part in enumerate(a_parts)]
-    for p, (j, l) in enumerate(pairs):
-        np.subtract(dA[j][l - 1], dA[l][j], out=flux[p])
-    dF = [grid.diff(flux[part], i - lead) for i, part in enumerate(f_parts)]
-    out[...] = 0.0
-    for j, l in pairs:
-        out[l] += dF[j][l - 1]
-        out[j] -= dF[l][j]
+    ``:-1``; the strided one is staged contiguously), which give every
+    F_jl = d_j A_l - d_l A_j, then the F_jl whose pair holds i.  The zero
+    terms d_l A_l and d_l F_ll are never formed, and d_l F_lj enters as
+    -d_l F_jl (exact).  Taking the pairs in order sums each component's flux
+    terms in increasing i, from zero.
+    """
+
+    def __init__(self, grid: LatticeGrid, A: np.ndarray, F0: np.ndarray):
+        pairs, a_parts, f_parts = _em_layout(grid.ndim)
+        self.force = np.zeros_like(A)
+        flux = np.empty((len(pairs),) + grid.shape)
+        dA, calls = self._diffs(grid, A, a_parts)
+        calls += [(np.subtract, (dA[j][l - 1], dA[l][j], flux[p])) for p, (j, l) in enumerate(pairs)]
+        dF, more = self._diffs(grid, flux, f_parts)
+        calls += more + [(np.copyto, (self.force, 0.0))]
+        for j, l in pairs:
+            calls += [(np.add, (self.force[l], dF[j][l - 1], self.force[l])),
+                      (np.subtract, (self.force[j], dF[l][j], self.force[j]))]
+        self.force_calls = calls
+        self.gauss = np.zeros(grid.shape)
+        calls = [(np.copyto, (self.gauss, 0.0))]
+        for i in range(grid.ndim):
+            d, more = _diff_plan(grid, F0[i], i)
+            calls += more + [(np.add, (self.gauss, d, self.gauss))]
+        self.gauss_calls = calls + [(np.abs, (self.gauss, self.gauss))]
+
+    @staticmethod
+    def _diffs(grid, stack, parts) -> tuple:
+        """Per grid axis i, the buffer of the difference of ``stack[parts[i]]``
+        along i, and the calls of all of them."""
+        bufs, calls = [], []
+        for i, part in enumerate(parts):
+            out, more = _diff_plan(grid, stack[part], i - grid.ndim)
+            bufs.append(out)
+            calls += more
+        return bufs, calls
+
+    def rhs(self) -> None:
+        _run(self.force_calls)
+
+    def max_gauss(self) -> float:
+        _run(self.gauss_calls)
+        return float(np.max(self.gauss))
 
 
 def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
@@ -753,31 +847,30 @@ def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
     integer steps, F0 on half steps; each F0 increment is a discrete
     divergence of an antisymmetric flux, so the Gauss density is conserved
     to roundoff.  The leapfrog runs on component-major copies, shaped
-    (ndim,) + grid.shape, updated in place through preallocated buffers, so
-    each component is a contiguous block for the stencil.  A curved metric
-    is a binding of :class:`LatticeModel` on the em chart, not a parameter
-    here.  Returns the final state (site-major views of the component-major
-    arrays), with F0 synchronized to the last step, and the max Gauss
-    residual at each step 0..steps.
+    (ndim,) + grid.shape, so each component is a contiguous block for the
+    stencil.  Every buffer and view is built once per call
+    (:class:`_EmLeapfrog`); a step, the Gauss read included, is a fixed list
+    of in-place numpy calls.  A curved metric is a binding of
+    :class:`LatticeModel` on the em chart, not a parameter here.  Returns
+    the final state (site-major views of the component-major arrays), with
+    F0 synchronized to the last step, and the max Gauss residual at each
+    step 0..steps.
     """
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
     A, F0 = (np.array(np.moveaxis(np.asarray(state[k]), -1, 0), float, order="C") for k in ("A", "F0"))
-
-    def max_gauss():
-        return float(np.max(np.abs(em_gauss(grid, np.moveaxis(F0, 0, -1)))))
-
-    force, tmp = np.empty_like(A), np.empty_like(A)
-    flux = np.empty((math.comb(grid.ndim, 2),) + grid.shape)
-    gauss = [max_gauss()]
-    _em_rhs(grid, A, force, flux)
-    half = F0 + np.multiply(force, 0.5 * dt, out=tmp)
+    em = _EmLeapfrog(grid, A, F0)
+    force, half, tmp = em.force, np.empty_like(A), np.empty_like(A)
+    gauss = [em.max_gauss()]
+    em.rhs()
+    np.add(F0, np.multiply(force, 0.5 * dt, out=tmp), out=half)
+    drift = [(np.multiply, (half, dt, tmp)), (np.add, (A, tmp, A)), *em.force_calls,
+             (np.multiply, (force, 0.5 * dt, tmp)), (np.add, (half, tmp, F0)), *em.gauss_calls]
+    kick = [(np.multiply, (force, dt, tmp)), (np.add, (half, tmp, half))]
     for _ in range(steps):
-        np.add(A, np.multiply(half, dt, out=tmp), out=A)
-        _em_rhs(grid, A, force, flux)
-        np.add(half, np.multiply(force, 0.5 * dt, out=tmp), out=F0)
-        gauss.append(max_gauss())
-        np.add(half, np.multiply(force, dt, out=tmp), out=half)
+        _run(drift)
+        gauss.append(float(np.max(em.gauss)))
+        _run(kick)
     return {"A": np.moveaxis(A, 0, -1), "F0": np.moveaxis(F0, 0, -1)}, np.array(gauss)
 
 
@@ -813,6 +906,29 @@ def _rk_evolve(z: np.ndarray, rhs, dt: float, steps: int, record: set, order: in
     return out
 
 
+def _scalar_rhs(grid: LatticeGrid):
+    """The right-hand side of the linearized scalar field of the flat metric
+    on ``grid``: ``rhs(z)``, for ``z`` stacking (phi, phi0), returns a new
+    array stacking (phi0, sum_j d_j d_j phi).  Each call copies phi into a
+    buffer and runs calls planned once, through fixed buffers, over it."""
+    phi, wave = np.empty(grid.shape), np.zeros(grid.shape)
+    calls = [(np.copyto, (wave, 0.0))]
+    for j in range(grid.ndim):
+        d, first = _diff_plan(grid, phi, j)
+        dd, second = _diff_plan(grid, d, j)
+        calls += first + second + [(np.add, (wave, dd, wave))]
+
+    def rhs(z):
+        np.copyto(phi, z[0])
+        _run(calls)
+        out = np.empty_like(z)
+        out[0] = z[1]
+        out[1] = wave
+        return out
+
+    return rhs
+
+
 def symplectic_current_check(omega: TwoFormMatrix, X0: dict, Y0: dict,
                              step_a: int, step_b: int, dt: float) -> float:
     """omega_a(X, Y) - omega_b(X, Y), signed, for two linearized solutions of
@@ -830,17 +946,16 @@ def symplectic_current_check(omega: TwoFormMatrix, X0: dict, Y0: dict,
     vanishes as dt^2 under refinement, which is the discrete shadow of the
     conservation law.  The sign is kept: the leading dt^2 term and the next
     one can cancel at coarse steps, so the defect may change sign there.
+    Both integrators call one right-hand side (``_scalar_rhs``), whose
+    differences run through buffers planned once per call; every stage and
+    every step is a new array, so a recorded step aliases no buffer.
     """
     model = omega.model
     grid = model.grid
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
 
-    def rhs(z):  # z stacks (phi, phi0); phi0 moves by the flat wave operator
-        out = np.empty_like(z)
-        out[0] = z[1]
-        out[1] = grid.divergence([grid.diff(z[0], j) for j in range(grid.ndim)])
-        return out
+    rhs = _scalar_rhs(grid)
 
     x, y = (np.stack([np.asarray(Z[k], float).reshape(grid.shape) for k in ("phi", "phi0")])
             for Z in (X0, Y0))

@@ -460,6 +460,30 @@ def test_em_dispersion_matches_discrete_oracle():
     assert np.abs(final["A"][..., 0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("name, shape", [("scalar", (32,)), ("em", (6, 5, 4)), ("em", (16, 16, 16))])
+def test_each_stepper_rhs_is_the_chart_hamiltonian_vector_field(name, shape):
+    # the hand-written flat stencils move the state along the vector field
+    # of the chart's own hamiltonian under flat bindings, bit for bit
+    t = TH.builtin(name)
+    grid = LatticeGrid(shape=shape)
+    model = LatticeModel(TH.chart(name), grid, bindings=TH.flat_metric_bindings(t))
+    state = model.random_state(np.random.default_rng(3))
+    omega = assemble_two_form(model, state)
+    X, res = hamiltonian_vector_field(omega, model.density_gradient(model.chart.hamiltonian, state))
+    X = model.vector_to_state(X)
+    assert res == 0.0
+    if name == "scalar":
+        z = np.stack([state["phi"][..., 0], state["phi0"][..., 0]])
+        got = lattice._scalar_rhs(grid)(z)
+        assert np.array_equal(X["phi"][..., 0], got[0]) and np.array_equal(X["phi0"][..., 0], got[1])
+    else:
+        A, F0 = (np.array(np.moveaxis(state[k], -1, 0), order="C") for k in ("A", "F0"))
+        em = lattice._EmLeapfrog(grid, A, F0)
+        em.rhs()
+        assert np.array_equal(X["A"], state["F0"])
+        assert np.array_equal(X["F0"], np.moveaxis(em.force, 0, -1))
+
+
 # ---------------------------------------------------------------------------
 # symplectic current
 # ---------------------------------------------------------------------------
@@ -508,6 +532,65 @@ def test_current_order_fails_with_a_first_order_integrator(monkeypatch):
     for seed in (0, 7, 24):
         entry = VF.check_lattice("scalar", TH.golden("scalar"), seed=seed)["entries"]["current_order"]
         assert not entry["pass"] and abs(entry["order"] - 1.0) <= 0.05, (seed, entry)
+
+
+def _symplectic_current_reference(omega, X0, Y0, step_a, step_b, dt):
+    """The allocating scalar stepper that ``symplectic_current_check``
+    reproduces bit for bit: a new right-hand side from rolled differences at
+    every stage, and the two Runge-Kutta maps on fresh arrays."""
+    model = omega.model
+    grid = model.grid
+
+    def rhs(z):
+        out = np.empty_like(z)
+        out[0] = z[1]
+        out[1] = np.zeros(grid.shape)
+        for j in range(grid.ndim):
+            out[1] += _diff_reference(grid, _diff_reference(grid, z[0], j), j)
+        return out
+
+    def evolve(z, order):
+        out = {}
+        for n in range(1, max(step_a, step_b) + 1):
+            k1 = rhs(z)
+            if order == 2:
+                z = z + dt * rhs(z + 0.5 * dt * k1)
+            else:
+                k2 = rhs(z + 0.5 * dt * k1)
+                k3 = rhs(z + dt * (2.0 * k2 - k1))
+                z = z + dt * (k1 + 4.0 * k2 + k3) / 6.0
+            out[n] = z
+        return out
+
+    x, y = (np.stack([np.asarray(Z[k], float).reshape(grid.shape) for k in ("phi", "phi0")])
+            for Z in (X0, Y0))
+    tx, ty = evolve(x, 2), evolve(y, 3)
+
+    def pairing(step):
+        xv, yv = (model.state_to_vector({"phi": z[0][..., None], "phi0": z[1][..., None]})
+                  for z in (tx[step], ty[step]))
+        return 0.5 * (float(np.sum(xv * omega.apply(yv))) - float(np.sum(yv * omega.apply(xv))))
+
+    return pairing(step_a) - pairing(step_b)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_symplectic_current_is_bit_identical_to_the_allocating_stepper(seed):
+    spec = TH.golden("scalar")["lattice"]
+    model, grid = scalar_model(tuple(spec["grid"]))
+    omega = assemble_two_form(model, model.zero_state())
+    rng = np.random.default_rng(seed)
+
+    def smooth(a):
+        for _ in range(6):
+            a = grid.smooth(a)
+        return a
+
+    x0, y0 = ({k: smooth(rng.standard_normal(grid.shape)) for k in ("phi", "phi0")} for _ in range(2))
+    for dt in spec["dts"]:
+        steps = (int(round(spec["t_a"] / dt)), int(round(spec["t_b"] / dt)), dt)
+        got = symplectic_current_check(omega, x0, y0, *steps)
+        assert got == _symplectic_current_reference(omega, x0, y0, *steps), dt
 
 
 def test_em_gauge_directions_are_null(rng):
@@ -635,6 +718,29 @@ def test_coisotropy_holds_each_value_to_its_own_tolerance():
     assert check(**at).passed
     assert not check(**{**at, "bracket_tol": 0.75 * measured.max_bracket}).passed
     assert not check(**{**at, "surface_tol": 0.75 * measured.violation}).passed
+
+
+@pytest.mark.parametrize("name, entry", [("em", "abelian_brackets"), ("pc4", "coisotropy")])
+@pytest.mark.parametrize("bad", ["nan", "undefined"])
+def test_a_nan_or_undefined_bracket_fails_the_entry(monkeypatch, name, entry, bad):
+    # one bad draw among good ones decides the running maximum, wherever it
+    # falls: a NaN sticks, and an undefined bracket counts as infinite
+    bracket = lattice.poisson_bracket
+    calls = []
+
+    def second_is_bad(*args):
+        calls.append(None)
+        if len(calls) != 2:
+            return bracket(*args)
+        if bad == "nan":
+            return float("nan")
+        raise CheckFailure("bracket ill-defined")
+
+    monkeypatch.setattr(lattice, "poisson_bracket", second_is_bad)
+    golden = TH.golden(name)
+    got = VF.check_lattice(name, _one_pc4_state(golden) if name == "pc4" else golden)["entries"][entry]
+    assert not got["pass"] and len(calls) > 2, got
+    assert (np.isnan if bad == "nan" else np.isposinf)(got["max_bracket"])
 
 
 def test_coisotropy_entry_reports_both_tolerances():
