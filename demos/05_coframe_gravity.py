@@ -65,7 +65,11 @@ e_slots = [model.slot_index[slot] for slot in rotation]
 print(f"internal rotation generator: |X_c(e) - c.e| = {np.abs(X[0, e_slots] - ce).max():.2e}, "
       f"residual {res:.2e}")
 
-result = coisotropy_check(cs, Omega, state, nrng, samples=10)
-print(f"coisotropy: max |bracket| = {result.max_bracket:.2e} over sampled pairs "
+# coisotropy_check measures; the golden record's tolerances decide, as in
+# `ktphase check pc4`
+tols = theories.golden("pc4")["lattice"]
+bracket, violation = coisotropy_check(cs, Omega, state, nrng, samples=10)
+coisotropic = bracket <= tols["bracket_tol"] and violation <= tols["surface_tol"]
+print(f"coisotropy: max |bracket| = {bracket:.2e} over sampled pairs "
       f"of (internal, curvature, hamiltonian, momentum) generators -> "
-      f"{'coisotropic' if result.passed else 'NOT coisotropic'}")
+      f"{'coisotropic' if coisotropic else 'NOT coisotropic'}")

@@ -704,7 +704,7 @@ class Context:
         self.coords = list(coords)
         self.transversal = transversal
         self.fields: dict[str, tuple[tuple[int, ...], SymbolMeta]] = {}
-        self.functions: dict[str, int] = {}
+        self.functions: set[str] = set()
 
     def declare_field(self, name: str, index_ranges: tuple[int, ...] = (), meta: SymbolMeta = _DYNAMIC):
         if name in self.fields or name in self.functions:
@@ -712,10 +712,10 @@ class Context:
         self.fields[name] = (tuple(index_ranges), meta)
         return self
 
-    def declare_function(self, name: str, arity: int = 1):
+    def declare_function(self, name: str):
         if name in self.fields or name in self.functions:
             raise ParseError(f"duplicate declaration of {name!r}")
-        self.functions[name] = arity
+        self.functions.add(name)
         return self
 
     def coord_index(self, token: str, line=None, col=None) -> int:

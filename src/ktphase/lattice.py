@@ -14,16 +14,17 @@ transposes of each other and the Gauss-law conservation below telescopes to
 machine precision.  The difference is one subtraction over the whole
 contiguous buffer, at the offset of one step along the axis, after which the
 two wrapped end layers are overwritten; there are no rolled copies.  These
-three subtractions are view triples (``_stencil``), the one definition of the
-stencil: ``LatticeGrid.diff`` runs them on a new buffer, and the steppers
-build them once over fixed buffers.  Axes of length 1 are permitted as
-degenerate (ultralocal) directions: the centered difference along them is
-identically zero, which realizes single-point and single-site toy models.
-The em leapfrog steps component-major arrays (one contiguous block per
-component), differences each grid axis once over the components that need
-it, forms each antisymmetric flux F_jl once for j < l and skips the flux
-terms that vanish identically; it reproduces the site-major stencil bit for
-bit.
+three subtractions are view triples (``_stencil``), which ``_diff_plan``
+plans with the one division by ``2h``: the one definition of the centered
+difference.  ``LatticeGrid.diff`` runs a one-shot plan into a new buffer,
+and the steppers build theirs once over fixed buffers.  Axes of length 1 are
+permitted as degenerate (ultralocal) directions: the centered difference
+along them is identically zero, which realizes single-point and single-site
+toy models.  The em leapfrog steps component-major arrays (one contiguous
+block per component), differences each grid axis once over the components
+that need it, forms each antisymmetric flux F_jl once for j < l and skips
+the flux terms that vanish identically; it reproduces the site-major stencil
+bit for bit.
 
 Metrics: a :class:`LatticeModel` evaluates a chart under any background
 binding, so a curved metric is a binding of ``hinv`` and ``rh``.  The
@@ -37,19 +38,23 @@ grids).
 Determinism: assembly and sampling loops are plain vectorized numpy with a
 fixed reduction order, so results are bit-identical for a fixed seed.
 Densities and their slot gradients run as kernels lowered once per process
-(:class:`Lowered`, the one float evaluator of expressions; ``expr`` stays
-exact).  Each term multiplies its factors in the order of the exact term
-walk (``expr.evaluate``).  The terms of each output are summed by one numpy
-reduction: in term order when the outputs of a kernel hold more than one
-value together, pairwise when they hold one (a single output on a
-single-site grid).  So multi-site grids reproduce the term walk bit for bit,
-and single-site sums agree with it to roundoff.
+and set of scalar bindings (:class:`Lowered`, the one float evaluator of
+expressions; ``expr`` stays exact).  A scalar binding (a flat metric, Lambda)
+is multiplied into the exact expression before it is lowered, which is exact
+for a float, so a kernel's columns are arrays only.  Each term multiplies its
+factors in the order of the exact term walk (``expr.evaluate``) of the folded
+expression.  The terms of each output are summed by one numpy reduction: in
+term order when the outputs of a kernel hold more than one value together,
+pairwise when they hold one (a single output on a single-site grid).  So
+multi-site grids reproduce the term walk bit for bit, and single-site sums
+agree with it to roundoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -64,7 +69,6 @@ __all__ = [
     "LatticeGrid",
     "LatticeModel",
     "TwoFormMatrix",
-    "CoisotropyResult",
     "assemble_two_form",
     "numerical_rank",
     "two_form_rank",
@@ -119,20 +123,12 @@ class LatticeGrid:
         (exactly skew on the torus).
 
         ``axis`` indexes ``self.shape``: counted from the front when the grid
-        axes lead ``arr``, from the end (negative) when components lead.  The
-        subtractions are the view triples of :func:`_stencil` (a
-        non-contiguous ``arr`` is copied first) into a new buffer, which is
-        then divided once by ``2h`` (:attr:`_stencil_scale`); along a
-        length-1 axis the difference is zero.
+        axes lead ``arr``, from the end (negative) when components lead.  It
+        runs a one-shot :func:`_diff_plan`, the stepper's plan, into a new
+        buffer; along a length-1 axis the difference is zero.
         """
-        if self.shape[axis] == 1:
-            return np.zeros_like(arr)
-        arr = np.ascontiguousarray(arr)
-        out = np.empty(arr.shape, np.result_type(arr, 1.0))
-        for plus, minus, at in _stencil(arr, out, axis):
-            np.subtract(plus, minus, out=at)
-        scale, by = self._stencil_scale
-        scale(out, by, out=out)
+        out, calls = _diff_plan(self, np.asarray(arr), axis)
+        _run(calls)
         return out
 
     @cached_property
@@ -147,16 +143,6 @@ class LatticeGrid:
         if math.frexp(two_h)[0] == 0.5 == math.frexp(1.0 / two_h)[0]:
             return np.multiply, 1.0 / two_h
         return np.divide, two_h
-
-    def diff_transpose(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        return -self.diff(arr, axis)
-
-    def divergence(self, flux) -> np.ndarray:
-        """``sum_i diff(flux[i], i)`` over the grid axes."""
-        out = np.zeros(np.shape(flux[0]))
-        for i in range(self.ndim):
-            out += self.diff(flux[i], i)
-        return out
 
     def smooth(self, arr: np.ndarray) -> np.ndarray:
         """Periodic 3-point average along every grid axis (the leading axes
@@ -204,12 +190,12 @@ def _diff_plan(grid: LatticeGrid, src: np.ndarray, axis: int) -> tuple:
     contiguous stage, subtract the :func:`_stencil` triples and divide once
     by ``2h`` (:attr:`LatticeGrid._stencil_scale`).  Along a length-1 axis
     the buffer holds zeros and there is nothing to run."""
-    out = np.zeros(src.shape)
     if grid.shape[axis] == 1:
-        return out, []
+        return np.zeros_like(src), []
+    out = np.zeros(src.shape, np.result_type(src, 1.0))
     calls = []
     if not src.flags.c_contiguous:
-        stage = np.empty(src.shape)
+        stage = np.empty(src.shape, src.dtype)
         calls.append((np.copyto, (stage, src)))
         src = stage
     scale, by = grid._stencil_scale
@@ -242,21 +228,13 @@ class _Poly:
     def __init__(self, idx, coef, terms, sel):
         self.idx, self.coef, self.terms, self.sel = idx, coef, terms, sel
 
-    def run(self, table: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    def run(self, table: np.ndarray) -> np.ndarray:
         body = table[self.terms]
         coef = self.coef.reshape((-1,) + (1,) * (table.ndim - 1))
-        np.multiply(coef, _factor(table, flat, self.idx[0]), out=body)
+        np.multiply(coef, table[self.idx[0]], out=body)
         for rows in self.idx[1:]:
-            np.multiply(body, _factor(table, flat, rows), out=body)
+            np.multiply(body, table[rows], out=body)
         return table[self.sel].sum(axis=0)
-
-
-def _factor(table: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # rows that are flat (the same at every point) are read at the first
-    # point only, and broadcast
-    if flat[rows].all():
-        return table[(rows,) + (slice(0, 1),) * (table.ndim - 1)]
-    return table[rows]
 
 
 class Lowered:
@@ -264,10 +242,11 @@ class Lowered:
     columns, for float evaluation in a few numpy operations.
 
     ``cols`` are the distinct jet variables, sorted.  A run takes a table of
-    ``nrows`` rows, each a value broadcast over the evaluation points, with
-    the bound columns in rows ``1 .. len(cols)``; ``flat`` marks the rows
-    that hold one value at every point, which are read once.  The run fills
-    every other row: ones (row 0), zeros, one row per function factor (its
+    ``nrows`` rows, each an array over the evaluation points, with the bound
+    columns in rows ``1 .. len(cols)``; a value that is the same at every
+    point is not a column but a factor of the coefficients, folded into the
+    expression before it is lowered (:meth:`LatticeModel.evaluate`).  The
+    run fills every other row: ones (row 0), zeros, one row per function factor (its
     argument lowered over the same table), one per power other than 1 of a
     column or factor, and one per term.  It returns one row per lowered
     expression.  Each term multiplies its coefficient and factors in the
@@ -323,23 +302,22 @@ class Lowered:
             row += n
         return _Poly(idx, np.array(coef), slice(first, row), sel)
 
-    def run(self, table: np.ndarray, flat: np.ndarray, fns: dict) -> np.ndarray:
+    def run(self, table: np.ndarray, fns: dict) -> np.ndarray:
         """Fill the rows of ``table`` after its columns, then return the
         lowered expressions, stacked along the first axis."""
         table[0] = 1.0
         table[self._zero] = 0.0
-        flat[0] = flat[self._zero] = True
         for kind, row, *step in self._steps:
             if kind == "fn":
                 name, order, poly = step
                 fn = fns.get((name, order))
                 if fn is None:
                     raise UnboundVariableError(f"no callable bound for {name!r} (derivative order {order})")
-                table[row] = fn(poly.run(table, flat)[0])
+                table[row] = fn(poly.run(table)[0])
             else:
                 base, exponent = step
                 table[row] = table[base] ** exponent
-        return self._poly.run(table, flat)
+        return self._poly.run(table)
 
 
 class LatticeModel:
@@ -347,9 +325,15 @@ class LatticeModel:
 
     ``bindings`` maps each component of a background symbol to its value,
     keyed ``(name, comp)``; a symbol without components may be keyed by its
-    bare ``name``.  A value is a scalar (a flat background) or an array of
-    shape ``grid.shape``.  ``functions`` maps ``(name, order)`` to
+    bare ``name``.  A value is a finite scalar (a flat background) or an
+    array of shape ``grid.shape``.  ``functions`` maps ``(name, order)`` to
     numpy-aware callables for opaque scalar functions.
+
+    A scalar binding is folded into each expression before it is lowered
+    (:func:`_fold`), so the float kernel sees only arrays: state
+    components, array bindings (a curved metric) and smearings.  A call's
+    ``smear`` overrides a binding of the same component, which then stays
+    unfolded.
     """
 
     def __init__(self, chart: BoundaryChart, grid: LatticeGrid, bindings=None, functions=None):
@@ -367,6 +351,9 @@ class LatticeModel:
         self.field_comps = {f.name: list(f.comps) for f in chart.fields}
         self._slot_key = tuple(self.slots)
         self._fns = {("sqrt", 0): np.sqrt, **self.functions}
+        keys = dict.fromkeys((k, ()) if isinstance(k, str) else k for k in self.bindings)
+        bound = {key: self._symbol_array(*key, None) for key in keys if key[0] not in self.field_comps}
+        self._scalars = tuple((key, float(v)) for key, v in bound.items() if np.ndim(v) == 0)
         self._plans = {}  # lowered kernel -> how this model binds its columns
 
     # -- state layout ---------------------------------------------------------
@@ -432,22 +419,23 @@ class LatticeModel:
             return self.bindings[name]
         raise KeyError(f"no lattice binding for symbol {name!r} component {comp}")
 
+    def _folded(self, smear: dict | None) -> tuple:
+        """The scalar bindings a call folds: those its ``smear`` does not hold."""
+        return tuple(kv for kv in self._scalars if kv[0] not in (smear or ()))
+
     def _run(self, low: Lowered, state: dict, smear: dict | None) -> np.ndarray:
         """Run a lowered kernel over the grid.  Each column of its table is a
-        state component, a smearing array or a background binding (flat when
-        it is a scalar), differenced along its derivative indices."""
+        state component, a smearing array or an array binding, differenced
+        along its derivative indices."""
         plan = self._plans.get(low)
         if plan is None:
             plan = self._plans[low] = self._plan(low.cols)
         fields, symbols, derivs = plan
         table = np.empty((low.nrows,) + self.grid.shape)
-        flat = np.zeros(low.nrows, dtype=bool)
         for name, rows, comps in fields:
             table[rows] = np.moveaxis(state[name][..., comps], -1, 0)
         for row, name, comp in symbols:
-            value = self._symbol_array(name, comp, smear)
-            table[row] = value
-            flat[row] = np.ndim(value) == 0
+            table[row] = self._symbol_array(name, comp, smear)
         # rows are stacked in front of the grid axes: difference along axes
         # counted from the end
         lead = self.grid.ndim
@@ -456,24 +444,26 @@ class LatticeModel:
             for coord in deriv:
                 arr = self.grid.diff(arr, self.axis_of[coord] - lead)
             table[rows] = arr
-        return low.run(table, flat, self._fns)
+        return low.run(table, self._fns)
 
     def evaluate(self, e: Expr, state: dict, smear: dict | None = None) -> np.ndarray:
         """Evaluate an expression to a float array over grid sites.
 
-        The expression is lowered once per process; its jet columns are
-        bound to grid arrays and the lowered kernel runs over them.
+        The expression is lowered once per process and set of scalar
+        bindings, which are folded into it; its jet columns are bound to grid
+        arrays and the lowered kernel runs over them.
         """
-        return self._run(_density_kernel(e), state, smear)[0]
+        return self._run(_density_kernel(e, self._folded(smear)), state, smear)[0]
 
     def density_gradient(self, e: Expr, state: dict, smear: dict | None = None) -> np.ndarray:
         """Gradient of ``sum_sites density * cellvol`` w.r.t. the state.
 
-        Exact polynomial differentiation of the density, lowered once per
-        density and slot layout, then the transposed stencil of each jet's
-        derivative indices.  Shape (nsites, nslots).
+        Exact polynomial differentiation of the density with its scalar
+        bindings folded in, lowered once per density, slot layout and set of
+        scalar bindings, then the transposed stencil of each jet's derivative
+        indices.  Shape (nsites, nslots).
         """
-        grad = _gradient_kernel(e, self._slot_key)
+        grad = _gradient_kernel(e, self._slot_key, self._folded(smear))
         out = np.zeros((self.grid.nsites, self.nslots))
         if not grad.slots.size:
             return out
@@ -481,7 +471,7 @@ class LatticeModel:
         for deriv, groups in grad.derivs:
             arr = g[groups]
             for coord in deriv:
-                arr = self.grid.diff_transpose(arr, self.axis_of[coord] - self.grid.ndim)
+                arr = -self.grid.diff(arr, self.axis_of[coord] - self.grid.ndim)
             g[groups] = arr
         (_, first), *rest = grad.layers
         acc = g[first]
@@ -491,9 +481,27 @@ class LatticeModel:
         return out
 
 
+def _fold(e: Expr, scalars: tuple) -> Expr:
+    """``e`` with the scalar bindings ``scalars``, ``((name, comp), value)``
+    pairs, multiplied into its coefficients.  This is exact: a float is a
+    dyadic rational, and a derivative of a bound symbol is zero.  A zero
+    under a negative power raises ZeroDivisionError, naming the symbol."""
+    values = dict(scalars)
+
+    def image(v, k):
+        if (v.field, v.comp) not in values:
+            return v
+        value = 0.0 if v.deriv else values[(v.field, v.comp)]
+        if k < 0 and not value:
+            raise ZeroDivisionError(f"{ex.to_text(Expr.var(v))} is bound to 0 under the power {k}")
+        return Expr.const(Fraction(value) ** k)
+
+    return ex._rewrite(e, image) if values else e
+
+
 @lru_cache(maxsize=None)
-def _density_kernel(e: Expr) -> Lowered:
-    return Lowered((e,))
+def _density_kernel(e: Expr, scalars: tuple) -> Lowered:
+    return Lowered((_fold(e, scalars),))
 
 
 @dataclass(frozen=True)
@@ -514,9 +522,11 @@ class _Gradient:
 
 
 @lru_cache(maxsize=None)
-def _gradient_kernel(e: Expr, slots: tuple) -> _Gradient:
-    """Derive and lower the slot gradient of ``e``, once per density and
-    slot layout; only the lowered arrays are kept."""
+def _gradient_kernel(e: Expr, slots: tuple, scalars: tuple) -> _Gradient:
+    """Fold ``scalars`` into ``e``, then derive and lower its slot gradient,
+    once per density, slot layout and set of scalar bindings; only the
+    lowered arrays are kept."""
+    e = _fold(e, scalars)
     index = {key: j for j, key in enumerate(slots)}
     grad = ex.gradient(e)
     groups, coeffs = [], []
@@ -695,17 +705,6 @@ def random_smear(model: LatticeModel, density: Expr, rng: np.random.Generator) -
             for key in _smear_components(density, model.chart)}
 
 
-@dataclass
-class CoisotropyResult:
-    passed: bool
-    max_bracket: float
-    violation: float
-
-    def __repr__(self):
-        return (f"CoisotropyResult(passed={self.passed}, max_bracket={self.max_bracket:.3e}, "
-                f"violation={self.violation:.3e})")
-
-
 def constraint_violation(cs: dict, model: LatticeModel, state: dict,
                          rng: np.random.Generator) -> float:
     """Max absolute smeared constraint value over four random unit-normalized
@@ -721,16 +720,17 @@ def constraint_violation(cs: dict, model: LatticeModel, state: dict,
 
 
 def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
-                     rng: np.random.Generator, samples: int = 10,
-                     bracket_tol: float = 1e-6, surface_tol: float = 1e-8) -> CoisotropyResult:
+                     rng: np.random.Generator, samples: int = 10) -> tuple:
     """Sample smeared constraint pairs of the families ``cs`` (name ->
-    density, as ``theories.constraint_set`` gives them) and bound their
+    density, as ``theories.constraint_set`` gives them) and measure their
     brackets at a state, with ``omega`` the 2-form assembled there.
 
-    Passes when ``violation <= surface_tol`` (the state is on the constraint
-    surface) and ``max_bracket <= bracket_tol``; a bracket whose vector field
-    is undefined counts as infinite, and a NaN fails.  An off-surface state
-    reports failure with the violation magnitude rather than raising.
+    Returns ``(max_bracket, violation)``: the largest absolute bracket of
+    ``samples`` pairs, and the state's :func:`constraint_violation`.  A
+    bracket whose vector field is undefined counts as infinite, and a NaN
+    one sticks.  The caller holds each to its tolerance (``verify`` reads
+    them from the golden record); an off-surface state reports its
+    violation rather than raising.
     """
     model = omega.model
     violation = constraint_violation(cs, model, state, rng)
@@ -748,8 +748,7 @@ def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
         except CheckFailure:
             bracket = float("inf")
         max_bracket = float(np.maximum(max_bracket, bracket))  # a NaN sticks
-    passed = violation <= surface_tol and max_bracket <= bracket_tol
-    return CoisotropyResult(passed=passed, max_bracket=max_bracket, violation=violation)
+    return max_bracket, violation
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +758,10 @@ def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
 def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
     """Discrete Gauss density d_i F_0i of the flat metric; ``F0`` is shaped
     grid.shape + (ndim,), as in the state of :func:`evolve_em`."""
-    return grid.divergence(np.moveaxis(F0, -1, 0))
+    out = np.zeros(grid.shape)
+    for i in range(grid.ndim):
+        out += grid.diff(F0[..., i], i)
+    return out
 
 
 @lru_cache(maxsize=None)

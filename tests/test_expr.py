@@ -239,11 +239,9 @@ def _run_lowered(e, point, fns):
     low = L.Lowered((e,))
     values = [point[v] for v in low.cols]
     table = np.empty((low.nrows,) + np.broadcast_shapes(*(np.shape(x) for x in values)))
-    flat = np.zeros(low.nrows, dtype=bool)
     for row, x in enumerate(values, 1):
         table[row] = x
-        flat[row] = np.ndim(x) == 0
-    return low.run(table, flat, {("sqrt", 0): np.sqrt, **fns})[0]
+    return low.run(table, {("sqrt", 0): np.sqrt, **fns})[0]
 
 
 @pytest.mark.parametrize("src", [

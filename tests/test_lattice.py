@@ -625,9 +625,8 @@ def test_coisotropy_off_surface_negative_control(rng):
     model = LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.0})
     cs = TH.constraint_set("pc4")
     state = model.random_state(rng)
-    result = coisotropy_check(cs, assemble_two_form(model, state), state, rng, samples=4)
-    assert not result.passed
-    assert result.violation > 1e-3
+    _, violation = coisotropy_check(cs, assemble_two_form(model, state), state, rng, samples=4)
+    assert violation > max(1e-3, TH.golden("pc4")["lattice"]["surface_tol"])
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 8), (6, 5, 4)])
@@ -700,26 +699,6 @@ def test_em_gauge_vector_field_fails_on_its_solve_residual(monkeypatch):
     assert not got["pass"] and got["residual"] == 1.0 and got["max_A_err"] == 0.0, got
 
 
-def test_coisotropy_holds_each_value_to_its_own_tolerance():
-    # the bracket is held to bracket_tol alone: an on-surface violation no
-    # longer scales the bracket tolerance up (to twice it when the violation
-    # equals surface_tol)
-    model = LatticeModel(TH.chart("pc4"), LatticeGrid(shape=(1, 1, 1)), bindings={"Lam": 0.0})
-    state = TH.pc_on_surface_state(model, np.random.default_rng(5))
-    omega = assemble_two_form(model, state)
-    cs = TH.constraint_set("pc4")
-
-    def check(**tols):
-        return coisotropy_check(cs, omega, state, np.random.default_rng(7), samples=8, **tols)
-
-    measured = check()
-    assert measured.passed and 0.0 < measured.max_bracket and 0.0 < measured.violation
-    at = dict(bracket_tol=measured.max_bracket, surface_tol=measured.violation)
-    assert check(**at).passed
-    assert not check(**{**at, "bracket_tol": 0.75 * measured.max_bracket}).passed
-    assert not check(**{**at, "surface_tol": 0.75 * measured.violation}).passed
-
-
 @pytest.mark.parametrize("name, entry", [("em", "abelian_brackets"), ("pc4", "coisotropy")])
 @pytest.mark.parametrize("bad", ["nan", "undefined"])
 def test_a_nan_or_undefined_bracket_fails_the_entry(monkeypatch, name, entry, bad):
@@ -744,11 +723,38 @@ def test_a_nan_or_undefined_bracket_fails_the_entry(monkeypatch, name, entry, ba
 
 
 def test_coisotropy_entry_reports_both_tolerances():
+    # and holds each value to its own: the bracket to bracket_tol alone, the
+    # constraint violation to surface_tol alone
     golden = _one_pc4_state(TH.golden("pc4"))
     got = VF.check_lattice("pc4", golden)["entries"]["coisotropy"]
     assert got["pass"] and (got["tol"], got["surface_tol"]) == (1e-6, 1e-8), got
-    tight = {**golden, "lattice": {**golden["lattice"], "bracket_tol": 0.75 * got["max_bracket"]}}
-    assert not VF.check_lattice("pc4", tight)["entries"]["coisotropy"]["pass"]
+    assert 0.0 < got["max_bracket"] and 0.0 < got["max_violation"], got
+    at = {**golden["lattice"], "bracket_tol": got["max_bracket"], "surface_tol": got["max_violation"]}
+
+    def passes(**tols):
+        lattice_spec = {**at, **tols}
+        return VF.check_lattice("pc4", {**golden, "lattice": lattice_spec})["entries"]["coisotropy"]["pass"]
+
+    assert passes()
+    assert not passes(bracket_tol=0.75 * got["max_bracket"])
+    assert not passes(surface_tol=0.75 * got["max_violation"])
+
+
+def test_em_abelian_brackets_hold_both_values_to_jj_tol():
+    # em holds its bracket and its constraint violation to the one jj_tol;
+    # its brackets vanish exactly, its violation is roundoff
+    golden = TH.golden("em")
+    got = VF.check_lattice("em", golden, grid_shape=(6, 5, 4))["entries"]["abelian_brackets"]
+    assert got["pass"] and got["tol"] == got["surface_tol"] == golden["lattice"]["jj_tol"], got
+    assert got["max_bracket"] == 0.0 < got["max_violation"], got
+
+    def entry(jj_tol):
+        tight = {**golden, "lattice": {**golden["lattice"], "jj_tol": jj_tol}}
+        return VF.check_lattice("em", tight, grid_shape=(6, 5, 4))["entries"]["abelian_brackets"]
+
+    assert entry(got["max_violation"])["pass"]
+    tight = entry(0.75 * got["max_violation"])
+    assert not tight["pass"] and tight["max_bracket"] <= tight["tol"], tight
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 1), (1, 1, 1)])
@@ -765,22 +771,27 @@ def test_em_check_on_a_grid_too_thin_to_difference(shape):
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), (6, 5, 4), (8, 1, 5), (4, 1, 1)])
 def test_em_gauss_stencil_is_the_chart_gauss_density(shape):
-    # gauss_drift reads em_gauss, the Gauss tie of gauge_vector_field the
-    # chart's gauss density: under flat bindings they are one Gauss law
+    # gauss_drift reads the leapfrog's planned Gauss read
+    # (_EmLeapfrog.max_gauss), the Gauss tie of gauge_vector_field the
+    # chart's gauss density, whose flat bindings are folded into its kernel;
+    # em_gauss is the allocating stencil.  They are one Gauss law
     model, grid = em_model(shape)
     state = model.random_state(np.random.default_rng(23))
     chart_gauss = model.evaluate(dict(model.chart.constraints)["gauss"], state)
     assert np.array_equal(lattice.em_gauss(grid, state["F0"]), chart_gauss)
+    A, F0 = (np.ascontiguousarray(np.moveaxis(state[k], -1, 0)) for k in ("A", "F0"))
+    em = lattice._EmLeapfrog(grid, A, F0)
+    assert em.max_gauss() == np.abs(chart_gauss).max()
+    assert np.array_equal(em.gauss, np.abs(chart_gauss))
 
 
 def test_coisotropy_em_single_family(rng):
     # the single abelian family passes trivially at a Gauss-satisfying state
     model, grid = em_model((6, 6, 6))
     state = divergence_free_em_data(grid, rng)
-    result = coisotropy_check(TH.constraint_set("em"), assemble_two_form(model, state), state, rng,
-                              samples=6, bracket_tol=1e-10, surface_tol=1e-10)
-    assert result.passed
-    assert result.max_bracket <= 1e-10
+    bracket, violation = coisotropy_check(TH.constraint_set("em"), assemble_two_form(model, state),
+                                          state, rng, samples=6)
+    assert bracket <= 1e-10 and violation <= 1e-10
 
 
 def test_gauge_residual_under_grid_refinement(rng):
@@ -875,3 +886,75 @@ def test_second_pc4_lattice_check_differentiates_nothing(monkeypatch):
     calls.clear()
     verify.check_lattice("pc4", golden, seed=0)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# scalar bindings folded into the exact expression
+# ---------------------------------------------------------------------------
+
+def _flat_models(name, shape):
+    """The chart on ``shape`` under flat bindings, folded, and under the
+    same values bound as constant grid arrays, which stay kernel columns."""
+    grid = LatticeGrid(shape=shape)
+    flat = TH.flat_metric_bindings(TH.builtin(name))
+    arrays = {key: np.full(shape, value) for key, value in flat.items()}
+    return LatticeModel(TH.chart(name), grid, flat), LatticeModel(TH.chart(name), grid, arrays)
+
+
+@pytest.mark.parametrize("name, shape", [("em", (6, 5, 4)), ("em", (16, 16, 16)), ("scalar", (32,))])
+def test_folded_scalar_bindings_equal_constant_array_bindings(name, shape):
+    folded, arrays = _flat_models(name, shape)
+    rng = np.random.default_rng(41)
+    state = folded.random_state(rng)
+    cases = [(folded.chart.hamiltonian, None)]
+    if name == "em":
+        J = TH.constraint_set("em")["J"]
+        cases += [(dict(folded.chart.constraints)["gauss"], None), (J, random_smear(folded, J, rng))]
+    for density, smear in cases:
+        for method in ("evaluate", "density_gradient"):
+            got, want = (getattr(m, method)(density, state, smear) for m in (folded, arrays))
+            assert np.array_equal(got, want), (method, density)
+
+
+def test_a_scalar_binding_gets_no_kernel_column(monkeypatch):
+    folded, arrays = _flat_models("em", (6, 5, 4))
+    state = folded.random_state(np.random.default_rng(5))
+    gauss = dict(folded.chart.constraints)["gauss"]
+    columns = []
+    run = lattice.Lowered.run
+    monkeypatch.setattr(lattice.Lowered, "run", lambda low, *a: columns.append(low.cols) or run(low, *a))
+    for model in (folded, arrays):
+        model.evaluate(gauss, state)
+    folded_cols, array_cols = ({v.field for v in cols} for cols in columns)
+    assert folded_cols == {"F0"}
+    assert {"hinv", "rh"} <= array_cols  # the control: arrays are columns
+
+
+def test_a_smear_overrides_a_scalar_binding():
+    # random_smear draws hinv for scalar's hamiltonian: the smear, not the
+    # flat binding of hinv, is evaluated
+    model, grid = scalar_model((32,))
+    H = model.chart.hamiltonian
+    rng = np.random.default_rng(9)
+    state = model.random_state(rng)
+    smear = random_smear(model, H, rng)
+    assert list(smear) == [("hinv", (1, 1))]
+    rebound = LatticeModel(model.chart, grid, {**model.bindings, **smear})
+    for method in ("evaluate", "density_gradient"):
+        got = getattr(model, method)(H, state, smear)
+        assert np.array_equal(got, getattr(rebound, method)(H, state))
+        assert not np.array_equal(got, getattr(model, method)(H, state))
+
+
+def test_a_negative_power_of_a_folded_scalar():
+    # mechanics' motion -V'(q)/m carries m^-1: m is folded exactly, and a
+    # zero under the negative power raises, naming the symbol
+    H = TH.chart("mechanics").hamiltonian
+    sym = {w.field: E.Expr.var(w) for w in H.jet_vars()}
+    motion = -E.apply_fn("V", 1, sym["q"]) / sym["m"]
+    model = mech_model(m=2.0)
+    state = model.random_state(np.random.default_rng(4))
+    q = state["q"][..., 0]
+    assert model.evaluate(motion, state) == -q ** 3 / 2.0
+    with pytest.raises(ZeroDivisionError, match=r"\bm\b"):
+        mech_model(m=0.0).evaluate(motion, state)
