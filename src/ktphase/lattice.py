@@ -38,16 +38,19 @@ grids).
 Determinism: assembly and sampling loops are plain vectorized numpy with a
 fixed reduction order, so results are bit-identical for a fixed seed.
 Densities and their slot gradients run as kernels lowered once per process
-and set of scalar bindings (:class:`Lowered`, the one float evaluator of
-expressions; ``expr`` stays exact).  A scalar binding (a flat metric, Lambda)
-is multiplied into the exact expression before it is lowered, which is exact
-for a float, so a kernel's columns are arrays only.  Each term multiplies its
-factors in the order of the exact term walk (``expr.evaluate``) of the folded
-expression.  The terms of each output are summed by one numpy reduction: in
-term order when the outputs of a kernel hold more than one value together,
-pairwise when they hold one (a single output on a single-site grid).  So
-multi-site grids reproduce the term walk bit for bit, and single-site sums
-agree with it to roundoff.
+and fold (:class:`Lowered`, the one float evaluator of expressions; ``expr``
+stays exact); a tuple of densities is one kernel with an output each.  The
+fold multiplies into the exact expression, before it is lowered, each scalar
+binding (a flat metric, Lambda) and zero for each jet with a derivative along
+a length-1 axis, where the centered difference vanishes identically.  Both
+are exact, so a kernel's columns are arrays only and a single-site kernel
+differences nothing; without a length-1 axis only scalars fold.  Each term
+multiplies its factors in the order of the exact term walk
+(``expr.evaluate``) of the folded expression.  The terms of each output are
+summed by one numpy reduction: in term order when the outputs of a kernel
+hold more than one value together, pairwise when they hold one (a single
+output on a single-site grid).  So multi-site grids reproduce the term walk
+bit for bit, and single-site sums agree with it to roundoff.
 """
 
 from __future__ import annotations
@@ -245,13 +248,14 @@ class Lowered:
     ``nrows`` rows, each an array over the evaluation points, with the bound
     columns in rows ``1 .. len(cols)``; a value that is the same at every
     point is not a column but a factor of the coefficients, folded into the
-    expression before it is lowered (:meth:`LatticeModel.evaluate`).  The
-    run fills every other row: ones (row 0), zeros, one row per function factor (its
-    argument lowered over the same table), one per power other than 1 of a
-    column or factor, and one per term.  It returns one row per lowered
-    expression.  Each term multiplies its coefficient and factors in the
-    order of the term walk, as floats.  ``fns`` binds every function factor,
-    sqrt included, to a numpy-aware callable.
+    expression before it is lowered (:func:`_fold`), as is a derivative along
+    a length-1 axis, which is zero.  The run fills every other row: ones
+    (row 0), zeros, one row per function factor (its argument lowered over
+    the same table), one per power other than 1 of a column or factor, and
+    one per term.  It returns one row per lowered expression.  Each term
+    multiplies its coefficient and factors in the order of the term walk, as
+    floats.  ``fns`` binds every function factor, sqrt included, to a
+    numpy-aware callable.
     """
 
     __slots__ = ("cols", "nrows", "_zero", "_steps", "_poly")
@@ -333,7 +337,9 @@ class LatticeModel:
     (:func:`_fold`), so the float kernel sees only arrays: state
     components, array bindings (a curved metric) and smearings.  A call's
     ``smear`` overrides a binding of the same component, which then stays
-    unfolded.
+    unfolded.  The model finds the coordinates of its length-1 axes once, and
+    a jet with a derivative along one folds to zero; state columns are bound
+    through a transpose it stores.
     """
 
     def __init__(self, chart: BoundaryChart, grid: LatticeGrid, bindings=None, functions=None):
@@ -354,6 +360,8 @@ class LatticeModel:
         keys = dict.fromkeys((k, ()) if isinstance(k, str) else k for k in self.bindings)
         bound = {key: self._symbol_array(*key, None) for key in keys if key[0] not in self.field_comps}
         self._scalars = tuple((key, float(v)) for key, v in bound.items() if np.ndim(v) == 0)
+        self._ultralocal = frozenset(c for c, n in zip(chart.tangential, grid.shape) if n == 1)
+        self._front = (grid.ndim,) + tuple(range(grid.ndim))  # a state's component axis to the front
         self._plans = {}  # lowered kernel -> how this model binds its columns
 
     # -- state layout ---------------------------------------------------------
@@ -420,8 +428,9 @@ class LatticeModel:
         raise KeyError(f"no lattice binding for symbol {name!r} component {comp}")
 
     def _folded(self, smear: dict | None) -> tuple:
-        """The scalar bindings a call folds: those its ``smear`` does not hold."""
-        return tuple(kv for kv in self._scalars if kv[0] not in (smear or ()))
+        """What a call folds (:func:`_fold`): the scalar bindings its
+        ``smear`` does not hold, and the coordinates of length-1 axes."""
+        return tuple(kv for kv in self._scalars if kv[0] not in (smear or ())), self._ultralocal
 
     def _run(self, low: Lowered, state: dict, smear: dict | None) -> np.ndarray:
         """Run a lowered kernel over the grid.  Each column of its table is a
@@ -433,7 +442,7 @@ class LatticeModel:
         fields, symbols, derivs = plan
         table = np.empty((low.nrows,) + self.grid.shape)
         for name, rows, comps in fields:
-            table[rows] = np.moveaxis(state[name][..., comps], -1, 0)
+            table[rows] = state[name][..., comps].transpose(self._front)
         for row, name, comp in symbols:
             table[row] = self._symbol_array(name, comp, smear)
         # rows are stacked in front of the grid axes: difference along axes
@@ -446,74 +455,81 @@ class LatticeModel:
             table[rows] = arr
         return low.run(table, self._fns)
 
-    def evaluate(self, e: Expr, state: dict, smear: dict | None = None) -> np.ndarray:
-        """Evaluate an expression to a float array over grid sites.
+    def evaluate(self, e: Expr | tuple, state: dict, smear: dict | None = None) -> np.ndarray:
+        """Evaluate an expression to a float array over grid sites; a tuple
+        of expressions runs as one kernel, their arrays stacked in order.
 
-        The expression is lowered once per process and set of scalar
-        bindings, which are folded into it; its jet columns are bound to grid
-        arrays and the lowered kernel runs over them.
+        The expressions are lowered once per process and fold (:func:`_fold`);
+        their jet columns are bound to grid arrays and the lowered kernel
+        runs over them.
         """
-        return self._run(_density_kernel(e, self._folded(smear)), state, smear)[0]
+        exprs = e if isinstance(e, tuple) else (e,)
+        out = self._run(_density_kernel(exprs, self._folded(smear)), state, smear)
+        return out if isinstance(e, tuple) else out[0]
 
-    def density_gradient(self, e: Expr, state: dict, smear: dict | None = None) -> np.ndarray:
+    def density_gradient(self, e: Expr | tuple, state: dict, smear: dict | None = None) -> np.ndarray:
         """Gradient of ``sum_sites density * cellvol`` w.r.t. the state.
 
-        Exact polynomial differentiation of the density with its scalar
-        bindings folded in, lowered once per density, slot layout and set of
-        scalar bindings, then the transposed stencil of each jet's derivative
-        indices.  Shape (nsites, nslots).
+        Exact polynomial differentiation of the folded density (:func:`_fold`),
+        lowered once per density, slot layout and fold, then the transposed
+        stencil of each jet's derivative indices.  Shape (nsites, nslots); a
+        tuple of densities runs as one kernel, their gradients stacked in order.
         """
-        grad = _gradient_kernel(e, self._slot_key, self._folded(smear))
-        out = np.zeros((self.grid.nsites, self.nslots))
-        if not grad.slots.size:
-            return out
-        g = self._run(grad.kernel, state, smear)
-        for deriv, groups in grad.derivs:
-            arr = g[groups]
-            for coord in deriv:
-                arr = -self.grid.diff(arr, self.axis_of[coord] - self.grid.ndim)
-            g[groups] = arr
-        (_, first), *rest = grad.layers
-        acc = g[first]
-        for positions, groups in rest:
-            acc[positions] += g[groups]
-        out[:, grad.slots] = (acc.reshape(grad.slots.size, -1) * self.grid.cell_volume()).T
-        return out
+        exprs = e if isinstance(e, tuple) else (e,)
+        grad = _gradient_kernel(exprs, self._slot_key, self._folded(smear))
+        out = np.zeros((self.grid.nsites, len(exprs) * self.nslots))
+        if grad.slots.size:
+            g = self._run(grad.kernel, state, smear)
+            for deriv, groups in grad.derivs:
+                arr = g[groups]
+                for coord in deriv:
+                    arr = -self.grid.diff(arr, self.axis_of[coord] - self.grid.ndim)
+                g[groups] = arr
+            (_, first), *rest = grad.layers
+            acc = g[first]
+            for positions, groups in rest:
+                acc[positions] += g[groups]
+            out[:, grad.slots] = (acc.reshape(grad.slots.size, -1) * self.grid.cell_volume()).T
+        return out.reshape(self.grid.nsites, -1, self.nslots).swapaxes(0, 1) if isinstance(e, tuple) else out
 
 
-def _fold(e: Expr, scalars: tuple) -> Expr:
-    """``e`` with the scalar bindings ``scalars``, ``((name, comp), value)``
-    pairs, multiplied into its coefficients.  This is exact: a float is a
-    dyadic rational, and a derivative of a bound symbol is zero.  A zero
-    under a negative power raises ZeroDivisionError, naming the symbol."""
+def _fold(e: Expr, fold: tuple) -> Expr:
+    """``e`` with ``fold = (scalars, ultralocal)`` multiplied into its
+    coefficients: each scalar binding of ``scalars``, ``((name, comp),
+    value)`` pairs, and zero for each jet with a derivative along a coordinate
+    of ``ultralocal``, the grid axes of length 1, where the centered
+    difference is identically zero.  This is exact: a float is a dyadic
+    rational, and a derivative of a bound symbol is zero.  A zero under a
+    negative power raises ZeroDivisionError, naming the symbol."""
+    scalars, ultralocal = fold
     values = dict(scalars)
 
     def image(v, k):
-        if (v.field, v.comp) not in values:
+        if (v.field, v.comp) not in values and ultralocal.isdisjoint(v.deriv):
             return v
         value = 0.0 if v.deriv else values[(v.field, v.comp)]
         if k < 0 and not value:
             raise ZeroDivisionError(f"{ex.to_text(Expr.var(v))} is bound to 0 under the power {k}")
         return Expr.const(Fraction(value) ** k)
 
-    return ex._rewrite(e, image) if values else e
+    return ex._rewrite(e, image) if values or ultralocal else e
 
 
 @lru_cache(maxsize=None)
-def _density_kernel(e: Expr, scalars: tuple) -> Lowered:
-    return Lowered((_fold(e, scalars),))
+def _density_kernel(exprs: tuple, fold: tuple) -> Lowered:
+    return Lowered(tuple(_fold(e, fold) for e in exprs))
 
 
 @dataclass(frozen=True)
 class _Gradient:
-    """The slot gradient of a density, lowered into one kernel.
+    """The slot gradients of densities, lowered into one kernel.
 
-    The kernel has one output per group: a chart slot and the derivative
-    multi-index of a jet of that slot, whose ``gradient`` coefficient it
-    evaluates.  ``derivs`` lists the groups per multi-index, whose transposed
-    stencils apply after the kernel.  ``slots`` are the slots with a group,
-    and ``layers[k]`` pairs positions in ``slots`` with each one's k-th
-    group, in the density's jet order.
+    The kernel has one output per group: a target (a density and a chart
+    slot) and the derivative multi-index of a jet of that slot, whose
+    ``gradient`` coefficient it evaluates.  ``derivs`` lists the groups per
+    multi-index, whose transposed stencils apply after the kernel.  ``slots``
+    are the targets with a group, and ``layers[k]`` pairs positions in
+    ``slots`` with each one's k-th group, in the density's jet order.
     """
     kernel: Lowered
     derivs: tuple
@@ -522,19 +538,21 @@ class _Gradient:
 
 
 @lru_cache(maxsize=None)
-def _gradient_kernel(e: Expr, slots: tuple, scalars: tuple) -> _Gradient:
-    """Fold ``scalars`` into ``e``, then derive and lower its slot gradient,
-    once per density, slot layout and set of scalar bindings; only the
-    lowered arrays are kept."""
-    e = _fold(e, scalars)
+def _gradient_kernel(exprs: tuple, slots: tuple, fold: tuple) -> _Gradient:
+    """Fold each density of ``exprs`` (:func:`_fold`), then derive and lower
+    their slot gradients into one kernel, once per densities, slot layout
+    and fold; only the lowered arrays are kept.  Density ``d``'s slot ``j``
+    is target ``d * len(slots) + j``."""
     index = {key: j for j, key in enumerate(slots)}
-    grad = ex.gradient(e)
     groups, coeffs = [], []
-    for v in e.jet_vars():
-        j = index.get((v.field, v.comp))
-        if j is not None and v in grad:
-            groups.append((j, v.deriv))
-            coeffs.append(grad[v])
+    for d, e in enumerate(exprs):
+        e = _fold(e, fold)
+        grad = ex.gradient(e)
+        for v in e.jet_vars():
+            j = index.get((v.field, v.comp))
+            if j is not None and v in grad:
+                groups.append((d * len(slots) + j, v.deriv))
+                coeffs.append(grad[v])
     per_slot, derivs = {}, {}
     for g, (j, deriv) in enumerate(groups):
         per_slot.setdefault(j, []).append(g)

@@ -332,15 +332,17 @@ def pc_random_coframe(rng: np.random.Generator) -> np.ndarray:
 _PC_SURFACE_NAMES = [f"omega[{a},{b},0]" for a, b in _PC_IPAIRS] + [f"e[{a},0]" for a in range(4)]
 
 
-def _pc_surface_residual(model, state: dict, SR):
-    """The ten constraint densities of a single-site state, then the six
-    structural conditions ``SR @ omega``."""
-    import numpy as np
+def _pc_surface(model) -> tuple:
     cons = dict(model.chart.constraints)
-    return np.concatenate([
-        np.array([float(np.asarray(model.evaluate(cons[n], state)).reshape(()))
-                  for n in _PC_SURFACE_NAMES]),
-        SR @ state["omega"].reshape(18)])
+    return tuple(cons[n] for n in _PC_SURFACE_NAMES)
+
+
+def _pc_surface_residual(model, state: dict, SR):
+    """The ten constraint densities of a single-site state, one kernel with
+    ten outputs, then the six structural conditions ``SR @ omega``."""
+    import numpy as np
+    return np.concatenate([model.evaluate(_pc_surface(model), state).reshape(10),
+                           SR @ state["omega"].reshape(18)])
 
 
 def pc_on_surface_state(model, rng: np.random.Generator) -> dict:
@@ -353,10 +355,11 @@ def pc_on_surface_state(model, rng: np.random.Generator) -> dict:
     representative.  Without the structural conditions the curvature
     family's hamiltonian vector fields do not exist (its kernel invariance
     genuinely fails), so they are part of what "on the constraint surface"
-    means for bracket checks.
+    means for bracket checks.  Each iteration runs two kernels, cached per
+    process: the ten densities, and their ten slot gradients (the Jacobian's
+    omega columns).
     """
     import numpy as np
-    cons = dict(model.chart.constraints)
     if model.grid.nsites != 1:
         raise ValueError("on-surface sampling is implemented for single-site grids")
     om_slots = [i for i, (f, _) in enumerate(model.slots) if f == "omega"]
@@ -372,10 +375,7 @@ def pc_on_surface_state(model, rng: np.random.Generator) -> dict:
         residual = float(np.max(np.abs(r)))
         if residual < 1e-12:
             return state
-        J = np.concatenate([
-            np.array([model.density_gradient(cons[n], state).reshape(-1)[om_slots] / w
-                      for n in _PC_SURFACE_NAMES]),
-            SR], axis=0)
+        J = np.concatenate([model.density_gradient(_pc_surface(model), state)[:, 0, om_slots] / w, SR])
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         vec = model.state_to_vector(state)
         vec[0, om_slots] += step

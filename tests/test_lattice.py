@@ -1,5 +1,7 @@
 """Lattice backend: assembly, gradients, vector fields, evolution."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -958,3 +960,126 @@ def test_a_negative_power_of_a_folded_scalar():
     assert model.evaluate(motion, state) == -q ** 3 / 2.0
     with pytest.raises(ZeroDivisionError, match=r"\bm\b"):
         mech_model(m=0.0).evaluate(motion, state)
+
+
+# ---------------------------------------------------------------------------
+# derivatives along length-1 axes folded to zero
+# ---------------------------------------------------------------------------
+
+def _site_point(model, state, e, smear=None):
+    """The binding of ``e``'s jets at the one site: derivatives 0, then the
+    state, the smear and the model's scalar bindings."""
+    values = {(f, c): float(state[f].reshape(-1)[i]) for f, comps in model.field_comps.items()
+              for i, c in enumerate(comps)}
+    values.update({key: float(np.asarray(a).reshape(())) for key, a in (smear or {}).items()})
+    values.update({(k, ()) if isinstance(k, str) else k: v for k, v in model.bindings.items()})
+    return {v: 0.0 if v.deriv else values[(v.field, v.comp)] for v in e.jet_vars()}
+
+
+def _pc4_site_cases(model, rng):
+    for name, density in model.chart.constraints:
+        yield name, density, None
+    for name, density in TH.constraint_set("pc4").items():
+        yield name, density, random_smear(model, density, rng)
+
+
+def test_pc4_site_kernels_match_the_exact_walk_with_derivatives_at_zero():
+    model = pc4_site_model()
+    rng = np.random.default_rng(17)
+    state = model.random_state(rng)
+    for name, density, smear in _pc4_site_cases(model, rng):
+        point = _site_point(model, state, density, smear)
+        want = E.evaluate(density, point)
+        got = float(model.evaluate(density, state, smear).reshape(()))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
+        # a derivative jet's gradient enters through its transposed stencil,
+        # which is zero along a length-1 axis
+        partials = E.gradient(density)
+        grad = model.density_gradient(density, state, smear)
+        for j, (field, comp) in enumerate(model.slots):
+            v = next((v for v in partials if (v.field, v.comp, v.deriv) == (field, comp, ())), None)
+            want = 0.0 if v is None else E.evaluate(partials[v], point)
+            assert abs(grad[0, j] - want) <= 1e-12 * max(1.0, abs(want)), (name, field, comp)
+
+
+def test_a_pc4_lattice_check_differences_nothing(monkeypatch):
+    golden = TH.golden("pc4")
+    golden = {**golden, "lattice": {**golden["lattice"], "states": 2}}
+    diffs, columns = [], []
+    diff, run = LatticeGrid.diff, lattice.Lowered.run
+    monkeypatch.setattr(LatticeGrid, "diff", lambda *a: diffs.append(1) or diff(*a))
+    monkeypatch.setattr(lattice.Lowered, "run", lambda low, *a: columns.extend(low.cols) or run(low, *a))
+    assert VF.check_lattice("pc4", golden, seed=0)["passed"]
+    assert columns and not [v for v in columns if v.deriv]
+    assert diffs == []
+
+
+def test_a_negative_power_of_a_derivative_along_a_length_1_axis():
+    torsion = dict(TH.chart("pc4").constraints)["omega[0,1,0]"]
+    v = next(v for v in torsion.jet_vars() if v.field == "e" and v.deriv)
+    inverse = E.Expr.var(v) ** -1
+    grid = LatticeGrid(shape=(4, 4, 4))
+    model = LatticeModel(TH.chart("pc4"), grid, bindings={"Lam": 0.7})
+    state = model.random_state(np.random.default_rng(6))
+    assert np.all(np.isfinite(model.evaluate(inverse, state)))  # the control: nothing folds
+    site = pc4_site_model()
+    with pytest.raises(ZeroDivisionError, match=re.escape(E.to_text(E.Expr.var(v)))):
+        site.evaluate(inverse, site.random_state(np.random.default_rng(6)))
+
+
+@pytest.mark.parametrize("shape", [(8, 1, 5), (4, 1, 1)])
+def test_em_on_length_1_axes_is_bit_identical_to_the_unfolded_kernels(shape):
+    # the reference keeps every derivative jet as a kernel column, which the
+    # centered difference along a length-1 axis binds to zeros; terms sum in
+    # order on these grids, and x + 0.0 == x
+    model, grid = em_model(shape)
+    reference, _ = em_model(shape)
+    reference._ultralocal = frozenset()
+    rng = np.random.default_rng(23)
+    state = model.random_state(rng)
+    J = TH.constraint_set("em")["J"]
+    cases = [(model.chart.hamiltonian, None), (dict(model.chart.constraints)["gauss"], None),
+             (J, random_smear(model, J, rng))]
+    flat = {c for c, n in zip(model.chart.tangential, shape) if n == 1}
+    for density, smear in cases:
+        for method in ("evaluate", "density_gradient"):
+            got, want = (getattr(m, method)(density, state, smear) for m in (model, reference))
+            assert np.array_equal(got, want), (method, density)
+        folded, unfolded = (lattice._density_kernel((density,), m._folded(smear)).cols
+                            for m in (model, reference))
+        assert not [v for v in folded if flat & set(v.deriv)]
+        assert [v for v in unfolded if flat & set(v.deriv)]  # the control
+
+
+# ---------------------------------------------------------------------------
+# several densities in one kernel
+# ---------------------------------------------------------------------------
+
+def test_the_batched_surface_kernels_equal_the_per_density_values():
+    model = pc4_site_model()
+    rng = np.random.default_rng(12)
+    state = TH.pc_on_surface_state(model, rng)
+    state["omega"] = state["omega"] + 0.1 * rng.standard_normal(state["omega"].shape)  # off the surface
+    densities = TH._pc_surface(model)
+    assert len(densities) == 10
+    values = model.evaluate(densities, state)
+    grads = model.density_gradient(densities, state)
+    assert values.shape == (10, 1, 1, 1) and grads.shape == (10, 1, model.nslots)
+    SR = TH.pc_structural_rows(state["e"].reshape(4, 3))
+    residual = TH._pc_surface_residual(model, state, SR)
+    for k, density in enumerate(densities):
+        want = model.evaluate(density, state)
+        np.testing.assert_allclose(values[k], want, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(residual[k], want.reshape(()), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(grads[k], model.density_gradient(density, state), rtol=1e-13, atol=1e-14)
+
+
+def test_batched_kernels_on_a_grid_are_bit_identical_per_density():
+    model, _ = em_model((6, 5, 4))
+    rng = np.random.default_rng(3)
+    state = model.random_state(rng)
+    densities = (model.chart.hamiltonian, dict(model.chart.constraints)["gauss"])
+    values, grads = model.evaluate(densities, state), model.density_gradient(densities, state)
+    for k, density in enumerate(densities):
+        assert np.array_equal(values[k], model.evaluate(density, state))
+        assert np.array_equal(grads[k], model.density_gradient(density, state))
