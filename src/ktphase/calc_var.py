@@ -27,7 +27,7 @@ All values are immutable; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from . import expr as ex
@@ -208,7 +208,7 @@ class LocalVarForm:
     coefficients of one tuple are summed with one ``esum``.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_hash")
 
     def __init__(self, degree: int, terms=()):
         if degree not in (0, 1, 2):
@@ -227,6 +227,7 @@ class LocalVarForm:
         self.degree = degree
         self.terms = tuple(sorted(((g, c) for g, c in summed if not c.is_zero()),
                                   key=lambda t: tuple(v.key for v in t[0])))
+        self._hash = None
 
     @staticmethod
     def scalar(coeff: Expr) -> "LocalVarForm":
@@ -257,7 +258,9 @@ class LocalVarForm:
         return isinstance(other, LocalVarForm) and self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.degree, self.terms))
+        if self._hash is None:
+            self._hash = hash((self.degree, self.terms))
+        return self._hash
 
     def _render(self, coeff_text, gens_text, sep: str) -> str:
         # a coefficient with several terms or a leading minus is parenthesized
@@ -291,14 +294,27 @@ class LocalVarForm:
 
 
 def vertical_delta(v: LocalVarForm) -> LocalVarForm:
-    """Vertical exterior derivative; nilpotent, skips background symbols."""
+    """Vertical exterior derivative; nilpotent, skips background symbols.
+
+    The unsummed partial terms of every coefficient (``expr._partial_terms``)
+    go straight into one ``{monomial: coefficient}`` map per sorted
+    generator tuple, negated where the new generator sorts after the old
+    one; a repeated generator is skipped.  Each map is normalized once, so
+    the sums that cancel (all of them, for the delta of a delta) are never
+    normalized term by term.
+    """
     if v.degree >= 2:
         raise DegreeError("vertical differential of a degree-2 form would exceed degree 2")
-    pairs = []
+    sums = {}
     for gens, coeff in v.terms:
-        grad = ex.gradient(coeff)
-        pairs += (((w,) + gens, grad[w]) for w in coeff.jet_vars() if not w.meta.background and w in grad)
-    return LocalVarForm(v.degree + 1, pairs)
+        for w, terms in ex._partial_terms(coeff, None, 0).items():
+            if w.meta.background or w in gens:
+                continue
+            if not gens or w < gens[0]:
+                ex._accumulate(sums.setdefault((w,) + gens, {}), terms)
+            else:
+                ex._accumulate(sums.setdefault(gens + (w,), {}), ((m, -c) for m, c in terms))
+    return LocalVarForm(v.degree + 1, ((g, ex._resimplify(acc)) for g, acc in sums.items()))
 
 
 def form_total_derivative(v: LocalVarForm, coord: int, max_order: int = ex.DEFAULT_MAX_JET_ORDER) -> LocalVarForm:
@@ -426,18 +442,25 @@ def boundary_restrict(x, t: TheorySpec):
     Each transversal jet of order k becomes an independent boundary symbol,
     named by the theory's ``boundary_names`` or else with k zeros appended
     (phi' -> phi0); tangential jets survive unchanged, and every surviving
-    symbol loses its transversal dependence.
+    symbol loses its transversal dependence.  The renaming is one
+    ``expr.map_vars`` walk, which normalizes each expression once; within
+    one call, the image of each variable is built once per key and
+    metadata object, so variables of one key whose metadata differs keep
+    their own images.
     """
     n = t.transversal
     names = t.renames()
+    images = {}
 
     def f(v: JetVar) -> JetVar:
-        k = v.deriv.count(n)
-        tang = tuple(i for i in v.deriv if i != n)
-        name = _boundary_name(v.field, k, names)
-        meta = SymbolMeta(background=v.meta.background, constant=v.meta.constant,
-                          excluded=v.meta.excluded | {n}, positive=v.meta.positive and k == 0)
-        return JetVar(name, v.comp, tang, meta)
+        w = images.get((v.key, v.meta))
+        if w is None:
+            k = v.deriv.count(n)
+            meta = SymbolMeta(background=v.meta.background, constant=v.meta.constant,
+                              excluded=v.meta.excluded | {n}, positive=v.meta.positive and k == 0)
+            w = images[v.key, v.meta] = JetVar(_boundary_name(v.field, k, names), v.comp,
+                                               tuple(i for i in v.deriv if i != n), meta)
+        return w
 
     if isinstance(x, Expr):
         return ex.map_vars(x, f)
@@ -481,22 +504,22 @@ def constraint_extract(t: TheorySpec, split: BoundarySplit | None = None) -> lis
     boundary fields present in the restricted boundary density (plus their
     tangential jets and backgrounds) — i.e. no transversal jets beyond the
     declared boundary fields.  Returns ``(name, density on the slice)`` pairs.
+
+    The decision reads the boundary symbol of each variable of the equation
+    (``_boundary_name``), and only the equations that qualify are restricted
+    (``boundary_restrict``, one normalization each).  ``TheorySpec`` gives
+    the transversal jets of fields and moving backgrounds distinct new
+    symbols, so the restricted density holds exactly the symbols read.
     """
     if split is None:
         split = ibp_split(variation(t), t)
     allowed = _alpha_symbols(split)
+    n, names = t.transversal, t.renames()
     out = []
     for w, density in split.el:
-        restricted = boundary_restrict(density, t)
-        ok = True
-        for u in restricted.jet_vars():
-            if u.meta.background:
-                continue
-            if u.field not in allowed:
-                ok = False
-                break
-        if ok:
-            out.append((_component_name(w), restricted))
+        if all(u.meta.background or _boundary_name(u.field, u.deriv.count(n), names) in allowed
+               for u in density.jet_vars()):
+            out.append((_component_name(w), boundary_restrict(density, t)))
     return out
 
 
@@ -536,6 +559,16 @@ class BoundaryChart:
 
     def momenta_map(self) -> dict:
         return {key: img for key, img in self.momenta}
+
+    # the generated hash would rehash every expression of the chart on each
+    # call (``lattice`` keys caches by chart); the chart is immutable, so
+    # its hash is taken once
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
 
 def derived_chart(split: BoundarySplit) -> BoundaryChart:

@@ -19,12 +19,14 @@ Design constraints honoured here:
   the argument is certifiably nonnegative (structurally, or because the
   symbols involved were declared positive).
 
-There is one derivative rule: `gradient` walks an expression once and
-returns every partial derivative (Leibniz and chain rules); `diff_jet` reads
-one of them, and `total_derivative` is the chain rule over `gradient`,
-``D_i e = sum_w de/dw * w_{,i}``.  Coefficient sums go through one
-accumulator, and renaming (`map_vars`) and substitution (`substitute`)
-through one monomial rewriter.
+There is one derivative rule: one walk of an expression yields the terms of
+every partial derivative (Leibniz and chain rules).  `gradient` normalizes
+each partial and `diff_jet` reads one of them; `total_derivative` is the
+chain rule over the same walk, ``D_i e = sum_w de/dw * w_{,i}``, and sums
+the unnormalized terms before it normalizes once, as
+``calc_var.vertical_delta`` does per generator tuple.  Coefficient sums go
+through one accumulator, and renaming (`map_vars`) and substitution
+(`substitute`) through one monomial rewriter.
 
 Everything in this module is immutable and side-effect free; values can be
 shared freely between threads.
@@ -349,6 +351,21 @@ def _mono_mul(m1, m2):
     return (vars_, fns)
 
 
+def _times_var(mono, w: JetVar):
+    """``mono`` times the jet variable ``w``: ``_mono_mul`` with one factor."""
+    vars_, fns = mono
+    key = w.key
+    for i, (v, e) in enumerate(vars_):
+        if v.key < key:
+            continue
+        if v.key != key:
+            return vars_[:i] + ((w, 1),) + vars_[i:], fns
+        if e == -1:
+            return vars_[:i] + vars_[i + 1:], fns
+        return vars_[:i] + ((v, e + 1),) + vars_[i + 1:], fns
+    return vars_ + ((w, 1),), fns
+
+
 def _accumulate(acc: dict, terms) -> None:
     """Add ``(monomial, coefficient)`` pairs into the sums of ``acc``."""
     for m, c in terms:
@@ -459,9 +476,30 @@ def gradient(e: Expr) -> dict:
 
 
 def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
-    """The walk of :func:`gradient`.  With a ``coord``, it takes only the
-    variables that depend on ``coord``, function arguments included, and
-    raises OrderLimitError for one already at ``max_order``."""
+    """The walk of :func:`_partial_terms`, each variable's terms summed and
+    normalized once; variables whose partial vanishes are left out."""
+    out = {}
+    for w, terms in _partial_terms(e, coord, max_order).items():
+        acc = {}
+        _accumulate(acc, terms)
+        d = _resimplify(acc)
+        if d.terms:
+            out[w] = d
+    return out
+
+
+def _partial_terms(e: Expr, coord: int | None, max_order: int) -> dict:
+    """The walk of :func:`gradient`: each variable's partial as a list of
+    ``(monomial, coefficient)`` pairs, not yet summed or normalized.  With a
+    ``coord``, it takes only the variables that depend on ``coord``,
+    function arguments included, and raises OrderLimitError for one already
+    at ``max_order``.
+
+    Every monomial is irreducible as it stands: it keeps the function
+    factors of a term of ``e``, or is a term of a normalized product.  So
+    one ``_resimplify`` of any sum of them is that sum's normal form.  A
+    monomial repeats in a list only through a function factor: the variable
+    factors of distinct monomials give distinct partials."""
     acc = {}
     for (vars_, fns), coeff in e.terms:
         for i, (w, ex) in enumerate(vars_):
@@ -471,16 +509,14 @@ def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
                 if len(w.deriv) >= max_order:
                     w.with_deriv(coord, max_order)  # raises OrderLimitError
             if ex == 1:
-                mono, c = (vars_[:i] + vars_[i + 1:], fns), coeff
+                term = ((vars_[:i] + vars_[i + 1:], fns), coeff)
             else:
-                mono, c = (vars_[:i] + ((w, ex - 1),) + vars_[i + 1:], fns), coeff * ex
-            sums = acc.get(w)
-            if sums is None:
-                acc[w] = {mono: c}
-            elif mono in sums:
-                sums[mono] += c
+                term = ((vars_[:i] + ((w, ex - 1),) + vars_[i + 1:], fns), coeff * ex)
+            terms = acc.get(w)
+            if terms is None:
+                acc[w] = [term]
             else:
-                sums[mono] = c
+                terms.append(term)
         for i, ((name, order, arg), ex) in enumerate(fns):
             dargs = _partials(arg, coord, max_order)
             if not dargs:
@@ -488,13 +524,8 @@ def _partials(e: Expr, coord: int | None, max_order: int) -> dict:
             rest = fns[:i] + (((name, order, arg), ex - 1),) + fns[i + 1:] if ex != 1 else fns[:i] + fns[i + 1:]
             outer = Expr((((vars_, rest), coeff * ex),)) * _fn_factor_derivative(name, order, arg)
             for w, darg in dargs.items():
-                _accumulate(acc.setdefault(w, {}), (outer * darg).terms)
-    out = {}
-    for w, partial in acc.items():
-        d = _resimplify(partial)
-        if d.terms:
-            out[w] = d
-    return out
+                acc.setdefault(w, []).extend((outer * darg).terms)
+    return acc
 
 
 def diff_jet(e: Expr, v: JetVar) -> Expr:
@@ -509,17 +540,18 @@ def diff_jet(e: Expr, v: JetVar) -> Expr:
 def total_derivative(e: Expr, coord: int, max_order: int = DEFAULT_MAX_JET_ORDER) -> Expr:
     """Total derivative along base coordinate ``coord``.
 
-    The chain rule over the first partials: ``sum_w de/dw * w_{,coord}``,
-    with the bumped variable multiplied into each monomial of the partial.
+    The chain rule over the first partials: ``sum_w de/dw * w_{,coord}``.
+    The unsummed partial terms of :func:`_partial_terms` are each
+    multiplied by their bumped variable, and the sum is normalized once.
     The walk takes only the variables that depend on ``coord``; symbols whose
     metadata excludes ``coord`` contribute nothing.  Raises OrderLimitError
     when a variable of ``e`` that depends on ``coord`` (function arguments
     included) is already at ``max_order``, even where its partial cancels.
     """
     acc = {}
-    for w, partial in _partials(e, coord, max_order).items():
-        bumped = (((w.with_deriv(coord, max_order), 1),), ())
-        _accumulate(acc, ((_mono_mul(m, bumped), c) for m, c in partial.terms))
+    for w, terms in _partial_terms(e, coord, max_order).items():
+        bumped = w.with_deriv(coord, max_order)
+        _accumulate(acc, ((_times_var(m, bumped), c) for m, c in terms))
     return _resimplify(acc)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ktphase import calc_var as CV
 from ktphase import expr as E
 from ktphase import theories as TH
 from ktphase.calc_var import (
@@ -265,6 +266,24 @@ def test_boundary_restrict_drops_transversal_dependence(scalar):
     assert E.total_derivative(r, 0).is_zero()
 
 
+def test_boundary_restrict_gives_each_metadata_its_own_image(scalar):
+    # two variables of one key, one declared positive: the image of each is
+    # remembered apart, so neither takes the other's metadata
+    plain = E.JetVar("phi", (), (1,), E.SymbolMeta())
+    positive = E.JetVar("phi", (), (1,), E.SymbolMeta(positive=True, excluded={1}))
+    for first, second in ((plain, positive), (positive, plain)):
+        form = boundary_restrict(LocalVarForm(1, [((first,), E.Expr.var(second))]), scalar)
+        ((gen,), coeff), = form.terms
+        (var,) = coeff.jet_vars()
+        assert gen == var and gen is not var
+        for src, img in ((first, gen), (second, var)):
+            assert img.meta.positive == src.meta.positive
+            assert img.meta.excluded == src.meta.excluded | {0}
+    e = E.Expr.var(plain) * E.sqrt(E.Expr.var(positive))
+    ((((v, _),), (((_, _, arg), _),)), _), = boundary_restrict(e, scalar).terms
+    assert not v.meta.positive and arg.jet_vars()[0].meta.positive
+
+
 # ---------------------------------------------------------------------------
 # constraint_extract
 # ---------------------------------------------------------------------------
@@ -306,6 +325,30 @@ def test_constraints_pc4_families():
                 assert v.comp[-1] in (1, 2, 3)
 
 
+def _constraint_extract_reference(t, split):
+    # every field equation restricted, then kept when the restricted density
+    # holds no symbol outside the boundary 1-form (backgrounds aside)
+    allowed = CV._alpha_symbols(split)
+    out = []
+    for w, density in split.el:
+        restricted = boundary_restrict(density, t)
+        if all(u.meta.background or u.field in allowed for u in restricted.jet_vars()):
+            out.append((CV._component_name(w), restricted))
+    return out
+
+
+@pytest.mark.parametrize("name", TH.THEORY_NAMES)
+def test_constraint_extract_matches_restricting_every_equation(name):
+    t = TH.builtin(name)
+    split = ibp_split(variation(t), t)
+    got = constraint_extract(t, split)
+    want = _constraint_extract_reference(t, split)
+    assert got == want
+    # the same symbols with the same metadata
+    meta = lambda cons: [[(v.key, repr(v.meta)) for v in d.jet_vars()] for _, d in cons]
+    assert meta(got) == meta(want)
+
+
 def test_form_total_derivative_leibniz(mech):
     ctx = mech.context()
     c = E.parse("m*q'", ctx)
@@ -341,3 +384,18 @@ def test_spec_rejects_duplicate_names():
     with pytest.raises(ParseError):
         TheorySpec(name="bad", dim=1, coords=("t",), transversal=0,
                    fields=(FieldDecl("q"), FieldDecl("q")), vdim=1)
+
+
+def test_a_chart_and_its_forms_hash_their_expressions_once(monkeypatch):
+    # lattice caches are keyed by chart: a second hash reads no expression
+    chart = dataclasses.replace(TH.chart("pc4"))
+    form = LocalVarForm(1, chart.alpha.terms)
+    calls = []
+    expr_hash = E.Expr.__hash__
+    monkeypatch.setattr(E.Expr, "__hash__", lambda e: calls.append(e) or expr_hash(e))
+    for x in (form, chart):
+        first = hash(x)
+        assert calls
+        calls.clear()
+        assert hash(x) == first and not calls
+    assert chart == TH.chart("pc4") and hash(chart) == hash(TH.chart("pc4"))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ktphase import expr as E
 from ktphase import lattice as L
-from ktphase.calc_var import LocalVarForm
+from ktphase.calc_var import LocalVarForm, vertical_delta
 from ktphase.errors import (
     DomainError,
     OrderLimitError,
@@ -533,25 +533,42 @@ _GNEW = E.JetVar("r", (), (), E.SymbolMeta(positive=True))
 
 
 @st.composite
-def _monomials(draw, depth, exponents=(-2, 3)):
+def _monomials(draw, depth, exponents=(-2, 3), powers=(-2, 2)):
     term = E.Expr.const(Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4))))
     for v in draw(st.lists(st.sampled_from(_GVARS), max_size=3)):
         term = term * E.Expr.var(v) ** draw(st.integers(*exponents).filter(bool))
     kind = draw(st.sampled_from(["none", "sqrt", "f"])) if depth else "none"
     if kind != "none":
-        arg = draw(_sums(depth - 1, exponents)) + Fraction(draw(st.integers(0, 3)))
+        arg = draw(_sums(depth - 1, exponents, powers)) + Fraction(draw(st.integers(0, 3)))
         fn = E.sqrt(arg) if kind == "sqrt" else E.apply_fn("f", draw(st.integers(0, 1)), arg)
-        term = term * fn ** draw(st.integers(-2, 2))
+        term = term * fn ** draw(st.integers(*powers))
     return term
 
 
 @st.composite
-def _sums(draw, depth=2, exponents=(-2, 3)):
-    return E.esum(draw(st.lists(_monomials(depth, exponents), max_size=4)))
+def _sums(draw, depth=2, exponents=(-2, 3), powers=(-2, 2)):
+    return E.esum(draw(st.lists(_monomials(depth, exponents, powers), max_size=4)))
+
+
+# The derivative walks sum raw partial terms and normalize the sums once, so
+# their strategy draws function factors with powers from -3 to 3: a sqrt of
+# an argument that is not certified nonnegative keeps any power, and one of
+# a certified sum keeps its negative powers.  The examples hold such factors
+# and powers that fold.
+_A, _B, _DA, _P = (E.Expr.var(_GVARS[i]) for i in (0, 1, 2, 4))
+_WIDE_SUMS = _sums(powers=(-3, 3))
+_SQRT_EXAMPLES = (
+    E.sqrt(_A) ** 3 * _B + E.sqrt(_A + _B) ** -2,
+    _A * E.sqrt(_A * _A + 1) ** -3 - E.sqrt(_P) ** -1 * _DA,
+    E.sqrt(_P * _A ** 2) ** 3 + E.apply_fn("f", 0, E.sqrt(_DA) ** -3 + _B) ** 2 * _A,
+)
 
 
 @settings(max_examples=50, deadline=None)
-@given(_sums())
+@given(_WIDE_SUMS)
+@example(_SQRT_EXAMPLES[0])
+@example(_SQRT_EXAMPLES[1])
+@example(_SQRT_EXAMPLES[2])
 def test_gradient_matches_the_single_variable_reference(e):
     grad = E.gradient(e)
     assert set(grad) <= set(e.jet_vars())
@@ -568,8 +585,11 @@ def test_gradient_matches_the_single_variable_reference(e):
 # d[0]a is at max_order 1 and its partial cancels: total_derivative still
 # raises, as the term walk does
 @settings(max_examples=50, deadline=None)
-@given(_sums(), st.sampled_from([0, 1]), st.sampled_from([1, 2, 3]))
+@given(_WIDE_SUMS, st.sampled_from([0, 1]), st.sampled_from([1, 2, 3]))
 @example(-E.sqrt(2 * E.Expr.var(_GVARS[2]) ** 3) ** 2 + 2 * E.Expr.var(_GVARS[2]) ** 3, 0, 1)
+@example(_SQRT_EXAMPLES[0], 1, 3)
+@example(_SQRT_EXAMPLES[1], 0, 3)
+@example(_SQRT_EXAMPLES[2], 1, 2)
 def test_total_derivative_matches_the_walk_reference(e, coord, max_order):
     try:
         want = _total_derivative_reference(e, coord, max_order)
@@ -578,6 +598,55 @@ def test_total_derivative_matches_the_walk_reference(e, coord, max_order):
             E.total_derivative(e, coord, max_order)
         return
     assert E.total_derivative(e, coord, max_order) == want
+
+
+def _vertical_delta_reference(form):
+    # term by term, as vertical_delta ran before it summed raw partials: each
+    # coefficient's normalized gradient, regrouped, signed and summed per
+    # generator tuple by the LocalVarForm constructor
+    pairs = []
+    for gens, c in form.terms:
+        grad = E.gradient(c)
+        pairs += (((w,) + gens, grad[w]) for w in c.jet_vars() if not w.meta.background and w in grad)
+    return LocalVarForm(form.degree + 1, pairs)
+
+
+@st.composite
+def _forms(draw):
+    # degree 0, or degree 1 over every drawn symbol (the background m
+    # included): a coefficient holding its own generator gives a repeated
+    # pair, and generators on either side of a new one give both signs
+    if draw(st.booleans()):
+        return LocalVarForm.scalar(draw(_WIDE_SUMS))
+    gens = st.sampled_from(_GVARS).map(lambda v: (v,))
+    return LocalVarForm(1, draw(st.lists(st.tuples(gens, _WIDE_SUMS), max_size=4)))
+
+
+_M = E.Expr.var(_GVARS[5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forms())
+@example(LocalVarForm.scalar(_M * _A * _B * E.sqrt(_A * _A + _P) ** -3 + E.apply_fn("f", 1, _DA) * _B))
+@example(LocalVarForm(1, [((_GVARS[0],), _A * _B * _M), ((_GVARS[1],), _A * E.sqrt(_A) ** 3),
+                          ((_GVARS[2],), E.apply_fn("f", 0, _A * _DA) ** -1)]))
+def test_vertical_delta_matches_the_per_term_reference(form):
+    got = vertical_delta(form)
+    assert got.terms == _vertical_delta_reference(form).terms
+    if form.degree == 0:
+        assert vertical_delta(got).is_zero()
+
+
+def test_vertical_delta_signs_skips_and_sums_generator_pairs():
+    a, b = _GVARS[0], _GVARS[1]
+    # d(a b m) = b m da + a m db: the background m is not varied
+    assert vertical_delta(LocalVarForm.scalar(_A * _B * _M)).terms == (((a,), _B * _M), ((b,), _A * _M))
+    # d(a^2 b db) = 2ab da^db, d(b sqrt(a) da) = (b/2) a^-1/2 da^da (skipped) +
+    # sqrt(a) db^da = -sqrt(a) da^db; one sum per pair
+    form = LocalVarForm(1, [((b,), _A ** 2 * _B), ((a,), _B * E.sqrt(_A))])
+    want = 2 * _A * _B - E.sqrt(_A)
+    assert vertical_delta(form).terms == (((a, b), want),)
+    assert vertical_delta(form) == _vertical_delta_reference(form)
 
 
 @st.composite
