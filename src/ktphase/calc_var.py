@@ -150,9 +150,19 @@ class TheorySpec:
                 seen.add(sym)
         declared = self._declared_names()
         antisym = {f.name for f in self.fields if f.antisym}
+        # a constant background has no jets, a time-independent one no
+        # transversal jet: restriction would rename such a jet onto a symbol
+        # that means something else
+        frozen = {b.name: ("constant", set(range(self.dim))) if b.constant
+                  else ("time-independent", {self.transversal})
+                  for b in self.backgrounds if b.constant or b.time_independent}
         for v in self.lagrangian.jet_vars():
             if v.field not in declared:
                 raise ParseError(f"Lagrangian uses undeclared symbol {v.field!r}")
+            kind, axes = frozen.get(v.field, ("", set()))
+            if axes & set(v.deriv):
+                raise ParseError(f"Lagrangian uses the jet {ex.to_text(Expr.var(v), self.context())} "
+                                 f"of the {kind} background {v.field!r}")
             if v.order() > self.jet_order:
                 raise ParseError(f"Lagrangian jet order exceeds declared maximum {self.jet_order}")
             if v.field in antisym and not v.comp[0] < v.comp[1]:

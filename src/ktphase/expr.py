@@ -379,7 +379,8 @@ def _certified_nonneg(e: Expr) -> bool:
     """True when every monomial is manifestly >= 0 wherever it is defined.
 
     A term qualifies if its coefficient is positive and every jet-variable
-    factor either carries an even exponent or was declared positive; sqrt
+    factor either carries an even exponent or is an underived symbol declared
+    positive (a derivative of a positive symbol has either sign); sqrt
     factors are nonnegative by definition.  Opaque functions never qualify.
     """
     if not e.terms:
@@ -388,7 +389,7 @@ def _certified_nonneg(e: Expr) -> bool:
         if c < 0:
             return False
         for v, ex in vars_:
-            if ex % 2 != 0 and not v.meta.positive:
+            if ex % 2 != 0 and (v.deriv or not v.meta.positive):
                 return False
         for (name, order, arg), ex in fns:
             if name != "sqrt":

@@ -14,17 +14,21 @@ transposes of each other and the Gauss-law conservation below telescopes to
 machine precision.  The difference is one subtraction over the whole
 contiguous buffer, at the offset of one step along the axis, after which the
 two wrapped end layers are overwritten; there are no rolled copies.  These
-three subtractions are view triples (``_stencil``), which ``_diff_plan``
-plans with the one division by ``2h``: the one definition of the centered
-difference.  ``LatticeGrid.diff`` runs a one-shot plan into a new buffer,
-and the steppers build theirs once over fixed buffers.  Axes of length 1 are
+three subtractions are view triples (``_stencil``), followed by one division
+by ``2h`` (``LatticeGrid._stencil_scale``): the one definition of the
+centered difference.  ``_diff_plan`` plans them for one array, which
+``LatticeGrid.diff`` runs once into a new buffer, and the steppers build
+their plans once over fixed buffers.  Axes of length 1 are
 permitted as degenerate (ultralocal) directions: the centered difference
 along them is identically zero, which realizes single-point and single-site
-toy models.  The em leapfrog steps component-major arrays (one contiguous
-block per component), differences each grid axis once over the components
-that need it, forms each antisymmetric flux F_jl once for j < l and skips
-the flux terms that vanish identically; it reproduces the site-major stencil
-bit for bit.
+toy models.  The em leapfrog steps one stacked component-major buffer of A
+and F0 (one contiguous block per component).  One stencil per grid axis
+differences the potentials and the electric component that the axis needs,
+so the differences of A and the Gauss terms of F0 come together; the
+leapfrog forms each antisymmetric flux F_jl once for j < l and skips the
+flux terms that vanish identically.  Each such set of differences is one
+buffer, scaled by ``2h`` in one call, and the stepper reproduces the
+site-major stencil bit for bit.
 
 Metrics: a :class:`LatticeModel` evaluates a chart under any background
 binding, so a curved metric is a binding of ``hinv`` and ``rh``.  The
@@ -148,12 +152,29 @@ class LatticeGrid:
         return np.divide, two_h
 
     def smooth(self, arr: np.ndarray) -> np.ndarray:
-        """Periodic 3-point average along every grid axis (the leading axes
-        of ``arr``); a length-1 axis is skipped, where the average is the
-        array itself."""
+        """Periodic 3-point average ``((a + a[x-1]) + a[x+1]) / 3`` along
+        every grid axis (the leading axes of ``arr``), into a new buffer per
+        axis; a length-1 axis is skipped, where the average is the array
+        itself.
+
+        As in :func:`_stencil`, each neighbour is one add over the whole flat
+        buffer at the offset of one layer, right but at the end layer whose
+        neighbour wraps: the first layer is overwritten before ``a[x+1]`` is
+        added, and the last layer is summed again afterwards."""
         for axis, n in enumerate(self.shape):
-            if n > 1:
-                arr = (arr + np.roll(arr, 1, axis) + np.roll(arr, -1, axis)) / 3.0
+            if n == 1:
+                continue
+            a = np.ascontiguousarray(arr)
+            out = np.empty(a.shape, np.result_type(a, 1.0))
+            step = math.prod(a.shape[axis + 1:])
+            flat, flat_out = a.reshape(-1), out.reshape(-1)
+            (first, _, last), (_, _, before) = _end_slices(axis)
+            np.add(flat[step:], flat[:-step], out=flat_out[step:])
+            np.add(a[first], a[last], out=out[first])
+            np.add(flat_out[:-step], flat[step:], out=flat_out[:-step])
+            np.add(a[last], a[before], out=out[last])
+            np.add(out[last], a[first], out=out[last])
+            arr = np.divide(out, 3.0, out=out)
         return arr
 
 
@@ -785,77 +806,118 @@ def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _em_layout(ndim: int) -> tuple:
     """The flux pairs j < l of :class:`_EmLeapfrog`, in order, and per grid
-    axis i the slices of the stacks differenced along i: the components A_l
-    with l != i, and the fluxes whose pair holds i.  With at most three axes
-    both are evenly spaced.  In both stacks, pair (j, l) sits at position
-    l - 1 along j and at position j along l."""
+    axis i the rows of the two stacks differenced along i: of the state
+    stack (A_0 .. A_{ndim-1}, F0_0 .. F0_{ndim-1}) the components A_l with
+    l != i and then F0_i, and of the flux stack the pairs that hold i.  In
+    both difference buffers, pair (j, l) sits at position l - 1 along j and
+    at position j along l."""
     pairs = tuple((j, l) for j in range(ndim) for l in range(j + 1, ndim))
-
-    def evenly(idx):
-        if not idx:
-            return slice(0, 0)
-        return slice(idx[0], idx[-1] + 1, idx[1] - idx[0] if len(idx) > 1 else 1)
-
     return (pairs,
-            tuple(evenly([c for c in range(ndim) if c != i]) for i in range(ndim)),
-            tuple(evenly([p for p, pair in enumerate(pairs) if i in pair]) for i in range(ndim)))
+            tuple(tuple(l for l in range(ndim) if l != i) + (ndim + i,) for i in range(ndim)),
+            tuple(tuple(p for p, pair in enumerate(pairs) if i in pair) for i in range(ndim)))
+
+
+def _gather(stack: np.ndarray, rows: tuple) -> tuple:
+    """``stack[rows]`` along the first axis and the calls that fill it: a
+    view, with no calls, when the rows are consecutive; else a contiguous
+    stage and the one ``take`` that copies the rows into it (faster than
+    copying a strided view)."""
+    if rows == tuple(range(rows[0], rows[-1] + 1)):
+        return stack[rows[0]:rows[-1] + 1], []
+    stage = np.empty((len(rows),) + stack.shape[1:], stack.dtype)
+    return stage, [(stack.take, (np.array(rows), 0, stage, "clip"))]
+
+
+def _signed_sum(out: np.ndarray, terms: list) -> list:
+    """The calls that leave the sum of ``terms``, ``(sign, array)`` pairs,
+    in ``out``, added in order from the first term (as from zero, but for
+    the sign of a zero): the first two in one call when the first is
+    positive.  No terms, no calls."""
+    if not terms:
+        return []
+    (s0, t0), rest = terms[0], terms[1:]
+    if s0 > 0 and rest:
+        (s1, t1), rest = rest[0], rest[1:]
+        calls = [(np.add if s1 > 0 else np.subtract, (t0, t1, out))]
+    else:
+        calls = [(np.copyto, (out, t0)) if s0 > 0 else (np.negative, (t0, out))]
+    return calls + [(np.add if s > 0 else np.subtract, (out, t, out)) for s, t in rest]
 
 
 class _EmLeapfrog:
     """The buffers and planned calls of one :func:`evolve_em` run.
 
-    ``A`` and ``F0`` are the component-major arrays the plan reads, shaped
-    (ndim,) + grid.shape; every other buffer and every view triple is built
-    here, once.  :meth:`rhs` (the calls ``force_calls``) writes
-    dF_0l/dt = d_i F_il of the flat metric at ``A`` into ``force``, and
-    :meth:`max_gauss` (``gauss_calls``, which leave |d_i F_0i| in ``gauss``)
-    reads the Gauss residual at ``F0``.
+    ``A`` and ``F0`` are views of one stacked component-major buffer,
+    ``state``, shaped (2 ndim,) + grid.shape, into which the constructor
+    copies its arguments (any layout, shaped (ndim,) + grid.shape); every
+    other buffer and every view triple is built here, once.  ``diff_calls``
+    difference each grid axis i once over the state rows that need it, the
+    A_l with l != i and then F0_i (for 3 axes the rows 1:4 are a view, and
+    (0, 2, 4) and (0, 1, 5) are gathered by one ``take`` each), into one
+    buffer scaled by one call.  They give every F_jl = d_j A_l - d_l A_j and
+    every Gauss term d_i F0_i together.  ``gauss_calls`` leave |d_i F0_i| in
+    ``gauss``, one reduction over the strided stack of the Gauss terms;
+    ``force_calls`` form the fluxes, difference each axis once over the
+    fluxes whose pair holds it (again one buffer, one scale) and write
+    dF_0l/dt = d_i F_il of the flat metric into ``force``.  :meth:`rhs` and
+    :meth:`max_gauss` run the differences and then one of the two.
 
-    Each grid axis i is differenced once over the components that need it:
-    first the A_l with l != i (for 3 axes the slices ``1:``, ``::2`` and
-    ``:-1``; the strided one is staged contiguously), which give every
-    F_jl = d_j A_l - d_l A_j, then the F_jl whose pair holds i.  The zero
-    terms d_l A_l and d_l F_ll are never formed, and d_l F_lj enters as
-    -d_l F_jl (exact).  Taking the pairs in order sums each component's flux
-    terms in increasing i, from zero.
+    The zero terms d_l A_l and d_l F_ll are never formed, d_l F_lj enters as
+    -d_l F_jl (exact), and each sum adds its terms in increasing i, starting
+    from its first term (for 3 axes f_0 = -d_1F_01 - d_2F_02,
+    f_1 = d_0F_01 - d_2F_12, f_2 = d_0F_02 + d_1F_12): the site-major
+    stencil's sums from zero, bit for bit up to the sign of a zero.
     """
 
     def __init__(self, grid: LatticeGrid, A: np.ndarray, F0: np.ndarray):
-        pairs, a_parts, f_parts = _em_layout(grid.ndim)
-        self.force = np.zeros_like(A)
-        flux = np.empty((len(pairs),) + grid.shape)
-        dA, calls = self._diffs(grid, A, a_parts)
-        calls += [(np.subtract, (dA[j][l - 1], dA[l][j], flux[p])) for p, (j, l) in enumerate(pairs)]
-        dF, more = self._diffs(grid, flux, f_parts)
-        calls += more + [(np.copyto, (self.force, 0.0))]
-        for j, l in pairs:
-            calls += [(np.add, (self.force[l], dF[j][l - 1], self.force[l])),
-                      (np.subtract, (self.force[j], dF[l][j], self.force[j]))]
-        self.force_calls = calls
+        nd = grid.ndim
+        pairs, a_rows, f_rows = _em_layout(nd)
+        self.state = np.empty((2 * nd,) + grid.shape)
+        self.A, self.F0 = self.state[:nd], self.state[nd:]
+        np.copyto(self.A, A)
+        np.copyto(self.F0, F0)
+        dX, self.diff_calls = self._diffs(grid, self.state, a_rows)
         self.gauss = np.zeros(grid.shape)
-        calls = [(np.copyto, (self.gauss, 0.0))]
-        for i in range(grid.ndim):
-            d, more = _diff_plan(grid, F0[i], i)
-            calls += more + [(np.add, (self.gauss, d, self.gauss))]
-        self.gauss_calls = calls + [(np.abs, (self.gauss, self.gauss))]
+        # the Gauss terms d_i F0_i, the last row of each entry, summed in
+        # order by one reduction over their strided stack
+        self.gauss_calls = ([(np.add.reduce, (dX[:, -1], 0, None, self.gauss))] if nd else []) \
+            + [(np.abs, (self.gauss, self.gauss))]
+        flux = np.empty((len(pairs),) + grid.shape)
+        calls = [(np.subtract, (dX[j][l - 1], dX[l][j], flux[p])) for p, (j, l) in enumerate(pairs)]
+        dF, more = self._diffs(grid, flux, f_rows)
+        terms = [[] for _ in range(nd)]
+        for j, l in pairs:
+            terms[l].append((1, dF[j][l - 1]))
+            terms[j].append((-1, dF[l][j]))
+        self.force = np.zeros_like(self.A)
+        self.force_calls = calls + more + [c for l in range(nd) for c in _signed_sum(self.force[l], terms[l])]
 
     @staticmethod
-    def _diffs(grid, stack, parts) -> tuple:
-        """Per grid axis i, the buffer of the difference of ``stack[parts[i]]``
-        along i, and the calls of all of them."""
-        bufs, calls = [], []
-        for i, part in enumerate(parts):
-            out, more = _diff_plan(grid, stack[part], i - grid.ndim)
-            bufs.append(out)
-            calls += more
-        return bufs, calls
+    def _diffs(grid, stack, rows) -> tuple:
+        """One buffer whose entry i is the difference of ``stack[rows[i]]``
+        along grid axis i, and the calls that fill it: the :func:`_stencil`
+        subtractions of each axis (after the gather of its rows), then one
+        scale of the whole buffer by ``2h``.  Along a length-1 axis the
+        entry stays zero."""
+        out = np.zeros((grid.ndim, len(rows[0]) if rows else 0) + grid.shape)
+        calls = []
+        for i, idx in enumerate(rows):
+            if idx and grid.shape[i] > 1:
+                src, gather = _gather(stack, idx)
+                calls += gather + [(np.subtract, views) for views in _stencil(src, out[i], i - grid.ndim)]
+        if calls:
+            scale, by = grid._stencil_scale
+            calls.append((scale, (out, by, out)))
+        return out, calls
 
     def rhs(self) -> None:
+        _run(self.diff_calls)
         _run(self.force_calls)
 
     def max_gauss(self) -> float:
+        _run(self.diff_calls)
         _run(self.gauss_calls)
-        return float(np.max(self.gauss))
+        return float(self.gauss.max())
 
 
 def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
@@ -866,31 +928,34 @@ def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
     covector F_{0j}); both shaped grid.shape + (ndim,).  A advances on
     integer steps, F0 on half steps; each F0 increment is a discrete
     divergence of an antisymmetric flux, so the Gauss density is conserved
-    to roundoff.  The leapfrog runs on component-major copies, shaped
-    (ndim,) + grid.shape, so each component is a contiguous block for the
-    stencil.  Every buffer and view is built once per call
-    (:class:`_EmLeapfrog`); a step, the Gauss read included, is a fixed list
-    of in-place numpy calls.  A curved metric is a binding of
-    :class:`LatticeModel` on the em chart, not a parameter here.  Returns
-    the final state (site-major views of the component-major arrays), with
-    F0 synchronized to the last step, and the max Gauss residual at each
-    step 0..steps.
+    to roundoff.  The leapfrog runs on one stacked component-major copy of
+    both, shaped (2 ndim,) + grid.shape, so each component is a contiguous
+    block for the stencil.  Every buffer and view is built once per call
+    (:class:`_EmLeapfrog`), and a step is a fixed list of in-place numpy
+    calls: drift A, difference A_{n+1} and F0_n along each axis in one
+    stencil, read the Gauss residual of step n from the F0 rows, then form
+    the force, F0_{n+1} and the kick; the last F0 is read after the loop.  A
+    curved metric is a binding of :class:`LatticeModel` on the em chart, not
+    a parameter here.  Returns the final state (site-major views of the
+    stacked buffer), with F0 synchronized to the last step, and the max
+    Gauss residual at each step 0..steps.
     """
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
-    A, F0 = (np.array(np.moveaxis(np.asarray(state[k]), -1, 0), float, order="C") for k in ("A", "F0"))
-    em = _EmLeapfrog(grid, A, F0)
-    force, half, tmp = em.force, np.empty_like(A), np.empty_like(A)
-    gauss = [em.max_gauss()]
+    em = _EmLeapfrog(grid, *(np.moveaxis(np.asarray(state[k]), -1, 0) for k in ("A", "F0")))
+    A, F0, force = em.A, em.F0, em.force
+    half, tmp = np.empty_like(A), np.empty_like(A)
     em.rhs()
     np.add(F0, np.multiply(force, 0.5 * dt, out=tmp), out=half)
-    drift = [(np.multiply, (half, dt, tmp)), (np.add, (A, tmp, A)), *em.force_calls,
-             (np.multiply, (force, 0.5 * dt, tmp)), (np.add, (half, tmp, F0)), *em.gauss_calls]
-    kick = [(np.multiply, (force, dt, tmp)), (np.add, (half, tmp, half))]
+    drift = [(np.multiply, (half, dt, tmp)), (np.add, (A, tmp, A)), *em.diff_calls, *em.gauss_calls]
+    kick = [*em.force_calls, (np.multiply, (force, 0.5 * dt, tmp)), (np.add, (half, tmp, F0)),
+            (np.multiply, (force, dt, tmp)), (np.add, (half, tmp, half))]
+    gauss, read = [], em.gauss.max
     for _ in range(steps):
         _run(drift)
-        gauss.append(float(np.max(em.gauss)))
+        gauss.append(read())
         _run(kick)
+    gauss.append(em.max_gauss())
     return {"A": np.moveaxis(A, 0, -1), "F0": np.moveaxis(F0, 0, -1)}, np.array(gauss)
 
 

@@ -207,6 +207,34 @@ def test_malformed_boundary_line_exits_one(tmp_path, capsys, text, message, line
     assert err.startswith("parse error:") and message in err and err.rstrip().endswith(f" at line {line}")
 
 
+# a jet of a constant background, or a transversal jet of a time-independent
+# one, would be renamed onto another symbol by restriction (m' onto q''s m0)
+_FROZEN = ('theory frozen\ndim 2\ncoords t x\nbackground c constant\n'
+           'background s time-independent\nfield u\nlagrangian "1/2*u\'^2 + s*d[1]u^2 + d[1]s*u + {}"\n')
+
+
+@pytest.mark.parametrize("text, message, line", [
+    (_RENAMED.replace("boundary q 1 v", "boundary q 1 m0").replace("q'^2\"", "q'^2 + m'*q'\""),
+     "the jet m' of the constant background 'm'", 10),
+    (_FROZEN.format("d[1]c*u"), "the jet d[1]c of the constant background 'c'", 7),
+    (_FROZEN.format("s'*u"), "the jet s' of the time-independent background 's'", 7),
+], ids=["constant-transversal", "constant-tangential", "time-independent-transversal"])
+def test_jet_of_a_frozen_background_exits_one(tmp_path, capsys, text, message, line):
+    path = tmp_path / "bad.theory"
+    path.write_text(text)
+    assert main(["derive", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err and err.rstrip().endswith(f" at line {line}")
+
+
+def test_tangential_jet_of_a_time_independent_background_derives(tmp_path, capsys):
+    # d[1]s, the one jet a time-independent background keeps on the slice
+    path = tmp_path / "ok.theory"
+    path.write_text(_FROZEN.format("c*u"))
+    assert main(["derive", str(path)]) == 0
+    assert "d[1]s" in json.loads(capsys.readouterr().out)["derivation"]["el"]["u"]
+
+
 @pytest.mark.parametrize("text, message", [
     (MECHANICS.replace("function V", "function V\nfield m"), "declaration 'm' at line 7"),
     # sqrt is built in

@@ -85,6 +85,17 @@ def test_sqrt_square_not_simplified_without_positivity():
     assert E.to_text(e, ctx) == "sqrt(x)^2"
 
 
+def test_sqrt_square_of_a_derivative_of_a_positive_symbol_stays():
+    # q > 0 says nothing of the sign of q' or d[1]q: folding sqrt(q')^2 to
+    # q' would evaluate to -4 at q' = -4
+    ctx = E.Context(coords=("t", "x"))
+    ctx.declare_field("q", meta=E.SymbolMeta(positive=True))
+    ctx.declare_function("sqrt")
+    for text in ("sqrt(q')^2", "sqrt(d[1]q)^2"):
+        assert E.to_text(E.parse(text, ctx), ctx) == text
+    assert E.to_text(E.parse("sqrt(q)^2", ctx), ctx) == "q"
+
+
 def test_sum_of_squares_argument_is_certified(vec_ctx):
     # ||q'||^2 folds because the argument is structurally nonnegative
     s = E.parse("sqrt(q[0]'^2 + q[1]'^2 + q[2]'^2)", vec_ctx)

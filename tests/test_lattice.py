@@ -101,6 +101,13 @@ def _diff_cases(draw):
         arr_shape, axis = comps + shape, axis - len(shape)
     else:
         arr_shape = shape + comps
+    return grid, draw(_arrays(arr_shape)), axis
+
+
+@st.composite
+def _arrays(draw, arr_shape):
+    """An int or float array of ``arr_shape``, contiguous or a transposed,
+    reversed or strided view."""
     layout = draw(st.sampled_from(["contiguous", "transposed", "reversed", "strided"]))
     base_shape = {"transposed": arr_shape[::-1],
                   "strided": arr_shape[:-1] + (2 * arr_shape[-1],)}.get(layout, arr_shape)
@@ -116,7 +123,7 @@ def _diff_cases(draw):
     elif layout == "strided":
         arr = arr[..., ::2]
     assert arr.shape == arr_shape
-    return grid, arr, axis
+    return arr
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,6 +133,30 @@ def test_diff_equals_the_rolled_stencil(case):
     before = arr.copy()
     got = grid.diff(arr, axis)
     want = _diff_reference(grid, arr, axis)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(arr, before)
+
+
+@st.composite
+def _smooth_cases(draw):
+    """A grid and an array over it with component axes after the grid axes
+    (or none), laid out as in :func:`_arrays`."""
+    shape = tuple(draw(st.lists(st.sampled_from([1, 4, 5, 7]), min_size=1, max_size=3)))
+    comps = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return LatticeGrid(shape=shape), draw(_arrays(shape + comps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_smooth_cases())
+def test_smooth_equals_the_rolled_average(case):
+    grid, arr = case
+    before = arr.copy()
+    want = arr
+    for axis, n in enumerate(grid.shape):
+        if n > 1:
+            want = (want + np.roll(want, 1, axis) + np.roll(want, -1, axis)) / 3.0
+    got = grid.smooth(arr)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(arr, before)
@@ -411,7 +442,7 @@ def _evolve_em_reference(state, grid, dt, steps):
 
 @pytest.mark.parametrize("shape, spacing, dt", [
     ((6, 6, 6), 1.0, 0.2), ((4, 6, 8), 1.0, 0.3), ((8, 1, 5), 1.0, 0.25), ((6, 5), 1.0, 0.2),
-    ((6, 6, 6), 0.3, 0.25),
+    ((6, 6, 6), 0.3, 0.25), ((8,), 1.0, 0.3), ((4, 1, 1), 1.0, 0.3), ((1, 6, 1), 1.0, 0.3),
 ])
 def test_evolve_em_is_bit_identical_to_the_site_major_stencil(rng, shape, spacing, dt):
     grid = LatticeGrid(shape=shape, spacing=spacing)
@@ -422,6 +453,23 @@ def test_evolve_em_is_bit_identical_to_the_site_major_stencil(rng, shape, spacin
     assert np.array_equal(final["A"], want["A"]) and np.array_equal(final["F0"], want["F0"])
     assert np.array_equal(gauss, want_gauss)
     assert all(np.array_equal(state[k], before[k]) for k in state)
+
+
+def test_em_leapfrog_copies_its_arguments(rng):
+    # the stepper's stacked buffer holds copies: stepping it leaves the
+    # caller's arrays as they were, whatever their layout
+    grid = LatticeGrid(shape=(4, 5, 6))
+    A = rng.standard_normal((4, 5, 6, 3))
+    F0 = rng.standard_normal((3, 4, 5, 6))
+    args = (np.moveaxis(A, -1, 0), F0)
+    before = [a.copy() for a in args]
+    em = lattice._EmLeapfrog(grid, *args)
+    assert not any(np.shares_memory(em.state, a) for a in args)
+    assert np.array_equal(em.A, args[0]) and np.array_equal(em.F0, args[1])
+    em.rhs()
+    em.A += 1.0
+    em.F0 += em.force
+    assert all(np.array_equal(a, b) for a, b in zip(args, before))
 
 
 def test_gauss_law_commutes_with_the_curved_hamiltonian(rng):
