@@ -5,7 +5,7 @@ Theory files are line-oriented::
     theory NAME
     dim D
     [vdim N]                                # internal index range, default D
-    coords x0 x1 ... [@transversal xk]      # default transversal: first
+    coords x0 x1 ... [@transversal xk]      # distinct identifiers; default transversal: first
     field NAME [base=N] [internal=N] [antisym] [positive]
     background NAME [base=N] [constant] [time-independent] [positive]
     function NAME
@@ -189,6 +189,8 @@ def parse_theory(text: str) -> TheorySpec:
                     transversal = names.index(marked)
                     i += 2
                     continue
+                if not (rest[i].isascii() and rest[i].isidentifier()) or rest[i] in names:
+                    raise ParseError(f"coordinate {rest[i]!r} is not a new identifier", lineno)
                 names.append(rest[i])
                 i += 1
             coords = tuple(names)

@@ -13,31 +13,20 @@ skew-symmetric, so the discrete divergence and gradient are negative
 transposes of each other and the Gauss-law conservation below telescopes to
 machine precision.  The difference is one subtraction over the whole
 contiguous buffer, at the offset of one step along the axis, after which the
-two wrapped end layers are overwritten; there are no rolled copies.  These
-three subtractions are view triples (``_stencil``), followed by one division
-by ``2h`` (``LatticeGrid._stencil_scale``): the one definition of the
-centered difference.  ``_diff_plan`` plans them for one array, which
-``LatticeGrid.diff`` runs once into a new buffer, and the steppers build
-their plans once over fixed buffers.  Axes of length 1 are
-permitted as degenerate (ultralocal) directions: the centered difference
-along them is identically zero, which realizes single-point and single-site
-toy models.  The em leapfrog steps one stacked component-major buffer of A
-and F0 (one contiguous block per component).  One stencil per grid axis
-differences the potentials and the electric component that the axis needs,
-so the differences of A and the Gauss terms of F0 come together; the
-leapfrog forms each antisymmetric flux F_jl once for j < l and skips the
-flux terms that vanish identically.  Each such set of differences is one
-buffer, scaled by ``2h`` in one call, and the stepper reproduces the
-site-major stencil bit for bit.
+two wrapped end layers are overwritten (view triples, ``_stencil``), then
+one division by ``2h`` (``LatticeGrid._stencil_scale``): the one definition
+of the centered difference.  Axes of length 1 are permitted as degenerate
+(ultralocal) directions: the centered difference along them is identically
+zero, which realizes single-point and single-site toy models.
 
-Metrics: a :class:`LatticeModel` evaluates a chart under any background
-binding, so a curved metric is a binding of ``hinv`` and ``rh``.  The
-hand-written stencils that evolve em (``evolve_em``, ``em_gauss``) and the
-linearized scalar field (``symplectic_current_check``) are for the flat
-metric only.  Their differences are fixed lists of in-place numpy calls,
-planned once per call, and their right-hand sides equal the vector field of
-the chart's hamiltonian under flat bindings bit for bit (tested on three
-grids).
+Evolution: the steppers (``evolve_em``, ``symplectic_current_check``) move
+along the hamiltonian vector field of the chart itself, which
+:class:`_Flow` reads exactly off the folded chart (a quadratic hamiltonian,
+scalar bindings such as the flat metric) and plans once per call as a fixed
+list of in-place numpy calls: bit for bit the field that
+``hamiltonian_vector_field`` solves for.  A curved metric is an array
+binding of ``hinv`` and ``rh``: :class:`LatticeModel` evaluates it, and the
+planner refuses it.
 
 Determinism: assembly and sampling loops are plain vectorized numpy with a
 fixed reduction order, so results are bit-identical for a fixed seed.
@@ -67,9 +56,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import expr as ex
+from . import theories as TH
 from .calc_var import BoundaryChart
-from .errors import CFLError, CheckFailure, UnboundVariableError
+from .errors import CFLError, CheckFailure, InconsistentSystemError, UnboundVariableError
 from .expr import Expr
+from .pointlin import solve_exact
 
 __all__ = [
     "Lowered",
@@ -127,16 +118,18 @@ class LatticeGrid:
 
     def diff(self, arr: np.ndarray, axis: int) -> np.ndarray:
         """Centered difference ``(a[x+1] - a[x-1]) / (2h)`` along a grid axis
-        (exactly skew on the torus).
-
-        ``axis`` indexes ``self.shape``: counted from the front when the grid
-        axes lead ``arr``, from the end (negative) when components lead.  It
-        runs a one-shot :func:`_diff_plan`, the stepper's plan, into a new
-        buffer; along a length-1 axis the difference is zero.
-        """
-        out, calls = _diff_plan(self, np.asarray(arr), axis)
-        _run(calls)
-        return out
+        (exactly skew on the torus), by :func:`_stencil` into a new buffer;
+        zero along a length-1 axis.  ``axis`` indexes ``self.shape``, counted
+        from the front when the grid axes lead ``arr``, from the end
+        (negative) when components lead."""
+        arr = np.asarray(arr)
+        if self.shape[axis] == 1:
+            return np.zeros_like(arr)
+        out = np.empty(arr.shape, np.result_type(arr, 1.0))
+        for views in _stencil(np.ascontiguousarray(arr), out, axis):
+            np.subtract(*views)
+        scale, by = self._stencil_scale
+        return scale(out, by, out)
 
     @cached_property
     def _stencil_scale(self) -> tuple:
@@ -198,34 +191,13 @@ def _stencil(src: np.ndarray, out: np.ndarray, axis: int) -> tuple:
     elements ``2 * inner`` apart with ``inner = prod(shape[axis+1:])``; it
     is right everywhere but at the two end layers along ``axis``, which the
     other two overwrite with their wrapped neighbours.  The views stay valid
-    as long as the buffers do, so a stepper builds its triples once.
+    as long as the buffers do.
     """
     axis %= src.ndim
     inner = math.prod(src.shape[axis + 1:])
     flat, flat_out = src.reshape(-1), out.reshape(-1)
     return ((flat[2 * inner:], flat[:-2 * inner], flat_out[inner:-inner]),) + tuple(
         (src[plus], src[minus], out[at]) for at, plus, minus in _end_slices(axis))
-
-
-def _diff_plan(grid: LatticeGrid, src: np.ndarray, axis: int) -> tuple:
-    """A buffer for ``grid.diff(src, axis)`` and the calls that fill it from
-    the current values of ``src``, a view that lives as long as the plan:
-    ``(ufunc, args)`` pairs that copy a non-contiguous ``src`` into a
-    contiguous stage, subtract the :func:`_stencil` triples and divide once
-    by ``2h`` (:attr:`LatticeGrid._stencil_scale`).  Along a length-1 axis
-    the buffer holds zeros and there is nothing to run."""
-    if grid.shape[axis] == 1:
-        return np.zeros_like(src), []
-    out = np.zeros(src.shape, np.result_type(src, 1.0))
-    calls = []
-    if not src.flags.c_contiguous:
-        stage = np.empty(src.shape, src.dtype)
-        calls.append((np.copyto, (stage, src)))
-        src = stage
-    scale, by = grid._stencil_scale
-    calls += [(np.subtract, views) for views in _stencil(src, out, axis)]
-    calls.append((scale, (out, by, out)))
-    return out, calls
 
 
 def _run(calls) -> None:
@@ -791,171 +763,220 @@ def coisotropy_check(cs: dict, omega: TwoFormMatrix, state: dict,
 
 
 # ---------------------------------------------------------------------------
-# Electromagnetic evolution (flat metric, temporal gauge, leapfrog)
+# The planned hamiltonian flow of a quadratic chart
 # ---------------------------------------------------------------------------
 
-def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
-    """Discrete Gauss density d_i F_0i of the flat metric; ``F0`` is shaped
-    grid.shape + (ndim,), as in the state of :func:`evolve_em`."""
-    out = np.zeros(grid.shape)
-    for i in range(grid.ndim):
-        out += grid.diff(F0[..., i], i)
-    return out
+def _linear(e: Expr, index: dict, axis_of: dict) -> tuple:
+    """``e`` as ``(coefficient, (slot, axis))`` terms, in term order, of a
+    linear form in the state slots, underived (axis None) or differenced
+    once; anything else (an unfolded symbol, a product, a function, a
+    constant, a second derivative) raises ValueError."""
+    terms = []
+    for (vars_, fns), c in e.terms:
+        slots = [index.get((v.field, v.comp)) for v, _ in vars_]
+        if None in slots:
+            raise ValueError(f"{ex.to_text(e)}: a symbol is neither a state slot nor bound to a scalar")
+        if fns or len(vars_) != 1 or vars_[0][1] != 1 or len(vars_[0][0].deriv) > 1:
+            raise ValueError(f"{ex.to_text(e)} is not linear in the state and its first differences")
+        deriv = vars_[0][0].deriv
+        terms.append((c, (slots[0], axis_of[deriv[0]] if deriv else None)))
+    return tuple(terms)
 
 
 @lru_cache(maxsize=None)
-def _em_layout(ndim: int) -> tuple:
-    """The flux pairs j < l of :class:`_EmLeapfrog`, in order, and per grid
-    axis i the rows of the two stacks differenced along i: of the state
-    stack (A_0 .. A_{ndim-1}, F0_0 .. F0_{ndim-1}) the components A_l with
-    l != i and then F0_i, and of the flux stack the pairs that hold i.  In
-    both difference buffers, pair (j, l) sits at position l - 1 along j and
-    at position j along l."""
-    pairs = tuple((j, l) for j in range(ndim) for l in range(j + 1, ndim))
-    return (pairs,
-            tuple(tuple(l for l in range(ndim) if l != i) + (ndim + i,) for i in range(ndim)),
-            tuple(tuple(p for p, pair in enumerate(pairs) if i in pair) for i in range(ndim)))
+def _flow_terms(chart: BoundaryChart, slots: tuple, fold: tuple, outputs: tuple, reads: tuple) -> tuple:
+    """The folded chart's hamiltonian vector field, exactly: per slot of
+    ``outputs`` its ``(sign, form, axis)`` terms in ``density_gradient``'s
+    order, each a jet's gradient (a :func:`_linear` form, divided by the sign
+    of its first coefficient so that forms which agree up to sign are one),
+    differenced by the adjoint along ``axis`` unless it is None; and the
+    form of each density of ``reads``.  The constant per-site 2-form block
+    is inverted exactly, so the cell volumes cancel; every entry of its
+    inverse must be 0 or ±1 (a signed permutation for em and scalar)."""
+    index = {key: j for j, key in enumerate(slots)}
+    axis_of = {coord: i for i, coord in enumerate(chart.tangential)}
+    H = _fold(chart.hamiltonian, fold)
+    grad = ex.gradient(H)
+    dH = [[] for _ in slots]
+    for v in H.jet_vars():
+        if v in grad:
+            ((_, (j, axis)),) = _linear(Expr.var(v), index, axis_of)
+            form = _linear(grad[v], index, axis_of)
+            sign = 1 if form[0][0] > 0 else -1
+            form = tuple((float(c * sign), jet) for c, jet in form)
+            dH[j].append((-sign if axis is not None else sign, form, axis))
+    n = len(slots)
+    jac = [[Fraction(0)] * n for _ in range(n)]  # jac[i][j] = d alpha_j / d slot_i
+    for (g,), coeff in chart.alpha.terms:
+        j = index.get((g.field, g.comp))
+        for c, (i, axis) in _linear(_fold(coeff, fold), index, axis_of):
+            if g.deriv or j is None or axis is not None:
+                raise ValueError("the boundary 1-form is not ultralocal in the state")
+            jac[i][j] += c
+    block = [[jac[i][j] - jac[j][i] for j in range(n)] for i in range(n)]
+    inverse = []  # inverse[j][k]: entry (k, j) of the block's inverse
+    for j in range(n):
+        try:
+            x, kernel = solve_exact(block, [Fraction(int(i == j)) for i in range(n)])
+        except InconsistentSystemError:  # singular: e_j is not in its range
+            kernel = True
+        if kernel or any(abs(v) not in (0, 1) for v in x):
+            raise ValueError("the chart's 2-form is degenerate, or its inverse has an entry not 0 or ±1")
+        inverse.append(x)
+    fields = tuple(tuple((int(inverse[j][k]) * s, form, axis) for j in range(n) if inverse[j][k]
+                         for s, form, axis in dH[j]) for k in outputs)
+    reads = (_linear(_fold(e, fold), index, axis_of) for e in reads)
+    return fields, tuple(tuple((float(c), jet) for c, jet in form) for form in reads)
 
 
-def _gather(stack: np.ndarray, rows: tuple) -> tuple:
-    """``stack[rows]`` along the first axis and the calls that fill it: a
-    view, with no calls, when the rows are consecutive; else a contiguous
-    stage and the one ``take`` that copies the rows into it (faster than
-    copying a strided view)."""
-    if rows == tuple(range(rows[0], rows[-1] + 1)):
-        return stack[rows[0]:rows[-1] + 1], []
-    stage = np.empty((len(rows),) + stack.shape[1:], stack.dtype)
-    return stage, [(stack.take, (np.array(rows), 0, stage, "clip"))]
+def _stage(grid: LatticeGrid, per_axis: list) -> tuple:
+    """A buffer stacking the differences of ``(stack, index)`` rows along
+    each grid axis, each axis's offset, and the calls that fill it: per axis
+    a stencil over consecutive rows of one stack, else over one ``take`` of
+    them (faster than copying a strided view) or a copy of each; one scale."""
+    out = np.zeros((sum(map(len, per_axis)),) + grid.shape)
+    calls, offsets, at = [], [], 0
+    for axis, rows in enumerate(per_axis):
+        offsets.append(at)
+        if not rows:
+            continue
+        (stack, first), idx = rows[0], [i for _, i in rows]
+        shared = all(s is stack for s, _ in rows)
+        src = stack[first:first + len(rows)]
+        if not shared or idx != list(range(first, first + len(rows))):
+            src = np.empty((len(rows),) + grid.shape)
+            calls += ([(stack.take, (np.array(idx), 0, src, "clip"))] if shared else
+                      [(np.copyto, (src[k], s[i])) for k, (s, i) in enumerate(rows)])
+        calls += [(np.subtract, views) for views in _stencil(src, out[at:at + len(rows)], axis - grid.ndim)]
+        at += len(rows)
+    if calls:
+        scale, by = grid._stencil_scale
+        calls.append((scale, (out, by, out)))
+    return out, calls, offsets
 
 
-def _signed_sum(out: np.ndarray, terms: list) -> list:
-    """The calls that leave the sum of ``terms``, ``(sign, array)`` pairs,
-    in ``out``, added in order from the first term (as from zero, but for
-    the sign of a zero): the first two in one call when the first is
-    positive.  No terms, no calls."""
+def _linear_sum(out: np.ndarray, terms: list, tmp: np.ndarray) -> list:
+    """The calls that leave the sum of ``terms``, ``(coefficient, array)``
+    pairs, in ``out``, each product rounded and added in order, as the float
+    kernel sums a linear form (bit for bit up to the sign of a zero; ``-a +
+    b`` is ``b - a``).  ``tmp`` holds a product other than ±1 that is added."""
     if not terms:
         return []
-    (s0, t0), rest = terms[0], terms[1:]
-    if s0 > 0 and rest:
-        (s1, t1), rest = rest[0], rest[1:]
-        calls = [(np.add if s1 > 0 else np.subtract, (t0, t1, out))]
+    if len(terms) == 2 and terms[0][0] == -1 and terms[1][0] == 1:
+        terms = terms[::-1]
+    (c0, t0), rest = terms[0], terms[1:]
+    if c0 == 1 and rest and abs(rest[0][0]) == 1:
+        (c1, t1), rest = rest[0], rest[1:]
+        calls = [(np.add if c1 > 0 else np.subtract, (t0, t1, out))]
     else:
-        calls = [(np.copyto, (out, t0)) if s0 > 0 else (np.negative, (t0, out))]
-    return calls + [(np.add if s > 0 else np.subtract, (out, t, out)) for s, t in rest]
+        calls = [(np.copyto, (out, t0)) if c0 == 1 else (np.negative, (t0, out)) if c0 == -1
+                 else (np.multiply, (t0, c0, out))]
+    for c, t in rest:
+        if abs(c) != 1:
+            calls.append((np.multiply, (t, abs(c), tmp)))
+            t = tmp
+        calls.append((np.add if c > 0 else np.subtract, (out, t, out)))
+    return calls
 
 
-class _EmLeapfrog:
-    """The buffers and planned calls of one :func:`evolve_em` run.
+class _Flow:
+    """The buffers and calls of the hamiltonian vector field of a model's
+    chart (:func:`_flow_terms`), at the slot-major ``state``, shaped
+    (nslots,) + grid.shape: ``diff_calls`` difference each needed (slot,
+    axis) once, one stencil per axis; ``read_calls`` then sum the densities
+    ``reads`` into ``reads``, and ``field_calls`` form each gradient row
+    once, difference the rows in a second stage and sum the components of
+    the slots ``outputs`` into ``field``."""
 
-    ``A`` and ``F0`` are views of one stacked component-major buffer,
-    ``state``, shaped (2 ndim,) + grid.shape, into which the constructor
-    copies its arguments (any layout, shaped (ndim,) + grid.shape); every
-    other buffer and every view triple is built here, once.  ``diff_calls``
-    difference each grid axis i once over the state rows that need it, the
-    A_l with l != i and then F0_i (for 3 axes the rows 1:4 are a view, and
-    (0, 2, 4) and (0, 1, 5) are gathered by one ``take`` each), into one
-    buffer scaled by one call.  They give every F_jl = d_j A_l - d_l A_j and
-    every Gauss term d_i F0_i together.  ``gauss_calls`` leave |d_i F0_i| in
-    ``gauss``, one reduction over the strided stack of the Gauss terms;
-    ``force_calls`` form the fluxes, difference each axis once over the
-    fluxes whose pair holds it (again one buffer, one scale) and write
-    dF_0l/dt = d_i F_il of the flat metric into ``force``.  :meth:`rhs` and
-    :meth:`max_gauss` run the differences and then one of the two.
+    def __init__(self, model: LatticeModel, outputs: tuple, reads: tuple = ()):
+        fields, read_forms = _flow_terms(model.chart, model._slot_key, model._folded(None),
+                                         tuple(outputs), tuple(reads))
+        grid = model.grid
+        self.state = np.empty((model.nslots,) + grid.shape)
+        self.field = np.zeros((len(outputs),) + grid.shape)
+        self.reads = np.zeros((len(reads),) + grid.shape)
+        tmp = np.empty(grid.shape)
+        used = list(dict.fromkeys(form for terms in fields for _, form, _ in terms))
+        jets = {jet for form in used + list(read_forms) for _, jet in form}
+        firsts = [sorted(j for j, a in jets if a == axis) for axis in range(grid.ndim)]
+        d1, self.diff_calls, off1 = _stage(grid, [[(self.state, j) for j in js] for js in firsts])
+        at = {(j, a): (self.state, j) if a is None else (d1, off1[a] + firsts[a].index(j)) for j, a in jets}
+        rows = [form for form in used if len(form) > 1 or form[0][0] != 1]  # else a bare jet
+        R = np.empty((len(rows),) + grid.shape)
+        at.update({form: (R, p) for p, form in enumerate(rows)})
+        arrays = {key: stack[i] for key, (stack, i) in at.items()}
 
-    The zero terms d_l A_l and d_l F_ll are never formed, d_l F_lj enters as
-    -d_l F_jl (exact), and each sum adds its terms in increasing i, starting
-    from its first term (for 3 axes f_0 = -d_1F_01 - d_2F_02,
-    f_1 = d_0F_01 - d_2F_12, f_2 = d_0F_02 + d_1F_12): the site-major
-    stencil's sums from zero, bit for bit up to the sign of a zero.
-    """
+        def key(form):  # a row of R, or the bare jet it is
+            return form if form in at else form[0][1]
 
-    def __init__(self, grid: LatticeGrid, A: np.ndarray, F0: np.ndarray):
-        nd = grid.ndim
-        pairs, a_rows, f_rows = _em_layout(nd)
-        self.state = np.empty((2 * nd,) + grid.shape)
-        self.A, self.F0 = self.state[:nd], self.state[nd:]
-        np.copyto(self.A, A)
-        np.copyto(self.F0, F0)
-        dX, self.diff_calls = self._diffs(grid, self.state, a_rows)
-        self.gauss = np.zeros(grid.shape)
-        # the Gauss terms d_i F0_i, the last row of each entry, summed in
-        # order by one reduction over their strided stack
-        self.gauss_calls = ([(np.add.reduce, (dX[:, -1], 0, None, self.gauss))] if nd else []) \
-            + [(np.abs, (self.gauss, self.gauss))]
-        flux = np.empty((len(pairs),) + grid.shape)
-        calls = [(np.subtract, (dX[j][l - 1], dX[l][j], flux[p])) for p, (j, l) in enumerate(pairs)]
-        dF, more = self._diffs(grid, flux, f_rows)
-        terms = [[] for _ in range(nd)]
-        for j, l in pairs:
-            terms[l].append((1, dF[j][l - 1]))
-            terms[j].append((-1, dF[l][j]))
-        self.force = np.zeros_like(self.A)
-        self.force_calls = calls + more + [c for l in range(nd) for c in _signed_sum(self.force[l], terms[l])]
+        def sums(out, form):
+            return _linear_sum(out, [(c, arrays[jet]) for c, jet in form], tmp)
 
-    @staticmethod
-    def _diffs(grid, stack, rows) -> tuple:
-        """One buffer whose entry i is the difference of ``stack[rows[i]]``
-        along grid axis i, and the calls that fill it: the :func:`_stencil`
-        subtractions of each axis (after the gather of its rows), then one
-        scale of the whole buffer by ``2h``.  Along a length-1 axis the
-        entry stays zero."""
-        out = np.zeros((grid.ndim, len(rows[0]) if rows else 0) + grid.shape)
-        calls = []
-        for i, idx in enumerate(rows):
-            if idx and grid.shape[i] > 1:
-                src, gather = _gather(stack, idx)
-                calls += gather + [(np.subtract, views) for views in _stencil(src, out[i], i - grid.ndim)]
-        if calls:
-            scale, by = grid._stencil_scale
-            calls.append((scale, (out, by, out)))
-        return out, calls
+        self.read_calls = [call for r, form in enumerate(read_forms) for call in sums(self.reads[r], form)]
+        calls = [call for form in rows for call in sums(arrays[form], form)]
+        seconds = [list(dict.fromkeys(form for terms in fields for _, form, a in terms if a == axis))
+                   for axis in range(grid.ndim)]
+        d2, second_calls, off2 = _stage(grid, [[at[key(form)] for form in forms] for forms in seconds])
+        calls += second_calls
+        for k, terms in enumerate(fields):
+            calls += _linear_sum(self.field[k], [
+                (s, d2[off2[a] + seconds[a].index(form)] if a is not None else arrays[key(form)])
+                for s, form, a in terms], tmp)
+        self.field_calls = calls
 
-    def rhs(self) -> None:
-        _run(self.diff_calls)
-        _run(self.force_calls)
 
-    def max_gauss(self) -> float:
-        _run(self.diff_calls)
-        _run(self.gauss_calls)
-        return float(self.gauss.max())
+# ---------------------------------------------------------------------------
+# Electromagnetic evolution (flat metric, temporal gauge, leapfrog)
+# ---------------------------------------------------------------------------
+
+def _flat_em_model(grid: LatticeGrid) -> LatticeModel:
+    return LatticeModel(TH.chart("em"), grid, bindings=TH.flat_metric_bindings(TH.builtin("em")))
+
+
+def em_gauss(grid: LatticeGrid, F0: np.ndarray) -> np.ndarray:
+    """The em chart's Gauss density of the flat metric at ``F0``, shaped
+    grid.shape + (3,) as in :func:`evolve_em`, by :meth:`LatticeModel.evaluate`."""
+    model = _flat_em_model(grid)
+    return model.evaluate(dict(model.chart.constraints)["gauss"], {"F0": np.asarray(F0)})
 
 
 def evolve_em(state: dict, grid: LatticeGrid, dt: float, steps: int):
-    """Kick-drift-kick leapfrog of Maxwell's equations in temporal gauge,
-    with the flat metric.
+    """Kick-drift-kick leapfrog of the em chart's hamiltonian flow in
+    temporal gauge, with the flat metric, on a grid of three axes.
 
-    State fields: ``A`` (potential, lower index) and ``F0`` (electric
-    covector F_{0j}); both shaped grid.shape + (ndim,).  A advances on
-    integer steps, F0 on half steps; each F0 increment is a discrete
+    ``A`` (potential) and ``F0`` (electric covector F_{0j}) are shaped
+    grid.shape + (3,); A advances on integer steps, F0 on half steps.  The
+    flow (:class:`_Flow`) holds copies of both, and a step is a fixed list
+    of in-place numpy calls: drift A, difference A_{n+1} and F0_n in one
+    stencil per axis, read the chart's Gauss density at step n, then form
+    the force, F0_{n+1} and the kick.  Each F0 increment is a discrete
     divergence of an antisymmetric flux, so the Gauss density is conserved
-    to roundoff.  The leapfrog runs on one stacked component-major copy of
-    both, shaped (2 ndim,) + grid.shape, so each component is a contiguous
-    block for the stencil.  Every buffer and view is built once per call
-    (:class:`_EmLeapfrog`), and a step is a fixed list of in-place numpy
-    calls: drift A, difference A_{n+1} and F0_n along each axis in one
-    stencil, read the Gauss residual of step n from the F0 rows, then form
-    the force, F0_{n+1} and the kick; the last F0 is read after the loop.  A
-    curved metric is a binding of :class:`LatticeModel` on the em chart, not
-    a parameter here.  Returns the final state (site-major views of the
-    stacked buffer), with F0 synchronized to the last step, and the max
-    Gauss residual at each step 0..steps.
+    to roundoff.  Returns the final state, with F0 synchronized to the last
+    step, and the max |Gauss density| at each step 0..steps.
     """
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
-    em = _EmLeapfrog(grid, *(np.moveaxis(np.asarray(state[k]), -1, 0) for k in ("A", "F0")))
-    A, F0, force = em.A, em.F0, em.force
+    model = _flat_em_model(grid)
+    F0_slots = tuple(model.slot_index[("F0", comp)] for comp in model.field_comps["F0"])
+    flow = _Flow(model, F0_slots, (dict(model.chart.constraints)["gauss"],))
+    A, F0 = flow.state[:F0_slots[0]], flow.state[F0_slots[0]:]
+    np.copyto(A, np.moveaxis(np.asarray(state["A"]), -1, 0))
+    np.copyto(F0, np.moveaxis(np.asarray(state["F0"]), -1, 0))
+    force, gauss_now = flow.field, flow.reads[0]
     half, tmp = np.empty_like(A), np.empty_like(A)
-    em.rhs()
+    _run(flow.diff_calls + flow.field_calls)
     np.add(F0, np.multiply(force, 0.5 * dt, out=tmp), out=half)
-    drift = [(np.multiply, (half, dt, tmp)), (np.add, (A, tmp, A)), *em.diff_calls, *em.gauss_calls]
-    kick = [*em.force_calls, (np.multiply, (force, 0.5 * dt, tmp)), (np.add, (half, tmp, F0)),
+    read = [*flow.diff_calls, *flow.read_calls, (np.abs, (gauss_now, gauss_now))]
+    drift = [(np.multiply, (half, dt, tmp)), (np.add, (A, tmp, A)), *read]
+    kick = [*flow.field_calls, (np.multiply, (force, 0.5 * dt, tmp)), (np.add, (half, tmp, F0)),
             (np.multiply, (force, dt, tmp)), (np.add, (half, tmp, half))]
-    gauss, read = [], em.gauss.max
+    gauss, peak = [], gauss_now.max
     for _ in range(steps):
         _run(drift)
-        gauss.append(read())
+        gauss.append(peak())
         _run(kick)
-    gauss.append(em.max_gauss())
+    _run(read)
+    gauss.append(peak())
     return {"A": np.moveaxis(A, 0, -1), "F0": np.moveaxis(F0, 0, -1)}, np.array(gauss)
 
 
@@ -991,29 +1012,6 @@ def _rk_evolve(z: np.ndarray, rhs, dt: float, steps: int, record: set, order: in
     return out
 
 
-def _scalar_rhs(grid: LatticeGrid):
-    """The right-hand side of the linearized scalar field of the flat metric
-    on ``grid``: ``rhs(z)``, for ``z`` stacking (phi, phi0), returns a new
-    array stacking (phi0, sum_j d_j d_j phi).  Each call copies phi into a
-    buffer and runs calls planned once, through fixed buffers, over it."""
-    phi, wave = np.empty(grid.shape), np.zeros(grid.shape)
-    calls = [(np.copyto, (wave, 0.0))]
-    for j in range(grid.ndim):
-        d, first = _diff_plan(grid, phi, j)
-        dd, second = _diff_plan(grid, d, j)
-        calls += first + second + [(np.add, (wave, dd, wave))]
-
-    def rhs(z):
-        np.copyto(phi, z[0])
-        _run(calls)
-        out = np.empty_like(z)
-        out[0] = z[1]
-        out[1] = wave
-        return out
-
-    return rhs
-
-
 def symplectic_current_check(omega: TwoFormMatrix, X0: dict, Y0: dict,
                              step_a: int, step_b: int, dt: float) -> float:
     """omega_a(X, Y) - omega_b(X, Y), signed, for two linearized solutions of
@@ -1021,26 +1019,26 @@ def symplectic_current_check(omega: TwoFormMatrix, X0: dict, Y0: dict,
     2-form ``omega`` that the caller assembled (constant for this theory).
 
     In the continuum the pairing of two solutions of the linearized equations
-    is time-independent.  The scalar theory is linear, so the
-    perturbations are themselves solutions; they are evolved here with
-    deliberately non-matched Runge-Kutta integrators (midpoint for one,
-    Kutta's third-order rule for the other).  A symplectic integrator, or
-    even a matched pair of identical RK maps, conserves a discrete pairing
-    exactly on a linear system and leaves nothing to measure; with the
-    mismatched pair the defect is a genuine second-order signal that
-    vanishes as dt^2 under refinement, which is the discrete shadow of the
-    conservation law.  The sign is kept: the leading dt^2 term and the next
-    one can cancel at coarse steps, so the defect may change sign there.
-    Both integrators call one right-hand side (``_scalar_rhs``), whose
-    differences run through buffers planned once per call; every stage and
-    every step is a new array, so a recorded step aliases no buffer.
+    is time-independent.  The theory is linear, so the perturbations are
+    solutions, evolved along the chart's hamiltonian vector field
+    (:class:`_Flow`) by deliberately non-matched Runge-Kutta integrators
+    (midpoint, and Kutta's third-order rule), each stage a new array.  A
+    symplectic or a matched pair conserves a discrete pairing exactly on a
+    linear system; the mismatched pair's defect is a second-order signal,
+    vanishing as dt^2, the discrete shadow of the conservation law.  Its
+    sign is kept: the dt^2 term and the next can cancel at coarse steps.
     """
     model = omega.model
     grid = model.grid
     if dt > grid.spacing:
         raise CFLError(f"dt = {dt} exceeds the grid spacing {grid.spacing}")
+    flow = _Flow(model, tuple(range(model.nslots)))
+    calls = flow.diff_calls + flow.field_calls
 
-    rhs = _scalar_rhs(grid)
+    def rhs(z):
+        np.copyto(flow.state, z)
+        _run(calls)
+        return flow.field.copy()
 
     x, y = (np.stack([np.asarray(Z[k], float).reshape(grid.shape) for k in ("phi", "phi0")])
             for Z in (X0, Y0))

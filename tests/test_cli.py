@@ -434,6 +434,16 @@ def test_cli_parse_error_exit_one(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coords", ["t t", "x 0 @transversal 0"], ids=["duplicate", "digit"])
+def test_coordinates_the_grammar_cannot_read_back_exit_one(tmp_path, capsys, coords):
+    # d[t] names the first of two coordinates t; emit_theory writes d[0]
+    # for the coordinate at position 0, which reads back as the one named 0
+    bad = tmp_path / "bad.theory"
+    bad.write_text(f"theory x\ndim 2\ncoords {coords}\nfield q\nlagrangian \"q'^2 - d[1]q^2\"\n")
+    assert main(["derive", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: coordinate ")
+
+
 def test_cli_check_failure_exit_two(tmp_path, capsys):
     # checking a non-builtin theory has no golden record: exit code 2
     custom = tmp_path / "custom.theory"

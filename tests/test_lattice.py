@@ -1,6 +1,8 @@
 """Lattice backend: assembly, gradients, vector fields, evolution."""
 
+import dataclasses
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -441,8 +443,8 @@ def _evolve_em_reference(state, grid, dt, steps):
 
 
 @pytest.mark.parametrize("shape, spacing, dt", [
-    ((6, 6, 6), 1.0, 0.2), ((4, 6, 8), 1.0, 0.3), ((8, 1, 5), 1.0, 0.25), ((6, 5), 1.0, 0.2),
-    ((6, 6, 6), 0.3, 0.25), ((8,), 1.0, 0.3), ((4, 1, 1), 1.0, 0.3), ((1, 6, 1), 1.0, 0.3),
+    ((6, 6, 6), 1.0, 0.2), ((4, 6, 8), 1.0, 0.3), ((8, 1, 5), 1.0, 0.25),
+    ((6, 6, 6), 0.3, 0.25), ((4, 1, 1), 1.0, 0.3), ((1, 6, 1), 1.0, 0.3),
 ])
 def test_evolve_em_is_bit_identical_to_the_site_major_stencil(rng, shape, spacing, dt):
     grid = LatticeGrid(shape=shape, spacing=spacing)
@@ -456,20 +458,18 @@ def test_evolve_em_is_bit_identical_to_the_site_major_stencil(rng, shape, spacin
 
 
 def test_em_leapfrog_copies_its_arguments(rng):
-    # the stepper's stacked buffer holds copies: stepping it leaves the
-    # caller's arrays as they were, whatever their layout
+    # the flow's stacked buffer holds copies: stepping it leaves the caller's
+    # arrays as they were, whatever their layout, and a transposed,
+    # non-contiguous state steps as its contiguous copy does
     grid = LatticeGrid(shape=(4, 5, 6))
-    A = rng.standard_normal((4, 5, 6, 3))
-    F0 = rng.standard_normal((3, 4, 5, 6))
-    args = (np.moveaxis(A, -1, 0), F0)
-    before = [a.copy() for a in args]
-    em = lattice._EmLeapfrog(grid, *args)
-    assert not any(np.shares_memory(em.state, a) for a in args)
-    assert np.array_equal(em.A, args[0]) and np.array_equal(em.F0, args[1])
-    em.rhs()
-    em.A += 1.0
-    em.F0 += em.force
-    assert all(np.array_equal(a, b) for a, b in zip(args, before))
+    state = {"A": rng.standard_normal((4, 5, 6, 3)), "F0": rng.standard_normal((3, 6, 5, 4)).T}
+    assert not state["F0"].flags.c_contiguous and state["F0"].shape == (4, 5, 6, 3)
+    before = {k: v.copy() for k, v in state.items()}
+    final, gauss = evolve_em(state, grid, dt=0.3, steps=5)
+    assert all(np.array_equal(state[k], before[k]) for k in state)
+    assert not any(np.shares_memory(final[k], state[j]) for k in final for j in state)
+    want, want_gauss = evolve_em(before, grid, dt=0.3, steps=5)
+    assert all(np.array_equal(final[k], want[k]) for k in final) and np.array_equal(gauss, want_gauss)
 
 
 def test_gauss_law_commutes_with_the_curved_hamiltonian(rng):
@@ -510,28 +510,62 @@ def test_em_dispersion_matches_discrete_oracle():
     assert np.abs(final["A"][..., 0]).max() < 1e-12
 
 
+def _planned(model, state, outputs=None, reads=()):
+    """The planned flow of the model's chart (``lattice._Flow``) run at
+    ``state``: its field, site-major as ``hamiltonian_vector_field`` returns
+    it, and its reads."""
+    outputs = tuple(range(model.nslots)) if outputs is None else outputs
+    flow = lattice._Flow(model, outputs, reads)
+    np.copyto(flow.state, model.state_to_vector(state).T.reshape(flow.state.shape))
+    lattice._run(flow.diff_calls + flow.read_calls + flow.field_calls)
+    return flow.field.reshape(len(outputs), model.grid.nsites).T, flow.reads
+
+
+def _chart_field(model, state):
+    omega = assemble_two_form(model, state)
+    X, res = hamiltonian_vector_field(omega, model.density_gradient(model.chart.hamiltonian, state))
+    assert res == 0.0
+    return X
+
+
 @pytest.mark.parametrize("name, shape", [("scalar", (32,)), ("em", (6, 5, 4)), ("em", (16, 16, 16))])
 def test_each_stepper_rhs_is_the_chart_hamiltonian_vector_field(name, shape):
-    # the hand-written flat stencils move the state along the vector field
-    # of the chart's own hamiltonian under flat bindings, bit for bit
+    # the steppers' right-hand side, planned off the folded chart, is the
+    # vector field of the chart's own hamiltonian under flat bindings, bit
+    # for bit, and so is evolve_em's force alone
     t = TH.builtin(name)
     grid = LatticeGrid(shape=shape)
     model = LatticeModel(TH.chart(name), grid, bindings=TH.flat_metric_bindings(t))
     state = model.random_state(np.random.default_rng(3))
-    omega = assemble_two_form(model, state)
-    X, res = hamiltonian_vector_field(omega, model.density_gradient(model.chart.hamiltonian, state))
-    X = model.vector_to_state(X)
-    assert res == 0.0
-    if name == "scalar":
-        z = np.stack([state["phi"][..., 0], state["phi0"][..., 0]])
-        got = lattice._scalar_rhs(grid)(z)
-        assert np.array_equal(X["phi"][..., 0], got[0]) and np.array_equal(X["phi0"][..., 0], got[1])
-    else:
-        A, F0 = (np.array(np.moveaxis(state[k], -1, 0), order="C") for k in ("A", "F0"))
-        em = lattice._EmLeapfrog(grid, A, F0)
-        em.rhs()
-        assert np.array_equal(X["A"], state["F0"])
-        assert np.array_equal(X["F0"], np.moveaxis(em.force, 0, -1))
+    planned, _ = _planned(model, state)
+    assert np.array_equal(planned, _chart_field(model, state))
+    if name == "em":
+        F0 = [model.slot_index[("F0", c)] for c in model.field_comps["F0"]]
+        assert np.array_equal(_planned(model, state, tuple(F0))[0], planned[:, F0])
+        # negative control: with the magnetic energy halved, the plan
+        # follows the mutated chart, whose force differs
+        H = model.chart.hamiltonian
+        electric = E.substitute(H, {("A", c): E.ZERO for c in model.field_comps["A"]})
+        chart = dataclasses.replace(model.chart, hamiltonian=(H + electric) * E.Expr.const(Fraction(1, 2)))
+        mutated = LatticeModel(chart, grid, bindings=model.bindings)
+        got, _ = _planned(mutated, state)
+        assert np.array_equal(got, _chart_field(mutated, state))
+        assert not np.array_equal(got[:, F0], planned[:, F0])
+
+
+def test_the_flow_planner_refuses_what_it_cannot_plan():
+    # a hamiltonian that is not quadratic (V(q)), a background bound to an
+    # array (a curved metric), and an inverse 2-form that is not a signed
+    # permutation (rh = 2 doubles the 2-form)
+    flat = TH.flat_metric_bindings(TH.builtin("em"))
+    heavy = LatticeModel(TH.chart("em"), LatticeGrid(shape=(4, 4, 4)), bindings={**flat, "rh": 2.0})
+    for model, message in ((mech_model(), "not linear"), (curved_em_model()[0], "neither a state slot"),
+                           (heavy, "not 0 or ±1")):
+        with pytest.raises(ValueError, match=message):
+            lattice._Flow(model, tuple(range(model.nslots)))
+    # the em chart has three tangential axes, so evolve_em needs three
+    with pytest.raises(ValueError, match="3 tangential directions"):
+        evolve_em({k: np.zeros((6, 5, 2)) for k in ("A", "F0")}, LatticeGrid(shape=(6, 5)), 0.2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -821,18 +855,19 @@ def test_em_check_on_a_grid_too_thin_to_difference(shape):
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), (6, 5, 4), (8, 1, 5), (4, 1, 1)])
 def test_em_gauss_stencil_is_the_chart_gauss_density(shape):
-    # gauss_drift reads the leapfrog's planned Gauss read
-    # (_EmLeapfrog.max_gauss), the Gauss tie of gauge_vector_field the
-    # chart's gauss density, whose flat bindings are folded into its kernel;
-    # em_gauss is the allocating stencil.  They are one Gauss law
+    # gauss_drift reads evolve_em's planned Gauss read, the Gauss tie of
+    # gauge_vector_field the chart's gauss density, whose flat bindings are
+    # folded into its kernel; em_gauss evaluates that density.  They are
+    # one Gauss law
     model, grid = em_model(shape)
     state = model.random_state(np.random.default_rng(23))
-    chart_gauss = model.evaluate(dict(model.chart.constraints)["gauss"], state)
+    gauss = dict(model.chart.constraints)["gauss"]
+    chart_gauss = model.evaluate(gauss, state)
     assert np.array_equal(lattice.em_gauss(grid, state["F0"]), chart_gauss)
-    A, F0 = (np.ascontiguousarray(np.moveaxis(state[k], -1, 0)) for k in ("A", "F0"))
-    em = lattice._EmLeapfrog(grid, A, F0)
-    assert em.max_gauss() == np.abs(chart_gauss).max()
-    assert np.array_equal(em.gauss, np.abs(chart_gauss))
+    _, (read,) = _planned(model, state, (), (gauss,))
+    assert np.array_equal(read, chart_gauss)
+    _, series = evolve_em(state, grid, dt=0.5, steps=0)
+    assert series.tolist() == [np.abs(chart_gauss).max()]
 
 
 def test_coisotropy_em_single_family(rng):
