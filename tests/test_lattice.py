@@ -442,9 +442,15 @@ def _evolve_em_reference(state, grid, dt, steps):
     return {"A": A, "F0": F0}, np.array(gauss)
 
 
+# explicit ids keep each case's name as it was when the suite also held 1- and
+# 2-axis grids, which the em chart's three tangential axes now refuse
 @pytest.mark.parametrize("shape, spacing, dt", [
-    ((6, 6, 6), 1.0, 0.2), ((4, 6, 8), 1.0, 0.3), ((8, 1, 5), 1.0, 0.25),
-    ((6, 6, 6), 0.3, 0.25), ((4, 1, 1), 1.0, 0.3), ((1, 6, 1), 1.0, 0.3),
+    pytest.param((6, 6, 6), 1.0, 0.2, id="shape0-1.0-0.2"),
+    pytest.param((4, 6, 8), 1.0, 0.3, id="shape1-1.0-0.3"),
+    pytest.param((8, 1, 5), 1.0, 0.25, id="shape2-1.0-0.25"),
+    pytest.param((6, 6, 6), 0.3, 0.25, id="shape4-0.3-0.25"),
+    pytest.param((4, 1, 1), 1.0, 0.3, id="shape6-1.0-0.3"),
+    pytest.param((1, 6, 1), 1.0, 0.3, id="shape7-1.0-0.3"),
 ])
 def test_evolve_em_is_bit_identical_to_the_site_major_stencil(rng, shape, spacing, dt):
     grid = LatticeGrid(shape=shape, spacing=spacing)
