@@ -550,13 +550,13 @@ class BoundaryChart:
     """Coordinates on the boundary phase space of a theory.
 
     By default a chart is derived: ``derived_chart`` reads the preboundary
-    fields, the boundary 1-form and the constraints off the split.  Symbolic
-    reduction (inverting momenta, dropping pure-gauge directions) is out of
-    scope for the pipeline, so a theory whose chart changes coordinates
-    declares it: the chart fields, the boundary 1-form and constraint
-    densities written in them, the defining expressions of the momenta in
-    preboundary symbols, and any algebraic surface the chart lives on.
-    ``verify_chart`` checks either kind against the derived split exactly.
+    fields, the boundary 1-form, the constraints and the hamiltonian off the
+    split.  Symbolic reduction (inverting momenta) is out of scope for the
+    pipeline, so a chart that changes coordinates names its fields and the
+    defining expressions of its momenta in preboundary symbols; its 1-form,
+    constraint densities and hamiltonian are images of the derived ones under
+    a gauge fixing (em), or declared with the algebraic surface the chart
+    lives on (length).  ``verify_chart`` checks either kind exactly.
     """
     theory: str
     fields: tuple                       # ChartField, lattice layout order

@@ -21,7 +21,8 @@ The attributes of ``field`` and ``background`` lines are the fields of
 ``parse_theory(emit_theory(t)) == t`` whatever the order of the declarations.
 
 Unknown keys are rejected, as are ``dim``, ``vdim`` or ``jetorder`` below 1
-and negative index counts; errors carry line numbers.  Reports serialize
+and negative index counts; errors carry line numbers, and an error inside
+the lagrangian's expression also its file column.  Reports serialize
 deterministically: UTF-8, sorted keys, floats at 17 significant digits.
 
 Exit codes: 0 all requested checks pass (and ``--help``); 1 user error: a
@@ -146,7 +147,7 @@ def parse_theory(text: str) -> TheorySpec:
     lines = {}  # declared name or ("boundary", i) -> its line
     side = 1
     lagrangian_src = None
-    lagrangian_line = 0
+    lagrangian_line = lagrangian_col = 0
     seen = set()
 
     def dup(key, line):
@@ -221,7 +222,7 @@ def parse_theory(text: str) -> TheorySpec:
             if not (rest.startswith('"') and rest.endswith('"') and len(rest) >= 2):
                 raise ParseError('usage: lagrangian "EXPR"', lineno)
             lagrangian_src = rest[1:-1]
-            lagrangian_line = lineno
+            lagrangian_line, lagrangian_col = lineno, raw.index('"') + 1
         else:
             raise ParseError(f"unknown declaration {key!r}", lineno)
         if key in ("field", "background", "function"):
@@ -241,11 +242,12 @@ def parse_theory(text: str) -> TheorySpec:
                           functions=tuple(functions), vdim=vdim, jet_order=jet_order,
                           boundary_side=side, boundary_names=tuple(boundary_names))
     except ParseError as exc:  # attach the line of what it is about
-        raise ParseError(str(exc), lines.get(exc.subject)) from None
+        raise ParseError(exc.message, lines.get(exc.subject)) from None
     try:
         L = ex.parse(lagrangian_src, base.context())
-    except ParseError as exc:
-        raise type(exc)(f"in lagrangian: {exc}", lagrangian_line) from exc
+    except ParseError as exc:  # the expression is one line: its column counts from the quote
+        col = None if exc.col is None else lagrangian_col + exc.col
+        raise type(exc)(f"in lagrangian: {exc.message}", lagrangian_line, col) from exc
     except ZeroDivisionError as exc:  # division by a sum, or by zero
         raise ParseError(f"in lagrangian: {exc}", lagrangian_line) from exc
     except RecursionError:  # nesting deeper than the interpreter's stack
@@ -253,7 +255,7 @@ def parse_theory(text: str) -> TheorySpec:
     try:
         return replace(base, lagrangian=L)
     except ParseError as exc:  # what the spec checks of the Lagrangian
-        raise ParseError(str(exc), lagrangian_line) from None
+        raise ParseError(exc.message, lagrangian_line) from None
 
 
 def _int(word: str, what: str, lineno: int) -> int:

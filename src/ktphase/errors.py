@@ -8,10 +8,12 @@ class KtError(Exception):
 class ParseError(KtError):
     """Syntax or declaration error in a theory file or expression string.
 
-    ``subject`` names what an error found after parsing is about (a declared
-    name, or ``("boundary", i)``), for the parser to attach its line."""
+    ``message`` is the text without the location; ``subject`` names what an
+    error found after parsing is about (a declared name, or ``("boundary",
+    i)``), for the parser to attach its line."""
 
     def __init__(self, message, line=None, col=None, subject=None):
+        self.message = message
         self.line = line
         self.col = col
         self.subject = subject

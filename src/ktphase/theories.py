@@ -13,18 +13,18 @@ The Lagrangians live only in the shipped theory files
 ``theories_data/<name>.theory``: :func:`builtin` parses the file, so a
 builtin is exactly what ``ktphase derive path/to/<name>.theory`` reads.  Each
 theory is derived once per process (``derived_split``).  Its boundary chart
-is read off that derivation (``calc_var.derived_chart``: the preboundary
-fields, the restricted boundary 1-form, the extracted constraints), unless
-the theory declares a change of coordinates: ``length`` (a unit vector on a
-surface) and ``em`` (the electric-field momentum) do, and
-``calc_var.verify_chart`` checks those declarations exactly against the
-derivation.  The gauge data of em and pc4 are plain expressions, which the
-lattice evaluates like any density: ``gauge_direction`` (chart slot ->
+is read off that derivation (``calc_var.derived_chart``), in temporal gauge
+for ``em`` (``A[0] -> 0``, ``A0 -> F0``, with the electric-field momentum
+declared), while ``length`` declares its chart (a unit vector on a surface,
+not an affine map); ``calc_var.verify_chart`` checks both exactly against
+the derivation.  The gauge data of em and pc4 are plain expressions, which
+the lattice evaluates like any density: ``gauge_direction`` (chart slot ->
 motion) and ``constraint_set`` (family -> smeared density).  Only the
-``pc_*`` float helpers import numpy, when called, and nothing here imports
-``lattice``, so deriving a theory loads neither.  The coframe-gravity chart
-keeps the six-per-point kernel of its 2-form (connection shifts annihilated
-by the coframe); the lattice reports it as kernel data, not quotienting.
+``pc_*`` float helpers import numpy and ``lattice``, when called, so
+deriving a theory or building its chart loads neither.  The coframe-gravity
+chart keeps the six-per-point kernel of its 2-form (connection shifts
+annihilated by the coframe); the lattice reports it as kernel data, not
+quotienting.
 
 Sign conventions per theory, recorded because each is a genuine choice:
 the equation-of-motion densities follow the classical form (kinetic term
@@ -39,7 +39,6 @@ internal rotations act as ``c . e`` on the coframe).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import expr as ex
@@ -95,34 +94,24 @@ def _length_chart() -> BoundaryChart:
 # ---------------------------------------------------------------------------
 
 def _em_chart(t: TheorySpec) -> BoundaryChart:
+    # in temporal gauge the momentum F0[j] = A0[j] - d[j]A[0] is A0[j]; that the
+    # images depend on A0 and A[0] only through F0 is what verify_chart checks
     tang = t.tangential()
-    restr = frozenset({0})
-    meta = SymbolMeta(excluded=restr)
-    A = lambda i, deriv=(): Expr.var(JetVar("A", (i,), deriv, meta))
-    F0 = lambda j, deriv=(): Expr.var(JetVar("F0", (j,), deriv, meta))
-    rh = Expr.var(JetVar("rh", (), (), SymbolMeta(background=True, excluded=restr, positive=True)))
-    hv = lambda i, j: Expr.var(JetVar("hinv", (min(i, j), max(i, j)), (),
-                                      SymbolMeta(background=True, excluded=restr)))
-    # momenta: F0_j = (d/dx0 A_j)| - d_j A_0|
+    meta = SymbolMeta(excluded=frozenset({0}))
+    gauge = {("A", (0,)): Expr.const(0)}
+    gauge.update((("A0", (j,)), Expr.var(JetVar("F0", (j,), (), meta))) for j in tang)
+    fix = lambda e: ex.substitute(e, gauge, t.jet_order + 1)
+    derived = derived_chart(derived_split(t))
+    (_, gauss), = derived.constraints
     momenta = tuple((("F0", (j,)),
                      Expr.var(JetVar("A0", (j,), (), meta)) - Expr.var(JetVar("A", (0,), (j,), meta)))
                     for j in tang)
-    alpha = LocalVarForm(1, (((JetVar("A", (j,), (), meta),), ex.esum(hv(i, j) * F0(i) for i in tang) * rh)
-                             for j in tang))
-    gauss = ex.esum(ex.total_derivative(hv(i, j) * F0(j) * rh, i, t.jet_order + 1)
-                    for i in tang for j in tang)
-    H = Expr.const(Fraction(1, 2)) * rh * ex.esum(hv(i, j) * F0(i) * F0(j) for i in tang for j in tang) \
-        + Expr.const(Fraction(1, 4)) * rh * ex.esum(
-            hv(i, j) * hv(k, l)
-            * (Expr.var(JetVar("A", (k,), (i,), meta)) - Expr.var(JetVar("A", (i,), (k,), meta)))
-            * (Expr.var(JetVar("A", (l,), (j,), meta)) - Expr.var(JetVar("A", (j,), (l,), meta)))
-            for i in tang for j in tang for k in tang for l in tang)
     return BoundaryChart(theory="em", tangential=tang,
                          fields=(ChartField("A", tuple((j,) for j in tang)),
                                  ChartField("F0", tuple((j,) for j in tang))),
-                         alpha=alpha, momenta=momenta,
-                         constraints=(("gauss", gauss),), surface=(),
-                         hamiltonian=H)
+                         alpha=derived.alpha.map_coeffs(fix), momenta=momenta,
+                         constraints=(("gauss", fix(gauss)),), surface=(),
+                         hamiltonian=fix(derived.hamiltonian))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +160,8 @@ def derived_split(t: str | TheorySpec) -> BoundarySplit:
 
 @lru_cache(maxsize=None)
 def chart(name: str) -> BoundaryChart:
-    """The boundary chart of a builtin: derived from its split, except where
-    the theory declares a change of coordinates (``length``, ``em``)."""
+    """The boundary chart of a builtin: derived from its split, in temporal
+    gauge for ``em``, and declared for ``length``."""
     t = builtin(name)
     if name == "length":
         return _length_chart()

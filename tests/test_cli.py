@@ -528,20 +528,32 @@ def test_python_m_ktphase_runs_the_cli():
     assert proc.stdout == emit_report(report, "data")
 
 
-@pytest.mark.parametrize("args", [["mechanics"], ["pc4", "--format", "latex"]],
-                         ids=["mechanics", "pc4-latex"])
-def test_derive_does_not_import_numpy(args):
-    # the derivation is exact; only checks load numpy and the lattice
+def _float_imports(module, *argv) -> set:
+    """The modules of numpy and ``ktphase.lattice`` that ``python -X importtime
+    *argv`` imports, after asserting that it ran and imported ``module``."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ktphase", "derive", *args],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "ktphase.cli" in imported
-    assert not {m for m in imported if m.split(".")[0] == "numpy" or m == "ktphase.lattice"}
+    assert module in imported
+    return {m for m in imported if m.split(".")[0] == "numpy" or m == "ktphase.lattice"}
+
+
+@pytest.mark.parametrize("args", [["mechanics"], ["pc4", "--format", "latex"]],
+                         ids=["mechanics", "pc4-latex"])
+def test_derive_does_not_import_numpy(args):
+    # the derivation is exact; only checks load numpy and the lattice
+    assert not _float_imports("ktphase.cli", "-m", "ktphase", "derive", *args)
+
+
+def test_charts_do_not_import_numpy():
+    # a chart is exact data, em's read off its derivation in temporal gauge
+    code = "from ktphase import theories as TH\nfor name in TH.THEORY_NAMES: TH.chart(name)"
+    assert not _float_imports("ktphase.theories", "-c", code)
 
 
 def test_export_lists_resolve():
@@ -620,6 +632,9 @@ def test_cli_scalar_lattice_flag(tmp_path):
     (("jetorder 3", "jetorder 0"), ["derive"], 9),
     (("-V(q) + 1/2*m*q'^2", "q^2/(q+1)"), ["derive"], None),
     (("-V(q) + 1/2*m*q'^2", "(" * 250 + "q'^2" + ")" * 250), ["derive"], None),
+    # inside the lagrangian: the file line, and the quote's column plus the expression's
+    (("m*q'^2", "m*x'^2"), ["derive"], "10, col 27"),
+    (("m*q'^2\"", "m*q'^2)\""), ["derive"], "10, col 31"),
     (None, ["check", "em", "--lattice", "16x"], None),
     (None, ["check", "em", "--lattice", "2x2x2"], None),
     (None, ["check", "em", "--lattice", "8x8"], None),
@@ -636,7 +651,8 @@ def test_cli_scalar_lattice_flag(tmp_path):
         "field-base",
         "field-internal", "background-base", "field-negative-base", "field-negative-internal",
         "background-negative-base", "dim-zero", "vdim-negative", "vdim-zero", "jetorder-negative",
-        "jetorder-zero", "rational-lagrangian", "deep-nesting", "lattice-16x",
+        "jetorder-zero", "rational-lagrangian", "deep-nesting", "lagrangian-undeclared-symbol",
+        "lagrangian-stray-paren", "lattice-16x",
         "lattice-2x2x2", "lattice-rank", "lattice-huge", "lattice-over-max-sites", "lattice-empty",
         "lattice-without-golden-grid", "point-checks-negative", "point-checks-zero",
         "point-checks-without-golden-point"])

@@ -12,7 +12,7 @@ import pytest
 from ktphase import expr as E
 from ktphase import theories as TH
 from ktphase import verify as VF
-from ktphase.calc_var import ChartField, LocalVarForm, verify_chart
+from ktphase.calc_var import ChartField, LocalVarForm, derived_chart, verify_chart
 from ktphase.errors import CheckFailure
 from ktphase.lattice import (
     DEFAULT_RANK_TOL,
@@ -33,6 +33,8 @@ from ktphase.pointlin import (
     structural_fix,
     structural_maps,
 )
+
+from em_oracle import em_by_hand
 
 
 def test_builtin_names_and_unknown():
@@ -179,12 +181,42 @@ def _doubled_gradient_momenta(ch):
     return tuple(out)
 
 
+def _em_in_gauge(ch, a_time, a0_scale):
+    """em's chart with alpha, Gauss density and hamiltonian the images of the
+    derived ones under ``A[0] -> a_time`` and ``A0[j] -> a0_scale * F0[j]``."""
+    t = TH.builtin("em")
+    meta = E.SymbolMeta(excluded=frozenset({0}))
+    images = {("A0", (j,)): E.Expr.var(E.JetVar("F0", (j,), (), meta)) * E.Expr.const(a0_scale)
+              for j in t.tangential()}
+    if a_time is not None:
+        images[("A", (0,))] = a_time
+    fix = lambda e: E.substitute(e, images, t.jet_order + 1)
+    derived = derived_chart(TH.derived_split("em"))
+    return dataclasses.replace(ch, alpha=derived.alpha.map_coeffs(fix), hamiltonian=fix(derived.hamiltonian),
+                               constraints=tuple((n, fix(d)) for (n, _), (_, d)
+                                                 in zip(ch.constraints, derived.constraints)))
+
+
+def test_em_chart_is_the_hand_built_data():
+    # the temporal-gauge image of the derivation is the electric-field chart
+    # written out by hand; every kernel lowered from the chart rests on it
+    ch = TH.chart("em")
+    alpha, gauss, H = em_by_hand(TH.builtin("em"))
+    assert ch.alpha == alpha
+    assert ch.constraints == (("gauss", gauss),)
+    assert ch.hamiltonian == H
+    assert _em_in_gauge(ch, E.ZERO, 1) == ch
+
+
 @pytest.mark.parametrize("name, broken", [
     ("em", lambda ch: dataclasses.replace(ch, momenta=_doubled_gradient_momenta(ch))),
     ("length", lambda ch: dataclasses.replace(ch, alpha=ch.alpha.scale(2))),
     ("em", lambda ch: dataclasses.replace(ch, constraints=ch.constraints[1:])),
     ("pc4", lambda ch: dataclasses.replace(ch, constraints=ch.constraints[1:])),
-], ids=["em-momentum", "length-alpha", "em-dropped-constraint", "pc4-dropped-constraint"])
+    ("em", lambda ch: _em_in_gauge(ch, None, 1)),
+    ("em", lambda ch: _em_in_gauge(ch, E.ZERO, 2)),
+], ids=["em-momentum", "length-alpha", "em-dropped-constraint", "pc4-dropped-constraint",
+        "em-free-time-component", "em-doubled-electric-field"])
 def test_verify_chart_rejects_a_wrong_chart(name, broken):
     with pytest.raises(CheckFailure):
         verify_chart(broken(TH.chart(name)), TH.derived_split(name))
